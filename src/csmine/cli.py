@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .data import ArffError, load_arff, derive_groups_regression, derive_groups_survival, write_arff
-from .induction import MiningParams, mine_all
+from .induction import MiningParams, _worker_count, mine_all
 from .quality import MEASURES
 from .reports import (
     filter_redundancy,
@@ -188,6 +188,10 @@ def run_mine(args, out=None) -> int:
             raise ConfigError(f"unknown key {key!r}")
         cfg[key] = value.strip()
     params = params_from_config(cfg)
+    try:
+        workers = _worker_count(None)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     threshold = None
     if "redundancy_threshold" in cfg and cfg["redundancy_threshold"]:
         threshold = _parse_float(cfg, "redundancy_threshold", 0.0)
@@ -208,7 +212,7 @@ def run_mine(args, out=None) -> int:
             f"task {ds.task}, groups {', '.join(ds.groups)}",
             file=out,
         )
-        results = mine_all(ds, params)
+        results = mine_all(ds, params, workers=workers)
         kept = filter_redundancy(results, threshold) if threshold is not None else results
         for g, sets in kept.items():
             print(f"group {g}: {len(sets)} sets", file=out)

@@ -353,12 +353,7 @@ class DataSet:
         group_names: tuple[str, ...] = ()
         group_codes = None
         if self.group_codes is not None:
-            old = self.group_codes[idx]
-            seen = np.unique(old)
-            keep = [gi for gi in range(len(self.group_names)) if gi in seen]
-            group_names = tuple(self.group_names[gi] for gi in keep)
-            remap = {gi: k for k, gi in enumerate(keep)}
-            group_codes = np.asarray([remap[int(g)] for g in old], dtype=np.int32)
+            group_names, group_codes = _observed_groups(self.group_names, self.group_codes[idx])
         return DataSet(
             self.attributes,
             columns,
@@ -399,6 +394,12 @@ class DataSet:
             f"DataSet({self.relation!r}, n={self.n_examples}, "
             f"attrs={len(self.attributes)}, groups={list(self.group_names)}, task={self.task!r})"
         )
+
+
+def _observed_groups(names: Sequence[str], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """Keep the groups that occur in ``codes``, in declaration order, and renumber."""
+    seen = np.unique(codes)
+    return tuple(names[k] for k in seen), np.searchsorted(seen, codes).astype(np.int32)
 
 
 class ArffError(ValueError):
@@ -494,8 +495,8 @@ def parse_arff(
     relation = "data"
     attributes: list[Attribute] = []
     rows: list[list[str]] = []
+    row_lines: list[int] = []
     in_data = False
-    data_start_line = 0
     for line_no, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -513,7 +514,6 @@ def parse_arff(
                 if not attributes:
                     raise ArffError(line_no, "@data before any @attribute")
                 in_data = True
-                data_start_line = line_no
             else:
                 raise ArffError(line_no, f"unrecognized header line {line.split()[0]!r}")
         else:
@@ -526,8 +526,9 @@ def parse_arff(
                     f"expected {len(attributes)} values, found {len(fields)}",
                 )
             rows.append(fields)
+            row_lines.append(line_no)
     if not in_data:
-        raise ArffError(data_start_line or 1, "missing @data section")
+        raise ArffError(1, "missing @data section")
 
     all_names = [a.name for a in attributes]
     if len(set(all_names)) != len(all_names):
@@ -570,16 +571,13 @@ def parse_arff(
                 line_no_hint, f"non-numeric value {raw_value!r} in column {col_name!r}"
             ) from None
 
-    # Rows were collected content-only; recover their line numbers for error
-    # reporting by re-walking everything past the @data marker.
-    row_lines: list[int] = []
-    for line_no, raw in enumerate(io.StringIO(text), start=1):
-        if line_no <= data_start_line:
-            continue
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        row_lines.append(line_no)
+    def numeric_column(ci: int) -> np.ndarray:
+        # nominal-declared special columns are read as numbers too
+        name = attributes[ci].name
+        col = np.empty(n, dtype=np.float64)
+        for r, fields in enumerate(rows):
+            col[r] = numeric_cell(fields[ci], row_lines[r], name)
+        return col
 
     columns: list[np.ndarray] = []
     for i, attr in enumerate(attributes):
@@ -587,9 +585,7 @@ def parse_arff(
             columns.append(None)  # placeholder; handled below
             continue
         if attr.is_numeric:
-            col = np.empty(n, dtype=np.float64)
-            for r, fields in enumerate(rows):
-                col[r] = numeric_cell(fields[i], row_lines[r], attr.name)
+            col = numeric_column(i)
         else:
             lookup = {v: k for k, v in enumerate(attr.domain)}
             col = np.empty(n, dtype=np.int32)
@@ -622,35 +618,10 @@ def parse_arff(
             if v not in lookup:
                 raise ArffError(row_lines[r], f"value {v!r} not in declared domain of {gattr.name!r}")
             raw_codes[r] = lookup[v]
-        observed = np.unique(raw_codes)
-        keep = [k for k in range(len(gattr.domain)) if k in observed]
-        group_names = tuple(gattr.domain[k] for k in keep)
-        remap = {k: j for j, k in enumerate(keep)}
-        group_codes = np.asarray([remap[int(c)] for c in raw_codes], dtype=np.int32)
+        group_names, group_codes = _observed_groups(gattr.domain, raw_codes)
 
     def special_numeric(role: str) -> np.ndarray | None:
-        if role not in special:
-            return None
-        ci = special[role]
-        cattr = attributes[ci]
-        out = np.empty(n, dtype=np.float64)
-        if cattr.is_numeric:
-            for r, fields in enumerate(rows):
-                out[r] = numeric_cell(fields[ci], row_lines[r], cattr.name)
-        else:
-            for r, fields in enumerate(rows):
-                v = fields[ci]
-                if v == "?":
-                    out[r] = float("nan")
-                else:
-                    try:
-                        out[r] = float(v)
-                    except ValueError:
-                        raise ArffError(
-                            row_lines[r],
-                            f"non-numeric value {v!r} in column {cattr.name!r}",
-                        ) from None
-        return out
+        return numeric_column(special[role]) if role in special else None
 
     labels_arr = special_numeric("label")
     times_arr = special_numeric("time")
@@ -766,7 +737,11 @@ def write_arff(ds: DataSet, out=None) -> str:
             else:
                 fields.append(_format_value(arr[i]))
         buf.write(",".join(fields) + "\n")
-    text = buf.getvalue()
+    return _write_text(buf.getvalue(), out)
+
+
+def _write_text(text: str, out) -> str:
+    """Write ``text`` to a writable stream or a path (none when ``out`` is None)."""
     if out is not None:
         if hasattr(out, "write"):
             out.write(text)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .contrast import ContrastSet, cover
 from .data import CoverageSet, DataSet
 
@@ -101,10 +103,7 @@ def reward(p_new: int, p: int, s: float, pi: float, b: float) -> float:
         raise ValueError("saturation b must be in (0, 1]")
     if s * pi >= 1:
         raise ValueError("reward undefined for s*pi >= 1")
-    x = p_new / p
-    if x <= b:
-        return 1.0
-    return 1.0 + ((x - b) / (1.0 - b)) * (1.0 / (1.0 - s * pi) - 1.0)
+    return float(_reward_factor(p_new, p, s * pi, b))
 
 
 def modified_quality(q: float, s: float, pi: float, phi: float) -> float:
@@ -115,31 +114,68 @@ def modified_quality(q: float, s: float, pi: float, phi: float) -> float:
     penalty still worsens them. When s*pi >= 1 the multiplier is floored at
     MULTIPLIER_FLOOR instead of vanishing.
     """
-    m = (1.0 - s * pi) * phi
-    if m < MULTIPLIER_FLOOR:
-        m = MULTIPLIER_FLOOR
-    if q >= 0:
-        return q * m
-    return q / m
+    return float(_apply_multiplier(q, s * pi, phi))
 
 
-def _jaccard(a: frozenset, b: frozenset) -> float:
-    union = len(a | b)
-    if union == 0:
-        return 0.0
-    return len(a & b) / union
+def _reward_factor(p_new, p, spi: float, b: float) -> np.ndarray:
+    """phi per candidate from its new and total positive counts.
+
+    A candidate with p = 0 has x = 0. When s*pi >= 1 phi is 1: the
+    multiplier is floored there whatever phi is.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if spi >= 1.0:
+        return np.ones(p.shape)
+    x = np.divide(np.asarray(p_new, dtype=np.float64), p, out=np.zeros(p.shape), where=p > 0)
+    slope = 1.0 / (1.0 - spi) - 1.0
+    return np.where(x <= b, 1.0, 1.0 + ((x - b) / (1.0 - b)) * slope)
+
+
+def _apply_multiplier(q, spi: float, phi) -> np.ndarray:
+    """q times m = max((1 - s*pi) * phi, MULTIPLIER_FLOOR), or q / m for q < 0."""
+    m = np.maximum((1.0 - spi) * np.asarray(phi, dtype=np.float64), MULTIPLIER_FLOOR)
+    q = np.asarray(q, dtype=np.float64)
+    return np.where(q >= 0, q * m, q / m)
+
+
+def _jaccard(intersection: int, union: int) -> float:
+    return intersection / union if union else 0.0
+
+
+def _max_similarity(
+    attrs: frozenset,
+    pos_cov: np.ndarray,
+    pool_attrs: Sequence[frozenset],
+    pool_pos_cov: Sequence[np.ndarray],
+) -> tuple[float, int | None]:
+    """Highest similarity of one set to a pool, and the pool index holding it.
+
+    A set is given by its attribute indices and its positive-coverage bool
+    mask; similarity is the product of the two Jaccard indices. The earliest
+    maximum wins; an empty pool gives (0.0, None).
+    """
+    best, best_i = 0.0, None
+    for i, (pa, pc) in enumerate(zip(pool_attrs, pool_pos_cov)):
+        sim = _jaccard(len(attrs & pa), len(attrs | pa))
+        if sim > 0.0:
+            sim *= _jaccard(int(np.count_nonzero(pos_cov & pc)), int(np.count_nonzero(pos_cov | pc)))
+        if best_i is None or sim > best:
+            best, best_i = sim, i
+    return best, best_i
+
+
+def _positive_cover(cs: ContrastSet, positives: CoverageSet, ds: DataSet) -> np.ndarray:
+    return cover(cs, None, ds).mask & positives.mask
 
 
 def similarity(
     cs_a: ContrastSet, cs_b: ContrastSet, positives: CoverageSet, ds: DataSet
 ) -> float:
     """Product of two Jaccard indices: attribute sets and positive coverages."""
-    attr_j = _jaccard(cs_a.attribute_indices, cs_b.attribute_indices)
-    if attr_j == 0.0:
-        return 0.0
-    cov_a = (cover(cs_a, None, ds) & positives).to_set()
-    cov_b = (cover(cs_b, None, ds) & positives).to_set()
-    return attr_j * _jaccard(frozenset(cov_a), frozenset(cov_b))
+    return _max_similarity(
+        cs_a.attribute_indices, _positive_cover(cs_a, positives, ds),
+        [cs_b.attribute_indices], [_positive_cover(cs_b, positives, ds)],
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -160,13 +196,9 @@ def redundancy(
 
     The first set of a group has redundancy 0 with no predecessor.
     """
-    best = 0.0
-    best_i: int | None = None
-    for i, prev in enumerate(predecessors):
-        sim = similarity(cs, prev, positives, ds)
-        if best_i is None or sim > best:
-            best = sim
-            best_i = i
-    if best_i is None:
-        return RedundancyRecord(0.0, None)
-    return RedundancyRecord(best, best_i)
+    value, index = _max_similarity(
+        cs.attribute_indices, _positive_cover(cs, positives, ds),
+        [prev.attribute_indices for prev in predecessors],
+        [_positive_cover(prev, positives, ds) for prev in predecessors],
+    )
+    return RedundancyRecord(value, index)

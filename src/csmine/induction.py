@@ -31,7 +31,7 @@ from .contrast import (
     condition_mask,
 )
 from .data import CoverageSet, DataSet
-from .diversity import MULTIPLIER_FLOOR, PenaltyState
+from .diversity import PenaltyState, _apply_multiplier, _max_similarity, _reward_factor
 from .quality import MEASURES, _LogRankScorer, correlation, measure_for_task
 
 __all__ = [
@@ -199,11 +199,16 @@ class _Context:
         group: str,
         params: MiningParams,
         measure: str,
-        d_u: np.ndarray,
-        r_u: np.ndarray,
-        penalty: PenaltyState,
-        minsupp_all: float,
+        d_u: np.ndarray | None = None,
+        r_u: np.ndarray | None = None,
+        penalty: PenaltyState | None = None,
+        minsupp_all: float | None = None,
     ) -> "_Context":
+        """Context for ``group``; ``measure`` comes from _resolve_measure.
+
+        The uncovered pool defaults to the whole group, the reward baseline
+        to the uncovered pool, and the support floor to the first level.
+        """
         pos = ds.group_mask(group).mask
         neg = ~pos
         P = int(np.count_nonzero(pos))
@@ -212,6 +217,7 @@ class _Context:
             raise ValueError(f"group {group!r} has no examples")
         if N == 0:
             raise ValueError(f"group {group!r} has no contrasting examples")
+        d_u = pos.copy() if d_u is None else d_u
         ctx = cls(
             ds=ds,
             params=params,
@@ -220,41 +226,17 @@ class _Context:
             neg=neg,
             P=P,
             N=N,
-            penalty=penalty,
+            penalty=penalty if penalty is not None else PenaltyState(len(ds.attributes)),
             d_u=d_u,
-            r_u=r_u,
-            minsupp_all=minsupp_all,
+            r_u=d_u.copy() if r_u is None else r_u,
+            minsupp_all=minsupp_all if minsupp_all is not None else params.minsupps[0],
         )
         if measure == "regression":
-            if ds.labels is None:
-                raise ValueError("regression measure needs a bound label column")
             ctx.labels = ds.labels
             ctx.pos_label_mean = float(np.mean(ds.labels[pos]))
         elif measure == "survival":
             ctx.survival_scorer = _LogRankScorer(ds, pos)
         return ctx
-
-    def modifier(self, pi: float, p: np.ndarray, p_new_reward: np.ndarray) -> np.ndarray:
-        """Diversity multiplier per candidate: (1 - s*pi) * phi, floored."""
-        s = self.params.penalty_strength
-        b = self.params.reward_saturation
-        spi = s * pi
-        p_arr = np.asarray(p, dtype=np.float64)
-        if spi >= 1.0:
-            return np.full(p_arr.shape, MULTIPLIER_FLOOR)
-        x = np.divide(
-            np.asarray(p_new_reward, dtype=np.float64),
-            p_arr,
-            out=np.zeros(p_arr.shape),
-            where=p_arr > 0,
-        )
-        slope = 1.0 / (1.0 - spi) - 1.0
-        phi = np.where(x <= b, 1.0, 1.0 + ((x - b) / (1.0 - b)) * slope)
-        return np.maximum((1.0 - spi) * phi, MULTIPLIER_FLOOR)
-
-    def modified(self, q: np.ndarray, m: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=np.float64)
-        return np.where(q >= 0, q * m, q / m)
 
 
 @dataclass
@@ -456,9 +438,7 @@ def _grow(ctx: _Context) -> _Grown | None:
             )
             if not valid.any():
                 continue
-            pi = ctx.penalty.premise_penalty(attr_set | {ai})
-            m = ctx.modifier(pi, cand.p, cand.p_new_reward)
-            qmod = ctx.modified(cand.q, m)
+            qmod = _modified(ctx, cand.q, cand.p, cand.p_new_reward, attr_set | {ai})
             vidx = np.flatnonzero(valid)
             qv = qmod[vidx]
             cv = cand.covc[vidx]
@@ -501,9 +481,9 @@ def _counts(ctx: _Context, cov: np.ndarray) -> ConfusionMatrix:
     )
 
 
-def _raw_quality(ctx: _Context, cov: np.ndarray, cm: ConfusionMatrix | None = None) -> float:
+def _raw_quality(ctx: _Context, cov: np.ndarray, cm: ConfusionMatrix) -> float:
     if ctx.measure == "correlation":
-        return correlation(cm if cm is not None else _counts(ctx, cov))
+        return correlation(cm)
     if ctx.measure == "regression":
         idx = np.flatnonzero(cov)
         if idx.size == 0:
@@ -512,13 +492,23 @@ def _raw_quality(ctx: _Context, cov: np.ndarray, cm: ConfusionMatrix | None = No
     return -ctx.survival_scorer.score(np.flatnonzero(cov))
 
 
-def _modified_quality_of(ctx: _Context, cov: np.ndarray, attrs: Iterable[int]) -> float:
-    cm = _counts(ctx, cov)
+def _modified(ctx: _Context, q, p, p_new_reward, attrs: Iterable[int]) -> np.ndarray:
+    """Raw qualities with the diversity multiplier of premise ``attrs``."""
+    spi = ctx.params.penalty_strength * ctx.penalty.premise_penalty(attrs)
+    return _apply_multiplier(q, spi, _reward_factor(p_new_reward, p, spi, ctx.params.reward_saturation))
+
+
+def _modified_quality_cm(
+    ctx: _Context, cov: np.ndarray, cm: ConfusionMatrix, attrs: Iterable[int]
+) -> float:
+    """Modified quality of one coverage whose counts are already known."""
     q = _raw_quality(ctx, cov, cm)
-    pi = ctx.penalty.premise_penalty(attrs)
-    p_new_reward = int(np.count_nonzero(cov & ctx.r_u))
-    m = ctx.modifier(pi, np.asarray([cm.p]), np.asarray([p_new_reward]))
-    return float(ctx.modified(np.asarray([q]), m)[0])
+    rew = int(np.count_nonzero(cov & ctx.r_u))
+    return float(_modified(ctx, q, cm.p, rew, attrs))
+
+
+def _modified_quality_of(ctx: _Context, cov: np.ndarray, attrs: Iterable[int]) -> float:
+    return _modified_quality_cm(ctx, cov, _counts(ctx, cov), attrs)
 
 
 def _prune(ctx: _Context, grown: _Grown) -> _Grown:
@@ -550,11 +540,7 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
             if cm.neg2pos > params.max_neg2pos:
                 continue
             attrs = set(c.attr_index for j, c in enumerate(conditions) if j != i)
-            q = _raw_quality(ctx, cov_i, cm)
-            pi = ctx.penalty.premise_penalty(attrs)
-            rew = int(np.count_nonzero(cov_i & ctx.r_u))
-            m = ctx.modifier(pi, np.asarray([cm.p]), np.asarray([rew]))
-            qmod = float(ctx.modified(np.asarray([q]), m)[0])
+            qmod = _modified_quality_cm(ctx, cov_i, cm, attrs)
             if qmod >= q_best:
                 remove = i
                 q_best = qmod
@@ -575,6 +561,30 @@ def _resolve_measure(ds: DataSet, params: MiningParams) -> str:
     return measure
 
 
+def _api_context(
+    ds: DataSet,
+    group: str,
+    params: MiningParams,
+    uncovered: CoverageSet | None,
+    penalty: PenaltyState | None,
+    reward_uncovered: CoverageSet | None,
+    minsupp_all: float | None = None,
+) -> _Context:
+    """Context for the public grow and prune calls, from coverage sets."""
+    measure = _resolve_measure(ds, params)
+    reward_pool = reward_uncovered or uncovered
+    return _Context.build(
+        ds,
+        group,
+        params,
+        measure,
+        d_u=None if uncovered is None else uncovered.mask.copy(),
+        r_u=None if reward_pool is None else reward_pool.mask.copy(),
+        penalty=penalty,
+        minsupp_all=minsupp_all,
+    )
+
+
 def grow(
     ds: DataSet,
     group: str,
@@ -589,17 +599,7 @@ def grow(
     ``uncovered`` is the pass's uncovered-positive pool, frozen for the
     whole call. The reward baseline defaults to the same pool.
     """
-    measure = _resolve_measure(ds, params)
-    ctx = _Context.build(
-        ds,
-        group,
-        params,
-        measure,
-        d_u=uncovered.mask.copy(),
-        r_u=(reward_uncovered or uncovered).mask.copy(),
-        penalty=penalty or PenaltyState(len(ds.attributes)),
-        minsupp_all=minsupp_all if minsupp_all is not None else params.minsupps[0],
-    )
+    ctx = _api_context(ds, group, params, uncovered, penalty, reward_uncovered, minsupp_all)
     grown = _grow(ctx)
     if grown is None:
         return None
@@ -617,19 +617,7 @@ def prune(
     """Prune a premise; single-condition input returns unchanged."""
     if len(cs.conditions) <= 1:
         return cs
-    measure = _resolve_measure(ds, params)
-    pos = ds.group_mask(cs.group)
-    unc = uncovered if uncovered is not None else pos
-    ctx = _Context.build(
-        ds,
-        cs.group,
-        params,
-        measure,
-        d_u=unc.mask.copy(),
-        r_u=(reward_uncovered or unc).mask.copy(),
-        penalty=penalty or PenaltyState(len(ds.attributes)),
-        minsupp_all=params.minsupps[0],
-    )
+    ctx = _api_context(ds, cs.group, params, uncovered, penalty, reward_uncovered)
     masks = [condition_mask(c, ds) for c in cs.conditions]
     cov = np.ones(ds.n_examples, dtype=bool)
     for msk in masks:
@@ -655,13 +643,9 @@ def mine_group(
     measure = _resolve_measure(ds, params)
     if group not in ds.groups:
         raise KeyError(f"no group named {group!r}")
-    pos_mask = ds.group_mask(group).mask
-    penalty = PenaltyState(len(ds.attributes))
-    ctx = _Context.build(
-        ds, group, params, measure,
-        d_u=pos_mask.copy(), r_u=pos_mask.copy(),
-        penalty=penalty, minsupp_all=params.minsupps[0],
-    )
+    ctx = _Context.build(ds, group, params, measure)
+    pos_mask = ctx.pos
+    penalty = ctx.penalty
     pool: list[AnnotatedContrastSet] = []
     pool_keys: set = set()
     pool_attrs: list[frozenset[int]] = []
@@ -707,16 +691,7 @@ def mine_group(
                 if not duplicate:
                     attrs = canon.attribute_indices
                     pos_cov = cov & pos_mask
-                    red, red_i = 0.0, None
-                    for i, (pa, pc) in enumerate(zip(pool_attrs, pool_pos_cov)):
-                        aj = _jaccard_sets(attrs, pa)
-                        sim = 0.0
-                        if aj > 0.0:
-                            sim = aj * _jaccard_masks(pos_cov, pc)
-                        if red_i is None or sim > red:
-                            red, red_i = sim, i
-                    if red_i is None:
-                        red = 0.0
+                    red, red_i = _max_similarity(attrs, pos_cov, pool_attrs, pool_pos_cov)
                     pool.append(
                         AnnotatedContrastSet(
                             contrast_set=canon,
@@ -742,16 +717,22 @@ def mine_group(
     return pool
 
 
-def _jaccard_sets(a: frozenset, b: frozenset) -> float:
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
+def _worker_count(workers: int | None) -> int:
+    """Process count for mine_all: ``workers``, else CSMINE_WORKERS, else 1.
 
-
-def _jaccard_masks(a: np.ndarray, b: np.ndarray) -> float:
-    union = int(np.count_nonzero(a | b))
-    if union == 0:
-        return 0.0
-    return int(np.count_nonzero(a & b)) / union
+    A value that is not an integer of at least 1 raises ValueError naming
+    its source.
+    """
+    name, value = "workers", workers
+    if workers is None:
+        name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV) or "1"
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return count
 
 
 def _mine_one(args) -> tuple[str, list[AnnotatedContrastSet]]:
@@ -775,6 +756,7 @@ def mine_all(
     output order stays deterministic either way.
     """
     params = params or MiningParams()
+    workers = _worker_count(workers)
     if len(ds.groups) < 2:
         raise ValueError("mining needs at least two groups")
     if params.mode == "one-vs-one":
@@ -796,8 +778,6 @@ def mine_all(
             if g not in ds.groups:
                 raise KeyError(f"no group named {g!r}")
         jobs = [(ds, g, params) for g in targets]
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
     results: dict[str, list[AnnotatedContrastSet]] = {}
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -141,32 +141,51 @@ def log_rank(sample_a, sample_b) -> float:
 
 
 def _log_rank_arrays(ta, sa, tb, sb) -> float:
-    if ta.size == 0 or tb.size == 0:
+    """Log-rank between two (times, statuses) samples over their joint time grid."""
+    grid = np.unique(np.concatenate([ta, tb]))
+    ra = np.searchsorted(grid, ta)
+    rb = np.searchsorted(grid, tb)
+    g = grid.size
+    return _log_rank_grid(
+        _at_risk(np.bincount(ra, minlength=g)),
+        np.bincount(ra, weights=(sa == 1), minlength=g),
+        _at_risk(np.bincount(rb, minlength=g)),
+        np.bincount(rb, weights=(sb == 1), minlength=g),
+    )
+
+
+def _at_risk(counts: np.ndarray) -> np.ndarray:
+    # at-risk at grid time t = number of observations with time >= t
+    return np.cumsum(counts[::-1])[::-1]
+
+
+def _log_rank_grid(n1: np.ndarray, d1: np.ndarray, n2: np.ndarray, d2: np.ndarray) -> float:
+    """Log-rank chi-square from per-grid at-risk counts and event counts.
+
+    Grid times without events, or with nobody at risk, are skipped; no
+    usable time, or zero variance, scores 0.
+    """
+    nj = n1 + n2
+    d = d1 + d2
+    use = (d > 0) & (nj > 0)
+    if not use.any():
         return 0.0
-    event_times = np.unique(np.concatenate([ta[sa == 1], tb[sb == 1]]))
-    if event_times.size == 0:
-        return 0.0
-    o_minus_e = 0.0
-    variance = 0.0
-    observed = 0.0
-    expected = 0.0
-    for t in event_times:
-        n1 = int(np.count_nonzero(ta >= t))
-        n2 = int(np.count_nonzero(tb >= t))
-        nj = n1 + n2
-        d1 = int(np.count_nonzero((ta == t) & (sa == 1)))
-        d2 = int(np.count_nonzero((tb == t) & (sb == 1)))
-        d = d1 + d2
-        if nj == 0 or d == 0:
-            continue
-        observed += d1
-        expected += n1 * d / nj
-        if nj > 1:
-            variance += n1 * n2 * d * (nj - d) / (nj * nj * (nj - 1))
+    observed = float(d1[use].sum())
+    expected = float((n1[use] * d[use] / nj[use]).sum())
+    var_use = use & (nj > 1)
+    variance = float(
+        (
+            n1[var_use]
+            * n2[var_use]
+            * d[var_use]
+            * (nj[var_use] - d[var_use])
+            / (nj[var_use] * nj[var_use] * (nj[var_use] - 1.0))
+        ).sum()
+    )
     if variance <= 0.0:
         return 0.0
-    o_minus_e = observed - expected
-    return (o_minus_e * o_minus_e) / variance
+    diff = observed - expected
+    return (diff * diff) / variance
 
 
 class _LogRankScorer:
@@ -185,42 +204,15 @@ class _LogRankScorer:
         g = self.grid.size
         pos_rank = self.rank[positives_mask]
         pos_events = self.events[positives_mask]
-        self.n2 = self._at_risk(np.bincount(pos_rank, minlength=g))
+        self.n2 = _at_risk(np.bincount(pos_rank, minlength=g))
         self.d2 = np.bincount(pos_rank, weights=pos_events, minlength=g)
-
-    @staticmethod
-    def _at_risk(counts: np.ndarray) -> np.ndarray:
-        # at-risk at grid time t = number of observations with time >= t
-        return np.cumsum(counts[::-1])[::-1]
 
     def score(self, indices: np.ndarray) -> float:
         g = self.grid.size
         r = self.rank[indices]
-        cnt = np.bincount(r, minlength=g)
+        n1 = _at_risk(np.bincount(r, minlength=g))
         d1 = np.bincount(r, weights=self.events[indices], minlength=g)
-        n1 = self._at_risk(cnt)
-        n2 = self.n2
-        nj = n1 + n2
-        d = d1 + self.d2
-        use = (d > 0) & (nj > 0)
-        if not use.any():
-            return 0.0
-        observed = float(d1[use].sum())
-        expected = float((n1[use] * d[use] / nj[use]).sum())
-        var_use = use & (nj > 1)
-        variance = float(
-            (
-                n1[var_use]
-                * n2[var_use]
-                * d[var_use]
-                * (nj[var_use] - d[var_use])
-                / (nj[var_use] * nj[var_use] * (nj[var_use] - 1.0))
-            ).sum()
-        )
-        if variance <= 0.0:
-            return 0.0
-        diff = observed - expected
-        return (diff * diff) / variance
+        return _log_rank_grid(n1, d1, self.n2, self.d2)
 
 
 def survival_consistency(coverage: CoverageSet, ds: DataSet, positives: CoverageSet) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .contrast import cover, parse_conditions, render_conditions
-from .data import DataSet
+from .data import DataSet, _write_text
 from .induction import AnnotatedContrastSet, MiningParams
 
 __all__ = [
@@ -137,13 +137,7 @@ def write_csv_report(results: dict[str, list[AnnotatedContrastSet]], ds: DataSet
                     a.redundancy,
                 ]
             )
-    text = buf.getvalue()
-    if out is not None:
-        if hasattr(out, "write"):
-            out.write(text)
-        else:
-            Path(out).write_text(text, encoding="utf-8")
-    return text
+    return _write_text(buf.getvalue(), out)
 
 
 def read_csv_report(source, ds: DataSet) -> dict[str, list[AnnotatedContrastSet]]:
@@ -249,13 +243,7 @@ def write_json_report(
     if redundancy_threshold is not None:
         doc["redundancy_threshold"] = redundancy_threshold
         doc["metrics_before_filter"] = before.to_dict()
-    text = json.dumps(doc, indent=2) + "\n"
-    if out is not None:
-        if hasattr(out, "write"):
-            out.write(text)
-        else:
-            Path(out).write_text(text, encoding="utf-8")
-    return text
+    return _write_text(json.dumps(doc, indent=2) + "\n", out)
 
 
 def read_json_report(source, ds: DataSet) -> dict[str, list[AnnotatedContrastSet]]:

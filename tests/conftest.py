@@ -2,7 +2,8 @@
 
 The references here are deliberately slow and literal: growing enumerates
 every candidate condition one by one, pruning re-evaluates every removal
-from scratch, and the survival statistics are redone in exact Fraction
+from scratch, redundancy compares Python sets of row indices one pair at a
+time, and the survival statistics are redone in exact Fraction
 arithmetic. Production code must agree with them bitwise for
 classification, exactly for integer-label regression, and to 1e-9 for
 survival scores.
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from csmine.contrast import ConfusionMatrix, condition_mask
+from csmine.contrast import ConfusionMatrix, condition_mask, satisfies
 from csmine.data import Attribute, CoverageSet, DataSet, derive_groups_survival
 from csmine.diversity import MULTIPLIER_FLOOR, PenaltyState
 from csmine.induction import possible_conditions
@@ -180,6 +181,36 @@ def log_rank_oracle(a, b):
     if variance <= 0:
         return Fraction(0)
     return (observed - expected) ** 2 / variance
+
+
+# ---------------------------------------------------------------------------
+# literal redundancy reference
+
+def redundancy_oracle(cs, predecessors, positives, ds):
+    """(value, predecessor index) of the most similar earlier set.
+
+    Similarity is the Jaccard index of the attribute sets times the Jaccard
+    index of the covered positive rows, each a Python set found example by
+    example. The earliest maximum wins; no predecessors gives (0.0, None).
+    """
+    examples = list(ds.examples())
+    pos_rows = set(np.flatnonzero(positives.mask).tolist())
+
+    def rows(s):
+        return {i for i in pos_rows if all(satisfies(examples[i], c) for c in s.conditions)}
+
+    def jaccard(a, b):
+        return len(a & b) / len(a | b) if a | b else 0.0
+
+    target = rows(cs)
+    best, best_i = 0.0, None
+    for i, prev in enumerate(predecessors):
+        sim = jaccard(set(cs.attribute_indices), set(prev.attribute_indices))
+        if sim > 0.0:
+            sim *= jaccard(target, rows(prev))
+        if best_i is None or sim > best:
+            best, best_i = sim, i
+    return best, best_i
 
 
 # ---------------------------------------------------------------------------

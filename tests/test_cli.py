@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from csmine import cli
 from csmine.cli import (
     CONFIG_KEYS,
     ConfigError,
@@ -319,6 +320,20 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert main(["mine", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "run.conf: line 1: unknown key 'whatever'" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_main_bad_workers_env_exit_code(tmp_path, capsys, monkeypatch, value):
+    def no_mining(*args, **kwargs):
+        raise AssertionError("mining started")
+
+    monkeypatch.setattr(cli, "mine_all", no_mining)
+    monkeypatch.setenv("CSMINE_WORKERS", value)
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("synthetic = default\n", encoding="utf-8")
+    assert main(["mine", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: CSMINE_WORKERS must be an integer of at least 1, got '{value}'" in err
 
 
 def test_main_bad_report_exit_code(tmp_path, capsys):

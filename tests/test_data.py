@@ -251,10 +251,17 @@ def test_parse_accepts_stream_and_case():
     ("@relation r\n@attribute a {x,y}\n@data\nz\n", 4, "not in declared domain"),
     ("@relation r\n@attribute a numeric\n@attribute a numeric\n@data\n1,1\n", 1,
      "duplicate attribute name"),
+    pytest.param("@relation r\n@attribute a numeric\n@data\n1\n% note\n\n2\noops\n", 8,
+                 "non-numeric value 'oops'", id="bad-row-after-comment-and-blank"),
+    # a (text, bindings) pair binds a nominal-declared column as the label
+    pytest.param(("@relation r\n@attribute a numeric\n@attribute y {1,2,x}\n@data\n"
+                  "1,2\n2,x\n", {"label": "y"}), 6,
+                 "non-numeric value 'x' in column 'y'", id="nominal-label-not-a-number"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, fragment):
+    text, bindings = text if isinstance(text, tuple) else (text, {})
     with pytest.raises(ArffError, match=fragment) as exc:
-        parse_arff(text)
+        parse_arff(text, **bindings)
     assert exc.value.line == line
     assert str(exc.value).startswith(f"line {line}:")
 

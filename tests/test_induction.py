@@ -7,6 +7,7 @@ histories, and gate settings.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from csmine.contrast import (
     render_conditions,
 )
 from csmine.data import Attribute, CoverageSet, DataSet
-from csmine.diversity import PenaltyState, redundancy
+from csmine.diversity import PenaltyState
 from csmine.induction import (
     MiningParams,
     grow,
@@ -32,6 +33,7 @@ from csmine.induction import (
     possible_conditions,
     prune,
 )
+from csmine import induction
 from csmine.quality import correlation
 from csmine.synthetic import generate_synthetic
 
@@ -42,6 +44,7 @@ from conftest import (
     random_classification,
     random_regression,
     random_survival,
+    redundancy_oracle,
 )
 
 
@@ -414,11 +417,11 @@ def _check_annotations(ds, params, sets, events):
         per_pass[(e.minsupp_all, e.pass_index)] += 1
     for count in per_pass.values():
         assert count <= bound
-    # redundancy annotations replay the diversity module's definition
+    # redundancy annotations replay the literal definition
     for i, a in enumerate(sets):
-        rec = redundancy(a.contrast_set, [s.contrast_set for s in sets[:i]], pos, ds)
-        assert a.redundancy == rec.value
-        assert a.redundancy_with == rec.predecessor
+        value, index = redundancy_oracle(a.contrast_set, [s.contrast_set for s in sets[:i]], pos, ds)
+        assert a.redundancy == value
+        assert a.redundancy_with == index
 
 
 def test_mine_group_annotations_randomized():
@@ -494,3 +497,24 @@ def test_workers_env_default(monkeypatch):
     ds = generate_synthetic()
     monkeypatch.setenv("CSMINE_WORKERS", "2")
     assert mine_all(ds) == mine_all(ds, workers=1)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_workers_env_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setattr(induction, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(induction, "mine_group", _no_pool)
+    monkeypatch.setenv("CSMINE_WORKERS", value)
+    with pytest.raises(ValueError, match=f"CSMINE_WORKERS .*got '{re.escape(value)}'"):
+        mine_all(generate_synthetic())
+
+
+def test_workers_argument_rejects_values_below_one(monkeypatch):
+    monkeypatch.setattr(induction, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(induction, "mine_group", _no_pool)
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match=f"workers must be .* got {workers}"):
+            mine_all(generate_synthetic(), workers=workers)
