@@ -241,7 +241,11 @@ class _Context:
 
 @dataclass
 class _Candidates:
-    """Scored candidates of one attribute, in canonical order."""
+    """Scored candidates of one attribute, in canonical order.
+
+    ``valid`` marks the candidates that pass both support gates and shrink
+    the coverage; only their ``q`` is scored, the rest hold -inf.
+    """
 
     attr_index: int
     numeric: bool
@@ -252,6 +256,7 @@ class _Candidates:
     p_new_pass: np.ndarray
     p_new_reward: np.ndarray
     covc: np.ndarray
+    valid: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     q: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
@@ -263,59 +268,81 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sweep_attribute(ctx: _Context, ai: int, cov_idx: np.ndarray) -> _Candidates | None:
-    """Candidate statistics for one attribute over the covered region."""
-    ds = ctx.ds
-    col = ds.column(ai)[cov_idx]
-    attr = ds.attributes[ai]
-    if attr.is_numeric:
-        fin = ~np.isnan(col)
-        if not fin.any():
-            return None
-        vv = col[fin]
-        sidx = cov_idx[fin]
-        order = np.argsort(vv, kind="stable")
-        sv = vv[order]
-        sidx = sidx[order]
-        bnd = np.flatnonzero(sv[1:] != sv[:-1])
-        if bnd.size == 0:
-            return None
-        mids = (sv[bnd] + sv[bnd + 1]) / 2.0
-        keep = mids > sv[bnd]
-        bnd = bnd[keep]
-        mids = mids[keep]
-        if bnd.size == 0:
-            return None
-        cpos = np.cumsum(ctx.pos[sidx].astype(np.int64))
-        cneg = np.cumsum(ctx.neg[sidx].astype(np.int64))
-        cnew = np.cumsum(ctx.d_u[sidx].astype(np.int64))
-        crew = np.cumsum(ctx.r_u[sidx].astype(np.int64))
-        m = sv.size
-        tot_pos, tot_neg, tot_new, tot_rew = cpos[-1], cneg[-1], cnew[-1], crew[-1]
-        p_lt, p_ge = cpos[bnd], tot_pos - cpos[bnd]
-        n_lt, n_ge = cneg[bnd], tot_neg - cneg[bnd]
-        new_lt, new_ge = cnew[bnd], tot_new - cnew[bnd]
-        rew_lt, rew_ge = crew[bnd], tot_rew - crew[bnd]
-        c_lt = bnd + 1
-        c_ge = m - c_lt
-        cand = _Candidates(
-            attr_index=ai,
-            numeric=True,
-            values=np.repeat(mids, 2),
-            sides=np.tile(np.array([0, 1], dtype=np.int8), bnd.size),
-            p=_interleave(p_lt, p_ge),
-            n=_interleave(n_lt, n_ge),
-            p_new_pass=_interleave(new_lt, new_ge),
-            p_new_reward=_interleave(rew_lt, rew_ge),
-            covc=_interleave(c_lt, c_ge),
-        )
-        cand.q = _score_candidates(ctx, cand, sidx=sidx, bnd=bnd)
-        return cand
-    valid = col >= 0
-    if not valid.any():
+    """Gated, scored candidates for one attribute over the covered region."""
+    col = ctx.ds.column(ai)[cov_idx]
+    if ctx.ds.attributes[ai].is_numeric:
+        cand, split = _numeric_candidates(ctx, ai, col, cov_idx)
+    else:
+        cand, split = _nominal_candidates(ctx, ai, col, cov_idx)
+    if cand is None:
         return None
-    cc = col[valid].astype(np.int64)
-    cidx = cov_idx[valid]
-    k = len(attr.domain)
+    # same division forms as the pool gate in _grow, so boundaries agree
+    cand.valid = (
+        (cand.p / ctx.P >= ctx.minsupp_all)
+        & (cand.p_new_pass / ctx.P >= ctx.params.minsupp_new)
+        & (cand.covc < cov_idx.size)
+    )
+    cand.q = _score_candidates(ctx, cand, **split)
+    return cand
+
+
+def _numeric_candidates(
+    ctx: _Context, ai: int, col: np.ndarray, cov_idx: np.ndarray
+) -> tuple[_Candidates | None, dict]:
+    """Unscored ``< m`` / ``>= m`` candidates and the arrays scoring needs."""
+    fin = ~np.isnan(col)
+    if not fin.any():
+        return None, {}
+    vv = col[fin]
+    sidx = cov_idx[fin]
+    order = np.argsort(vv, kind="stable")
+    sv = vv[order]
+    sidx = sidx[order]
+    bnd = np.flatnonzero(sv[1:] != sv[:-1])
+    if bnd.size == 0:
+        return None, {}
+    mids = (sv[bnd] + sv[bnd + 1]) / 2.0
+    keep = mids > sv[bnd]
+    bnd = bnd[keep]
+    mids = mids[keep]
+    if bnd.size == 0:
+        return None, {}
+    cpos = np.cumsum(ctx.pos[sidx].astype(np.int64))
+    cneg = np.cumsum(ctx.neg[sidx].astype(np.int64))
+    cnew = np.cumsum(ctx.d_u[sidx].astype(np.int64))
+    crew = np.cumsum(ctx.r_u[sidx].astype(np.int64))
+    m = sv.size
+    tot_pos, tot_neg, tot_new, tot_rew = cpos[-1], cneg[-1], cnew[-1], crew[-1]
+    p_lt, p_ge = cpos[bnd], tot_pos - cpos[bnd]
+    n_lt, n_ge = cneg[bnd], tot_neg - cneg[bnd]
+    new_lt, new_ge = cnew[bnd], tot_new - cnew[bnd]
+    rew_lt, rew_ge = crew[bnd], tot_rew - crew[bnd]
+    c_lt = bnd + 1
+    c_ge = m - c_lt
+    cand = _Candidates(
+        attr_index=ai,
+        numeric=True,
+        values=np.repeat(mids, 2),
+        sides=np.tile(np.array([0, 1], dtype=np.int8), bnd.size),
+        p=_interleave(p_lt, p_ge),
+        n=_interleave(n_lt, n_ge),
+        p_new_pass=_interleave(new_lt, new_ge),
+        p_new_reward=_interleave(rew_lt, rew_ge),
+        covc=_interleave(c_lt, c_ge),
+    )
+    return cand, dict(sidx=sidx, bnd=bnd)
+
+
+def _nominal_candidates(
+    ctx: _Context, ai: int, col: np.ndarray, cov_idx: np.ndarray
+) -> tuple[_Candidates | None, dict]:
+    """Unscored ``= v`` / ``!= v`` candidates and the arrays scoring needs."""
+    known = col >= 0
+    if not known.any():
+        return None, {}
+    cc = col[known].astype(np.int64)
+    cidx = cov_idx[known]
+    k = len(ctx.ds.attributes[ai].domain)
     cnt = np.bincount(cc, minlength=k)
     cnt_pos = np.bincount(cc, weights=ctx.pos[cidx].astype(np.float64), minlength=k).astype(np.int64)
     cnt_neg = np.bincount(cc, weights=ctx.neg[cidx].astype(np.float64), minlength=k).astype(np.int64)
@@ -323,7 +350,7 @@ def _sweep_attribute(ctx: _Context, ai: int, cov_idx: np.ndarray) -> _Candidates
     cnt_rew = np.bincount(cc, weights=ctx.r_u[cidx].astype(np.float64), minlength=k).astype(np.int64)
     observed = np.flatnonzero(cnt > 0)
     if observed.size == 0:
-        return None
+        return None, {}
     m = cc.size
     tp, tn = cnt_pos.sum(), cnt_neg.sum()
     tnew, trew = cnt_new.sum(), cnt_rew.sum()
@@ -344,8 +371,7 @@ def _sweep_attribute(ctx: _Context, ai: int, cov_idx: np.ndarray) -> _Candidates
         p_new_reward=_interleave(rew_eq, rew_ne),
         covc=_interleave(c_eq, c_ne),
     )
-    cand.q = _score_candidates(ctx, cand, cidx=cidx, cc=cc)
-    return cand
+    return cand, dict(cidx=cidx, cc=cc)
 
 
 def _score_candidates(
@@ -357,7 +383,12 @@ def _score_candidates(
     cidx: np.ndarray | None = None,
     cc: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Raw task-measure score per candidate."""
+    """Raw task-measure score per candidate.
+
+    Correlation and regression score every candidate at once. Survival
+    scores only ``cand.valid`` candidates, a block of splits at a time; the
+    others get -inf.
+    """
     if ctx.measure == "correlation":
         p = cand.p.astype(np.float64)
         n = cand.n.astype(np.float64)
@@ -384,17 +415,24 @@ def _score_candidates(
             means = np.where(covc > 0, sums / covc, 0.0)
         return -np.abs(means - ctx.pos_label_mean)
     assert ctx.survival_scorer is not None
-    q = np.empty(cand.p.size, dtype=np.float64)
+    q = np.full(cand.p.size, -np.inf)
+    want = cand.valid.reshape(-1, 2)  # (first side, second side) per split
+    need = np.flatnonzero(want.any(axis=1))
+    if need.size == 0:
+        return q
     if cand.numeric:
-        for j in range(bnd.size):
-            cut = bnd[j] + 1
-            q[2 * j] = -ctx.survival_scorer.score(sidx[:cut])
-            q[2 * j + 1] = -ctx.survival_scorer.score(sidx[cut:])
+        # split j's first side is the sorted prefix sidx[:cut_j]
+        cuts = bnd[need] + 1
+        rows = sidx
+        seg = np.searchsorted(cuts, np.arange(sidx.size), side="right")
     else:
-        observed = cand.values[0::2]
-        for j, v in enumerate(observed):
-            q[2 * j] = -ctx.survival_scorer.score(cidx[cc == v])
-            q[2 * j + 1] = -ctx.survival_scorer.score(cidx[cc != v])
+        # split j's first side is the rows holding its category
+        lut = np.full(len(ctx.ds.attributes[cand.attr_index].domain), need.size)
+        lut[cand.values[0::2][need]] = np.arange(need.size)
+        seg = lut[cc]
+        order = np.argsort(seg, kind="stable")
+        rows, seg = cidx[order], seg[order]
+    q[cand.valid] = -ctx.survival_scorer.split_scores(rows, seg, want[need], cumulative=cand.numeric)
     return q
 
 
@@ -414,12 +452,10 @@ def _grow(ctx: _Context) -> _Grown | None:
     premise must pass the negative-to-positive ceiling or growing fails.
     """
     params = ctx.params
-    n_examples = ctx.ds.n_examples
-    # same division form as the per-candidate gate so boundaries agree
+    # same division form as the candidate gate in _sweep_attribute
     if np.count_nonzero(ctx.d_u) / ctx.P < params.minsupp_new:
         return None
-    cov = np.ones(n_examples, dtype=bool)
-    cov_count = n_examples
+    cov = np.ones(ctx.ds.n_examples, dtype=bool)
     conditions: list[Condition] = []
     masks: list[np.ndarray] = []
     attr_set: set[int] = set()
@@ -429,18 +465,10 @@ def _grow(ctx: _Context) -> _Grown | None:
         best_cond: Condition | None = None
         for ai in range(len(ctx.ds.attributes)):
             cand = _sweep_attribute(ctx, ai, cov_idx)
-            if cand is None:
+            if cand is None or not cand.valid.any():
                 continue
-            valid = (
-                (cand.p / ctx.P >= ctx.minsupp_all)
-                & (cand.p_new_pass / ctx.P >= params.minsupp_new)
-                & (cand.covc < cov_count)
-            )
-            if not valid.any():
-                continue
-            qmod = _modified(ctx, cand.q, cand.p, cand.p_new_reward, attr_set | {ai})
-            vidx = np.flatnonzero(valid)
-            qv = qmod[vidx]
+            vidx = np.flatnonzero(cand.valid)
+            qv = _modified(ctx, cand.q[vidx], cand.p[vidx], cand.p_new_reward[vidx], attr_set | {ai})
             cv = cand.covc[vidx]
             top = float(qv.max())
             at_top = np.flatnonzero(qv == top)
@@ -459,7 +487,6 @@ def _grow(ctx: _Context) -> _Grown | None:
             break
         mask = condition_mask(best_cond, ctx.ds)
         cov = cov & mask
-        cov_count = int(np.count_nonzero(cov))
         conditions.append(best_cond)
         masks.append(mask)
         attr_set.add(best_cond.attr_index)
@@ -572,7 +599,8 @@ def _api_context(
 ) -> _Context:
     """Context for the public grow and prune calls, from coverage sets."""
     measure = _resolve_measure(ds, params)
-    reward_pool = reward_uncovered or uncovered
+    # an empty baseline is falsy but still a baseline
+    reward_pool = uncovered if reward_uncovered is None else reward_uncovered
     return _Context.build(
         ds,
         group,

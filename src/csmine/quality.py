@@ -146,46 +146,55 @@ def _log_rank_arrays(ta, sa, tb, sb) -> float:
     ra = np.searchsorted(grid, ta)
     rb = np.searchsorted(grid, tb)
     g = grid.size
-    return _log_rank_grid(
-        _at_risk(np.bincount(ra, minlength=g)),
-        np.bincount(ra, weights=(sa == 1), minlength=g),
+    return float(_log_rank_rows(
+        _at_risk(np.bincount(ra, minlength=g))[None, :],
+        np.bincount(ra, weights=(sa == 1), minlength=g)[None, :],
         _at_risk(np.bincount(rb, minlength=g)),
         np.bincount(rb, weights=(sb == 1), minlength=g),
-    )
+    )[0])
 
 
 def _at_risk(counts: np.ndarray) -> np.ndarray:
     # at-risk at grid time t = number of observations with time >= t
-    return np.cumsum(counts[::-1])[::-1]
+    return np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _log_rank_grid(n1: np.ndarray, d1: np.ndarray, n2: np.ndarray, d2: np.ndarray) -> float:
-    """Log-rank chi-square from per-grid at-risk counts and event counts.
+def _log_rank_rows(n1: np.ndarray, d1: np.ndarray, n2: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Log-rank chi-square of each row of ``n1``/``d1`` against ``n2``/``d2``.
 
-    Grid times without events, or with nobody at risk, are skipped; no
-    usable time, or zero variance, scores 0.
+    ``n1``/``d1`` are (k, g) at-risk and event counts of k samples on a
+    shared grid of g times, ``n2``/``d2`` the (g,) counts of the reference
+    sample. Grid times without events, or with nobody at risk, are skipped;
+    no usable time, or zero variance, scores 0. Each row's sums run over
+    that row's usable entries alone, in grid order, so a row scores the
+    same bits whatever block it comes in.
     """
     nj = n1 + n2
     d = d1 + d2
     use = (d > 0) & (nj > 0)
-    if not use.any():
-        return 0.0
-    observed = float(d1[use].sum())
-    expected = float((n1[use] * d[use] / nj[use]).sum())
     var_use = use & (nj > 1)
-    variance = float(
-        (
-            n1[var_use]
-            * n2[var_use]
-            * d[var_use]
-            * (nj[var_use] - d[var_use])
-            / (nj[var_use] * nj[var_use] * (nj[var_use] - 1.0))
-        ).sum()
-    )
-    if variance <= 0.0:
-        return 0.0
-    diff = observed - expected
-    return (diff * diff) / variance
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = (n1 * d / nj)[use]
+        variance = (n1 * n2 * d * (nj - d) / (nj * nj * (nj - 1.0)))[var_use]
+    # event counts are whole numbers, so their sum is exact in any order
+    observed = np.where(use, d1, 0.0).sum(axis=1)
+    e_end = np.cumsum(np.count_nonzero(use, axis=1))
+    v_end = np.cumsum(np.count_nonzero(var_use, axis=1))
+    stats = np.zeros(n1.shape[0], dtype=np.float64)
+    e0 = v0 = 0
+    for i, (e1, v1) in enumerate(zip(e_end.tolist(), v_end.tolist())):
+        var = float(variance[v0:v1].sum())
+        if var > 0.0:
+            diff = float(observed[i]) - float(expected[e0:e1].sum())
+            stats[i] = (diff * diff) / var
+        e0, v0 = e1, v1
+    return stats
+
+
+# Ceiling on splits x grid times per block of split_scores. A block's count
+# and kernel arrays then hold at most 2 x max(this, grid size) elements,
+# whatever the number of splits or rows.
+_BLOCK_ELEMENTS = 1 << 10
 
 
 class _LogRankScorer:
@@ -212,7 +221,48 @@ class _LogRankScorer:
         r = self.rank[indices]
         n1 = _at_risk(np.bincount(r, minlength=g))
         d1 = np.bincount(r, weights=self.events[indices], minlength=g)
-        return _log_rank_grid(n1, d1, self.n2, self.d2)
+        return float(_log_rank_rows(n1[None, :], d1[None, :], self.n2, self.d2)[0])
+
+    def split_scores(
+        self, rows: np.ndarray, seg: np.ndarray, want: np.ndarray, cumulative: bool
+    ) -> np.ndarray:
+        """Statistics of the wanted sides of k >= 1 two-way splits of ``rows``.
+
+        ``seg`` gives each row its segment in 0..k-1, nondecreasing; rows
+        with a segment of k or more belong to none. Split j's first side is
+        segment j, or with ``cumulative`` segments 0..j; its second side is
+        the rest of ``rows``. ``want`` is a (k, 2) bool array; the result
+        holds the statistic of every wanted side in row-major order, equal
+        to ``score`` of that side's rows. Counts are built a block of splits
+        at a time, with no rows x grid matrix.
+        """
+        g = self.grid.size
+        k = want.shape[0]
+        r = self.rank[rows]
+        ev = self.events[rows]
+        n_all = _at_risk(np.bincount(r, minlength=g))
+        d_all = np.bincount(r, weights=ev, minlength=g)
+        carry_n = np.zeros(g, dtype=np.int64)
+        carry_d = np.zeros(g, dtype=np.float64)
+        step = max(1, _BLOCK_ELEMENTS // g)
+        out = []
+        for j0 in range(0, k, step):
+            j1 = min(j0 + step, k)
+            lo, hi = np.searchsorted(seg, (j0, j1))
+            key = (seg[lo:hi] - j0) * g + r[lo:hi]
+            size = (j1 - j0) * g
+            cnt = np.bincount(key, minlength=size).reshape(-1, g)
+            d1 = np.bincount(key, weights=ev[lo:hi], minlength=size).reshape(-1, g)
+            if cumulative:
+                cnt = np.cumsum(cnt, axis=0) + carry_n
+                d1 = np.cumsum(d1, axis=0) + carry_d
+                carry_n, carry_d = cnt[-1], d1[-1]
+            n1 = _at_risk(cnt)
+            sel = want[j0:j1].ravel()
+            n1 = np.stack((n1, n_all - n1), axis=1).reshape(-1, g)[sel]
+            d1 = np.stack((d1, d_all - d1), axis=1).reshape(-1, g)[sel]
+            out.append(_log_rank_rows(n1, d1, self.n2, self.d2))
+        return np.concatenate(out)
 
 
 def survival_consistency(coverage: CoverageSet, ds: DataSet, positives: CoverageSet) -> float:

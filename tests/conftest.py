@@ -103,6 +103,20 @@ def random_survival(seed, n_min=40, n_max=160, max_attrs=5):
     )
 
 
+def with_status(ds, status):
+    """Copy of a survival dataset with its event statuses replaced."""
+    return DataSet(
+        ds.attributes,
+        [ds.column(i) for i in range(len(ds.attributes))],
+        relation=ds.relation,
+        task="survival",
+        group_names=ds.group_names,
+        group_codes=ds.group_codes,
+        times=ds.times,
+        status=np.asarray(status, dtype=np.int8),
+    )
+
+
 def bimodal_survival(seed=7, n=260):
     """Survival data with two prognosis regimes tied to the attributes.
 
@@ -181,6 +195,36 @@ def log_rank_oracle(a, b):
     if variance <= 0:
         return Fraction(0)
     return (observed - expected) ** 2 / variance
+
+
+def log_rank_float_reference(a_times, a_status, b_times, b_status, grid):
+    """Log-rank chi-square in float64, with the arithmetic mining pins.
+
+    Counts per grid time are found by direct comparison. The observed,
+    expected and variance sums are 1-D numpy sums over the usable grid
+    times in grid order, each term formed left to right as written below,
+    so mining's scores must equal this bit for bit.
+    """
+    def counts(times, status):
+        at = times[None, :] == grid[:, None]
+        at_risk = (times[None, :] >= grid[:, None]).sum(axis=1)
+        return at_risk, (at & (status[None, :] == 1)).sum(axis=1).astype(np.float64)
+
+    n1, d1 = counts(a_times, a_status)
+    n2, d2 = counts(b_times, b_status)
+    nj = n1 + n2
+    d = d1 + d2
+    use = (d > 0) & (nj > 0)
+    if not use.any():
+        return 0.0
+    observed = float(d1[use].sum())
+    expected = float((n1[use] * d[use] / nj[use]).sum())
+    v = use & (nj > 1)
+    variance = float((n1[v] * n2[v] * d[v] * (nj[v] - d[v]) / (nj[v] * nj[v] * (nj[v] - 1.0))).sum())
+    if variance <= 0.0:
+        return 0.0
+    diff = observed - expected
+    return (diff * diff) / variance
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 
 from csmine.contrast import (
+    EQ,
     GE,
     LT,
+    NE,
     Condition,
     ContrastSet,
     canonicalize,
+    condition_mask,
     confusion,
     cover,
     render_conditions,
@@ -33,7 +36,7 @@ from csmine.induction import (
     possible_conditions,
     prune,
 )
-from csmine import induction
+from csmine import induction, quality
 from csmine.quality import correlation
 from csmine.synthetic import generate_synthetic
 
@@ -45,6 +48,7 @@ from conftest import (
     random_regression,
     random_survival,
     redundancy_oracle,
+    with_status,
 )
 
 
@@ -193,6 +197,87 @@ def test_grow_prune_match_reference_survival():
         ds = random_survival(seed, n_min=40, n_max=100, max_attrs=4)
         grown_any += _check_grow_equivalence(ds, np.random.default_rng(seed + 2))
     assert grown_any >= 5
+
+
+def test_survival_group_without_events():
+    emitted = grown_any = 0
+    for seed in range(3):
+        base = random_survival(seed, n_min=40, n_max=100, max_attrs=4)
+        ds = with_status(base, np.where(base.group_codes == 0, 0, base.status))
+        group = ds.groups[0]
+        assert not ds.status[ds.group_mask(group).mask].any()
+        sets = mine_group(ds, group, MiningParams(minsupps=(0.5, 0.2)))
+        assert all(math.isfinite(s.quality) for s in sets)
+        emitted += len(sets)
+        # both the event-free group and its contrast grow as the reference does
+        grown_any += _check_grow_equivalence(ds, np.random.default_rng(seed + 7))
+    assert emitted >= 1
+    assert grown_any >= 5
+
+
+def test_grow_keeps_an_empty_reward_baseline():
+    # an empty CoverageSet is falsy; it must not fall back to the pool
+    ds = generate_synthetic()
+    n = ds.n_examples
+    params = MiningParams(penalty_strength=1.0)
+    pen = PenaltyState(len(ds.attributes))
+    pen.update({0})
+    pen.update({0, 1})
+    unc = ds.group_mask("red")
+    got = grow(ds, "red", unc, params, penalty=pen, reward_uncovered=CoverageSet.empty(n))
+    want = naive_grow(ds, "red", params, unc.mask, np.zeros(n, dtype=bool), pen)
+    assert got is not None
+    assert condition_tuples(got.conditions) == condition_tuples(want)
+    # the baseline decides the premise here, so the check can tell them apart
+    assert want != naive_grow(ds, "red", params, unc.mask, unc.mask, pen)
+
+
+def test_survival_sweep_scores_exactly_the_gated_candidates(monkeypatch):
+    kernel_rows = []
+    kernel = quality._log_rank_rows
+
+    def counting(n1, d1, n2, d2):
+        kernel_rows.append(n1.shape[0])
+        return kernel(n1, d1, n2, d2)
+
+    monkeypatch.setattr(quality, "_log_rank_rows", counting)
+    gated_out = scored = 0
+    for seed in range(3):
+        ds = random_survival(seed + 10, n_min=60, n_max=140, max_attrs=5)
+        rng = np.random.default_rng(seed)
+        for group in ds.groups:
+            pos = ds.group_mask(group).mask
+            ctx = induction._Context.build(
+                ds, group, MiningParams(minsupp_new=0.2), "survival",
+                d_u=_random_pool(rng, pos), minsupp_all=0.4,
+            )
+            scorer = quality._LogRankScorer(ds, pos)
+            cov = rng.random(ds.n_examples) < 0.8
+            for ai, attr in enumerate(ds.attributes):
+                kernel_rows.clear()
+                cand = induction._sweep_attribute(ctx, ai, np.flatnonzero(cov))
+                if cand is None:
+                    continue
+                assert sum(kernel_rows) == int(cand.valid.sum())
+                for i in range(cand.q.size):
+                    if attr.is_numeric:
+                        cond = Condition(ai, LT if cand.sides[i] == 0 else GE, float(cand.values[i]))
+                    else:
+                        cond = Condition(ai, EQ if cand.sides[i] == 0 else NE, int(cand.values[i]))
+                    side = cov & condition_mask(cond, ds)
+                    gates = (
+                        np.count_nonzero(side & pos) / ctx.P >= 0.4
+                        and np.count_nonzero(side & ctx.d_u) / ctx.P >= 0.2
+                        and np.count_nonzero(side) < np.count_nonzero(cov)
+                    )
+                    assert cand.valid[i] == gates
+                    if gates:
+                        assert cand.q[i] == -scorer.score(np.flatnonzero(side))
+                    else:
+                        assert cand.q[i] == -np.inf
+                gated_out += int((~cand.valid).sum())
+                scored += int(cand.valid.sum())
+    assert gated_out >= 40 and scored >= 40
 
 
 # ---------------------------------------------------------------------------

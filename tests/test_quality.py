@@ -20,7 +20,16 @@ from csmine.quality import (
     survival_consistency,
 )
 
-from conftest import km_oracle, log_rank_oracle, random_survival
+from csmine import quality
+
+from conftest import (
+    bimodal_survival,
+    km_oracle,
+    log_rank_float_reference,
+    log_rank_oracle,
+    random_survival,
+    with_status,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +257,76 @@ def test_scorer_matches_log_rank():
             ))
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
         assert scorer.score(np.array([], dtype=np.intp)) == 0.0
+
+
+def _block_datasets():
+    for seed in range(3):
+        ds = random_survival(seed, n_min=40, n_max=120)
+        # rows low on the first attribute lose their events, so the low
+        # splits of that attribute cover all-censored samples
+        col = ds.column(0).astype(np.float64)
+        yield with_status(ds, np.where(col <= np.nanmedian(col), 0, ds.status))
+    yield bimodal_survival(seed=3, n=200)
+
+
+def _splits(ds, cov, ai, rng):
+    """Block-scan arguments for every split of one attribute over ``cov``.
+
+    Returns (rows, seg, want, cumulative, sides), where sides lists the row
+    indices of each split's two sides. Numeric splits cut the sorted rows
+    before every position, the empty prefix and the full set included;
+    nominal splits take every domain value, unobserved ones included.
+    """
+    idx = np.flatnonzero(cov)
+    col = ds.column(ai)[idx]
+    if ds.attributes[ai].is_numeric:
+        rows = idx[~np.isnan(col)]
+        rows = rows[np.argsort(ds.column(ai)[rows], kind="stable")]
+        cuts = np.arange(rows.size + 1)
+        seg = np.searchsorted(cuts, np.arange(rows.size), side="right")
+        sides = [(rows[:c], rows[c:]) for c in cuts]
+        cumulative = True
+    else:
+        known = col >= 0
+        order = np.argsort(col[known], kind="stable")
+        rows, seg = idx[known][order], col[known][order].astype(np.int64)
+        values = range(len(ds.attributes[ai].domain))
+        sides = [(rows[seg == v], rows[seg != v]) for v in values]
+        cumulative = False
+    want = rng.random((len(sides), 2)) < 0.8
+    want[0] = True
+    want[-1] = True
+    return rows, seg, want, cumulative, sides
+
+
+@pytest.mark.parametrize("block_elements", [None, 1])
+def test_block_scan_matches_score_exactly(monkeypatch, block_elements):
+    if block_elements is not None:
+        # one split per block: every block boundary and carry is exercised
+        monkeypatch.setattr(quality, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(5)
+    seen = {"numeric": 0, "nominal": 0, "empty": 0, "censored": 0}
+    for ds in _block_datasets():
+        for group in ds.groups:
+            pos = ds.group_mask(group).mask
+            scorer = _LogRankScorer(ds, pos)
+            for cov in (np.ones(ds.n_examples, dtype=bool), rng.random(ds.n_examples) < 0.6):
+                for ai, attr in enumerate(ds.attributes):
+                    rows, seg, want, cumulative, sides = _splits(ds, cov, ai, rng)
+                    got = scorer.split_scores(rows, seg, want, cumulative)
+                    wanted = [s for pair, w in zip(sides, want) for s, keep in zip(pair, w) if keep]
+                    expect = np.array([scorer.score(s) for s in wanted])
+                    assert np.array_equal(got, expect)
+                    reference = np.array([
+                        log_rank_float_reference(ds.times[s], ds.status[s], ds.times[pos],
+                                                 ds.status[pos], scorer.grid)
+                        for s in wanted
+                    ])
+                    assert np.array_equal(got, reference)
+                    seen["numeric" if attr.is_numeric else "nominal"] += len(wanted)
+                    seen["empty"] += sum(s.size == 0 for s in wanted)
+                    seen["censored"] += sum(s.size > 0 and not ds.status[s].any() for s in wanted)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_survival_consistency_is_negated_log_rank():
