@@ -349,45 +349,34 @@ class DataSet:
             idx = np.flatnonzero(sel)
         else:
             idx = sel.astype(np.intp)
-        columns = [col[idx] for col in self._columns]
-        group_names: tuple[str, ...] = ()
-        group_codes = None
+        names, codes = (), None
         if self.group_codes is not None:
-            group_names, group_codes = _observed_groups(self.group_names, self.group_codes[idx])
-        return DataSet(
-            self.attributes,
-            columns,
-            relation=self.relation,
-            task=self.task,
-            group_names=group_names,
-            group_codes=group_codes,
+            names, codes = _observed_groups(self.group_names, self.group_codes[idx])
+        return self._replace(
+            columns=[col[idx] for col in self._columns],
+            group_names=names,
+            group_codes=codes,
             labels=None if self.labels is None else self.labels[idx],
             times=None if self.times is None else self.times[idx],
             status=None if self.status is None else self.status[idx],
-            group_attr=self.group_attr,
-            label_attr=self.label_attr,
-            time_attr=self.time_attr,
-            status_attr=self.status_attr,
         )
 
     def with_groups(
         self, group_names: Sequence[str], group_codes: np.ndarray, group_attr: str | None = None
     ) -> "DataSet":
-        return DataSet(
-            self.attributes,
-            self._columns,
-            relation=self.relation,
-            task=self.task,
+        return self._replace(
             group_names=group_names,
             group_codes=group_codes,
-            labels=self.labels,
-            times=self.times,
-            status=self.status,
             group_attr=group_attr if group_attr is not None else self.group_attr,
-            label_attr=self.label_attr,
-            time_attr=self.time_attr,
-            status_attr=self.status_attr,
         )
+
+    def _replace(self, **changes) -> "DataSet":
+        """A new dataset from this one's constructor arguments with ``changes`` applied."""
+        args = {"attributes": self.attributes, "columns": self._columns}
+        # every keyword-only constructor argument is kept under its own name
+        args.update((name, getattr(self, name)) for name in DataSet.__init__.__kwdefaults__)
+        args.update(changes)
+        return DataSet(**args)
 
     def __repr__(self) -> str:
         return (
@@ -740,6 +729,19 @@ def write_arff(ds: DataSet, out=None) -> str:
     return _write_text(buf.getvalue(), out)
 
 
+def _read_text(source) -> str:
+    """Text of a readable stream, of a file, or the string ``source`` itself.
+
+    A ``Path``, or a string without a newline, names a file; any other
+    string is the text.
+    """
+    if hasattr(source, "read"):
+        return source.read()
+    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source):
+        return Path(source).read_text(encoding="utf-8")
+    return source
+
+
 def _write_text(text: str, out) -> str:
     """Write ``text`` to a writable stream or a path (none when ``out`` is None)."""
     if out is not None:
@@ -811,34 +813,20 @@ def _bind_numeric(ds: DataSet, name: str, role: str) -> DataSet:
     col = ds.column(idx)
     if not attr.is_numeric:
         raise ValueError(f"{role} column {name!r} must be numeric")
-    attrs = [a for i, a in enumerate(ds.attributes) if i != idx]
-    cols = [c for i, c in enumerate(ds._columns) if i != idx]
-    kwargs = dict(
-        relation=ds.relation,
-        task=ds.task,
-        group_names=ds.group_names,
-        group_codes=ds.group_codes,
-        labels=ds.labels,
-        times=ds.times,
-        status=ds.status,
-        group_attr=ds.group_attr,
-        label_attr=ds.label_attr,
-        time_attr=ds.time_attr,
-        status_attr=ds.status_attr,
+    changes = dict(
+        attributes=[a for i, a in enumerate(ds.attributes) if i != idx],
+        columns=[c for i, c in enumerate(ds._columns) if i != idx],
     )
     if role == "label":
-        kwargs["labels"] = col
-        kwargs["label_attr"] = name
-        if kwargs["task"] == "classification":
-            kwargs["task"] = "regression"
+        changes.update(labels=col, label_attr=name)
+        if ds.task == "classification":
+            changes["task"] = "regression"
     elif role == "time":
-        kwargs["times"] = col
-        kwargs["time_attr"] = name
+        changes.update(times=col, time_attr=name)
     elif role == "status":
         if np.isnan(col).any() or not np.isin(col, (0.0, 1.0)).all():
             raise ValueError(f"status column {name!r} must hold only 0 and 1")
-        kwargs["status"] = col.astype(np.int8)
-        kwargs["status_attr"] = name
-    if kwargs["times"] is not None and kwargs["status"] is not None:
-        kwargs["task"] = "survival"
-    return DataSet(attrs, cols, **kwargs)
+        changes.update(status=col.astype(np.int8), status_attr=name)
+    if changes.get("times", ds.times) is not None and changes.get("status", ds.status) is not None:
+        changes["task"] = "survival"
+    return ds._replace(**changes)

@@ -241,148 +241,106 @@ class _Context:
 
 @dataclass
 class _Candidates:
-    """Scored candidates of one attribute, in canonical order.
+    """Gated, scored candidates of one attribute over its split layout.
 
-    ``valid`` marks the candidates that pass both support gates and shrink
-    the coverage; only their ``q`` is scored, the rest hold -inf.
+    Split order sorts the covered rows with a known value by value
+    (numeric) or by category (nominal). Split j's first side ends at position
+    ``last[j]`` of that order: it is the whole prefix (``< values[j]``) or
+    the run of category ``values[j]`` (``= values[j]``); its second side is
+    the rest. Numeric ``rows`` are stored in split order. Nominal ``rows``
+    stay in row order, because per-category bincounts need no sort; a
+    stable sort by ``codes`` gives their split order. Split j yields
+    candidates 2j and 2j + 1, one per side. ``valid`` marks the candidates
+    that pass both support gates and shrink the coverage; survival scores
+    only those, and the rest hold -inf.
     """
 
     attr_index: int
     numeric: bool
-    values: np.ndarray        # thresholds or category codes, one per candidate
-    sides: np.ndarray         # 0 = lt / eq, 1 = ge / ne
-    p: np.ndarray
-    n: np.ndarray
-    p_new_pass: np.ndarray
-    p_new_reward: np.ndarray
-    covc: np.ndarray
-    valid: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-    q: np.ndarray = field(default_factory=lambda: np.empty(0))
+    rows: np.ndarray
+    last: np.ndarray
+    values: np.ndarray        # threshold or category code, one per split
+    codes: np.ndarray | None  # nominal: category of each of ``rows``
+    domain: int               # nominal: number of declared categories
+    p: np.ndarray = field(init=False)
+    n: np.ndarray = field(init=False)
+    p_new_pass: np.ndarray = field(init=False)
+    p_new_reward: np.ndarray = field(init=False)
+    covc: np.ndarray = field(init=False)
+    valid: np.ndarray = field(init=False)
+    q: np.ndarray = field(init=False)
 
+    def side_sums(self, x: np.ndarray) -> np.ndarray:
+        """Interleaved first-side/second-side sums of ``x``, one value per ``rows`` entry.
 
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(a.size + b.size, dtype=np.result_type(a, b))
-    out[0::2] = a
-    out[1::2] = b
-    return out
+        A numeric first side reads a running cumsum at its cut, a nominal one
+        a per-category bincount; the total is the cumsum's last element or the
+        bincount's sum. Label sums are not exact, so these forms also fix the
+        order in which their floats are added.
+        """
+        if self.numeric:
+            run = x.cumsum()
+            first, total = run[self.last], run[-1]
+        else:
+            per = np.bincount(self.codes, weights=x, minlength=self.domain)
+            first, total = per[self.values], per.sum()
+        out = np.empty(2 * first.size, dtype=first.dtype)
+        out[0::2] = first
+        out[1::2] = total - first
+        return out
+
+    def condition(self, i: int) -> Condition:
+        j, side = divmod(i, 2)
+        if self.numeric:
+            return Condition(self.attr_index, (LT, GE)[side], float(self.values[j]))
+        return Condition(self.attr_index, (EQ, NE)[side], int(self.values[j]))
 
 
 def _sweep_attribute(ctx: _Context, ai: int, cov_idx: np.ndarray) -> _Candidates | None:
     """Gated, scored candidates for one attribute over the covered region."""
     col = ctx.ds.column(ai)[cov_idx]
-    if ctx.ds.attributes[ai].is_numeric:
-        cand, split = _numeric_candidates(ctx, ai, col, cov_idx)
-    else:
-        cand, split = _nominal_candidates(ctx, ai, col, cov_idx)
-    if cand is None:
+    numeric = ctx.ds.attributes[ai].is_numeric
+    domain = len(ctx.ds.attributes[ai].domain)
+    known = np.flatnonzero(~np.isnan(col) if numeric else col >= 0)
+    if known.size == 0:
         return None
+    codes = None
+    if numeric:
+        known = known[np.argsort(col[known], kind="stable")]
+        key = col[known]
+        # position of the last row of every run of equal values but the final one
+        bnd = np.flatnonzero(key[1:] != key[:-1])
+        mids = (key[bnd] + key[bnd + 1]) / 2.0
+        # a midpoint that rounds down onto the lower value separates nothing
+        keep = mids > key[bnd]
+        last, values = bnd[keep], mids[keep]
+        if last.size == 0:
+            return None
+    else:
+        codes = col[known].astype(np.intp)
+        # each observed category is one run of the category order; counting finds where it ends
+        size = np.bincount(codes, minlength=domain)
+        values = np.flatnonzero(size)
+        last = np.cumsum(size[values]) - 1
+    cand = _Candidates(ai, numeric, cov_idx[known], last, values, codes, domain)
+    rows = cand.rows
+    # counts are whole numbers, exact in any float or integer form
+    cand.p, cand.p_new_pass, cand.p_new_reward, cand.covc = (
+        cand.side_sums(x).astype(np.int64, copy=False)
+        for x in (ctx.pos[rows], ctx.d_u[rows], ctx.r_u[rows], np.ones(rows.size))
+    )
+    cand.n = cand.covc - cand.p  # every row is in the group or in its contrast
     # same division forms as the pool gate in _grow, so boundaries agree
     cand.valid = (
         (cand.p / ctx.P >= ctx.minsupp_all)
         & (cand.p_new_pass / ctx.P >= ctx.params.minsupp_new)
         & (cand.covc < cov_idx.size)
     )
-    cand.q = _score_candidates(ctx, cand, **split)
+    cand.q = _score_candidates(ctx, cand)
     return cand
 
 
-def _numeric_candidates(
-    ctx: _Context, ai: int, col: np.ndarray, cov_idx: np.ndarray
-) -> tuple[_Candidates | None, dict]:
-    """Unscored ``< m`` / ``>= m`` candidates and the arrays scoring needs."""
-    fin = ~np.isnan(col)
-    if not fin.any():
-        return None, {}
-    vv = col[fin]
-    sidx = cov_idx[fin]
-    order = np.argsort(vv, kind="stable")
-    sv = vv[order]
-    sidx = sidx[order]
-    bnd = np.flatnonzero(sv[1:] != sv[:-1])
-    if bnd.size == 0:
-        return None, {}
-    mids = (sv[bnd] + sv[bnd + 1]) / 2.0
-    keep = mids > sv[bnd]
-    bnd = bnd[keep]
-    mids = mids[keep]
-    if bnd.size == 0:
-        return None, {}
-    cpos = np.cumsum(ctx.pos[sidx].astype(np.int64))
-    cneg = np.cumsum(ctx.neg[sidx].astype(np.int64))
-    cnew = np.cumsum(ctx.d_u[sidx].astype(np.int64))
-    crew = np.cumsum(ctx.r_u[sidx].astype(np.int64))
-    m = sv.size
-    tot_pos, tot_neg, tot_new, tot_rew = cpos[-1], cneg[-1], cnew[-1], crew[-1]
-    p_lt, p_ge = cpos[bnd], tot_pos - cpos[bnd]
-    n_lt, n_ge = cneg[bnd], tot_neg - cneg[bnd]
-    new_lt, new_ge = cnew[bnd], tot_new - cnew[bnd]
-    rew_lt, rew_ge = crew[bnd], tot_rew - crew[bnd]
-    c_lt = bnd + 1
-    c_ge = m - c_lt
-    cand = _Candidates(
-        attr_index=ai,
-        numeric=True,
-        values=np.repeat(mids, 2),
-        sides=np.tile(np.array([0, 1], dtype=np.int8), bnd.size),
-        p=_interleave(p_lt, p_ge),
-        n=_interleave(n_lt, n_ge),
-        p_new_pass=_interleave(new_lt, new_ge),
-        p_new_reward=_interleave(rew_lt, rew_ge),
-        covc=_interleave(c_lt, c_ge),
-    )
-    return cand, dict(sidx=sidx, bnd=bnd)
-
-
-def _nominal_candidates(
-    ctx: _Context, ai: int, col: np.ndarray, cov_idx: np.ndarray
-) -> tuple[_Candidates | None, dict]:
-    """Unscored ``= v`` / ``!= v`` candidates and the arrays scoring needs."""
-    known = col >= 0
-    if not known.any():
-        return None, {}
-    cc = col[known].astype(np.int64)
-    cidx = cov_idx[known]
-    k = len(ctx.ds.attributes[ai].domain)
-    cnt = np.bincount(cc, minlength=k)
-    cnt_pos = np.bincount(cc, weights=ctx.pos[cidx].astype(np.float64), minlength=k).astype(np.int64)
-    cnt_neg = np.bincount(cc, weights=ctx.neg[cidx].astype(np.float64), minlength=k).astype(np.int64)
-    cnt_new = np.bincount(cc, weights=ctx.d_u[cidx].astype(np.float64), minlength=k).astype(np.int64)
-    cnt_rew = np.bincount(cc, weights=ctx.r_u[cidx].astype(np.float64), minlength=k).astype(np.int64)
-    observed = np.flatnonzero(cnt > 0)
-    if observed.size == 0:
-        return None, {}
-    m = cc.size
-    tp, tn = cnt_pos.sum(), cnt_neg.sum()
-    tnew, trew = cnt_new.sum(), cnt_rew.sum()
-    p_eq, p_ne = cnt_pos[observed], tp - cnt_pos[observed]
-    n_eq, n_ne = cnt_neg[observed], tn - cnt_neg[observed]
-    new_eq, new_ne = cnt_new[observed], tnew - cnt_new[observed]
-    rew_eq, rew_ne = cnt_rew[observed], trew - cnt_rew[observed]
-    c_eq = cnt[observed]
-    c_ne = m - c_eq
-    cand = _Candidates(
-        attr_index=ai,
-        numeric=False,
-        values=np.repeat(observed, 2),
-        sides=np.tile(np.array([0, 1], dtype=np.int8), observed.size),
-        p=_interleave(p_eq, p_ne),
-        n=_interleave(n_eq, n_ne),
-        p_new_pass=_interleave(new_eq, new_ne),
-        p_new_reward=_interleave(rew_eq, rew_ne),
-        covc=_interleave(c_eq, c_ne),
-    )
-    return cand, dict(cidx=cidx, cc=cc)
-
-
-def _score_candidates(
-    ctx: _Context,
-    cand: _Candidates,
-    *,
-    sidx: np.ndarray | None = None,
-    bnd: np.ndarray | None = None,
-    cidx: np.ndarray | None = None,
-    cc: np.ndarray | None = None,
-) -> np.ndarray:
+def _score_candidates(ctx: _Context, cand: _Candidates) -> np.ndarray:
     """Raw task-measure score per candidate.
 
     Correlation and regression score every candidate at once. Survival
@@ -400,38 +358,21 @@ def _score_candidates(
         return q
     if ctx.measure == "regression":
         assert ctx.labels is not None
-        if cand.numeric:
-            lab = np.cumsum(ctx.labels[sidx])
-            tot = lab[-1]
-            sums = _interleave(lab[bnd], tot - lab[bnd])
-        else:
-            k = len(ctx.ds.attributes[cand.attr_index].domain)
-            per = np.bincount(cc, weights=ctx.labels[cidx], minlength=k)
-            observed = cand.values[0::2]
-            tot = per.sum()
-            sums = _interleave(per[observed], tot - per[observed])
+        sums = cand.side_sums(ctx.labels[cand.rows])
         covc = cand.covc.astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             means = np.where(covc > 0, sums / covc, 0.0)
         return -np.abs(means - ctx.pos_label_mean)
     assert ctx.survival_scorer is not None
     q = np.full(cand.p.size, -np.inf)
-    want = cand.valid.reshape(-1, 2)  # (first side, second side) per split
-    need = np.flatnonzero(want.any(axis=1))
-    if need.size == 0:
+    if not cand.valid.any():
         return q
-    if cand.numeric:
-        # split j's first side is the sorted prefix sidx[:cut_j]
-        cuts = bnd[need] + 1
-        rows = sidx
-        seg = np.searchsorted(cuts, np.arange(sidx.size), side="right")
-    else:
-        # split j's first side is the rows holding its category
-        lut = np.full(len(ctx.ds.attributes[cand.attr_index].domain), need.size)
-        lut[cand.values[0::2][need]] = np.arange(need.size)
-        seg = lut[cc]
-        order = np.argsort(seg, kind="stable")
-        rows, seg = cidx[order], seg[order]
+    want = cand.valid.reshape(-1, 2)  # (first side, second side) per split
+    # an unneeded numeric prefix folds into the next needed one; nominal runs
+    # are disjoint, so every run stays a segment of its own
+    need = np.flatnonzero(want.any(axis=1)) if cand.numeric else np.arange(want.shape[0])
+    rows = cand.rows if cand.numeric else cand.rows[np.argsort(cand.codes, kind="stable")]
+    seg = np.searchsorted(cand.last[need], np.arange(rows.size))
     q[cand.valid] = -ctx.survival_scorer.split_scores(rows, seg, want[need], cumulative=cand.numeric)
     return q
 
@@ -476,13 +417,7 @@ def _grow(ctx: _Context) -> _Grown | None:
             local = int(vidx[at_top[cv[at_top] == top_cov][0]])
             if best is None or top > best[0] or (top == best[0] and top_cov > best[1]):
                 best = (top, top_cov)
-                side = int(cand.sides[local])
-                if cand.numeric:
-                    op = LT if side == 0 else GE
-                    best_cond = Condition(ai, op, float(cand.values[local]))
-                else:
-                    op = EQ if side == 0 else NE
-                    best_cond = Condition(ai, op, int(cand.values[local]))
+                best_cond = cand.condition(local)
         if best_cond is None:
             break
         mask = condition_mask(best_cond, ctx.ds)

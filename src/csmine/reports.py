@@ -13,12 +13,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .contrast import cover, parse_conditions, render_conditions
-from .data import DataSet, _write_text
+from .data import DataSet, _read_text, _write_text
 from .induction import AnnotatedContrastSet, MiningParams
 
 __all__ = [
@@ -142,14 +141,12 @@ def write_csv_report(results: dict[str, list[AnnotatedContrastSet]], ds: DataSet
 
 def read_csv_report(source, ds: DataSet) -> dict[str, list[AnnotatedContrastSet]]:
     """Rebuild annotated sets from a CSV report; needs the dataset for the
-    attribute bindings and group sizes."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, Path) or (isinstance(source, str) and "\n" not in source):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source
-    reader = csv.reader(io.StringIO(text), quoting=csv.QUOTE_NONNUMERIC)
+    attribute bindings and group sizes.
+
+    ``source`` is a readable stream, a ``Path``, or a string: a string
+    without a newline is a path, any other string is the report text.
+    """
+    reader = csv.reader(io.StringIO(_read_text(source)), quoting=csv.QUOTE_NONNUMERIC)
     header = next(reader, None)
     if header is None or tuple(header) != CSV_COLUMNS:
         raise ValueError("unrecognized report header")
@@ -247,14 +244,13 @@ def write_json_report(
 
 
 def read_json_report(source, ds: DataSet) -> dict[str, list[AnnotatedContrastSet]]:
-    """Annotated sets from a JSON report, statistics taken at face value."""
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    elif isinstance(source, (str, Path)) and (isinstance(source, Path) or "\n" not in source):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.loads(source)
+    """Annotated sets from a JSON report, statistics taken at face value.
+
+    ``source`` is read as for :func:`read_csv_report`: a readable stream, a
+    ``Path``, a string without a newline as a path, any other string as
+    the report text.
+    """
+    doc = json.loads(_read_text(source))
     results: dict[str, list[AnnotatedContrastSet]] = {}
     for g, sets in doc["groups"].items():
         out = []

@@ -8,16 +8,14 @@ histories, and gate settings.
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from csmine.contrast import (
-    EQ,
-    GE,
-    LT,
-    NE,
     Condition,
+    ConfusionMatrix,
     ContrastSet,
     canonicalize,
     condition_mask,
@@ -232,7 +230,13 @@ def test_grow_keeps_an_empty_reward_baseline():
     assert want != naive_grow(ds, "red", params, unc.mask, unc.mask, pen)
 
 
-def test_survival_sweep_scores_exactly_the_gated_candidates(monkeypatch):
+@pytest.mark.parametrize(
+    "measure, make",
+    [("survival", random_survival), ("correlation", random_classification),
+     ("regression", random_regression)],
+    ids=["survival", "correlation", "regression"],
+)
+def test_sweep_scores_exactly_the_gated_candidates(monkeypatch, measure, make):
     kernel_rows = []
     kernel = quality._log_rank_rows
 
@@ -243,37 +247,55 @@ def test_survival_sweep_scores_exactly_the_gated_candidates(monkeypatch):
     monkeypatch.setattr(quality, "_log_rank_rows", counting)
     gated_out = scored = 0
     for seed in range(3):
-        ds = random_survival(seed + 10, n_min=60, n_max=140, max_attrs=5)
+        ds = make(seed + 10, n_min=60, n_max=140, max_attrs=5)
         rng = np.random.default_rng(seed)
+        reward_rng = np.random.default_rng(seed + 100)
         for group in ds.groups:
             pos = ds.group_mask(group).mask
             ctx = induction._Context.build(
-                ds, group, MiningParams(minsupp_new=0.2), "survival",
-                d_u=_random_pool(rng, pos), minsupp_all=0.4,
+                ds, group, MiningParams(minsupp_new=0.2), measure,
+                d_u=_random_pool(rng, pos), r_u=_random_pool(reward_rng, pos), minsupp_all=0.4,
             )
-            scorer = quality._LogRankScorer(ds, pos)
+            scorer = quality._LogRankScorer(ds, pos) if measure == "survival" else None
             cov = rng.random(ds.n_examples) < 0.8
-            for ai, attr in enumerate(ds.attributes):
+            listed = list(possible_conditions(CoverageSet(cov), ds))
+            for ai in range(len(ds.attributes)):
                 kernel_rows.clear()
                 cand = induction._sweep_attribute(ctx, ai, np.flatnonzero(cov))
+                expected = [c for c in listed if c.attr_index == ai]
                 if cand is None:
+                    assert expected == []
                     continue
-                assert sum(kernel_rows) == int(cand.valid.sum())
-                for i in range(cand.q.size):
-                    if attr.is_numeric:
-                        cond = Condition(ai, LT if cand.sides[i] == 0 else GE, float(cand.values[i]))
-                    else:
-                        cond = Condition(ai, EQ if cand.sides[i] == 0 else NE, int(cand.values[i]))
+                assert sum(kernel_rows) == (int(cand.valid.sum()) if scorer else 0)
+                conds = [cand.condition(i) for i in range(cand.q.size)]
+                assert conds == expected
+                for i, cond in enumerate(conds):
                     side = cov & condition_mask(cond, ds)
+                    cm = ConfusionMatrix(
+                        p=int(np.count_nonzero(side & pos)),
+                        n=int(np.count_nonzero(side & ~pos)),
+                        P=ctx.P,
+                        N=ctx.N,
+                        p_new=int(np.count_nonzero(side & ctx.d_u)),
+                    )
+                    covc = int(np.count_nonzero(side))
+                    counts = (cand.p[i], cand.n[i], cand.p_new_pass[i], cand.p_new_reward[i], cand.covc[i])
+                    assert counts == (cm.p, cm.n, cm.p_new, int(np.count_nonzero(side & ctx.r_u)), covc)
                     gates = (
-                        np.count_nonzero(side & pos) / ctx.P >= 0.4
-                        and np.count_nonzero(side & ctx.d_u) / ctx.P >= 0.2
-                        and np.count_nonzero(side) < np.count_nonzero(cov)
+                        cm.p / ctx.P >= 0.4
+                        and cm.p_new / ctx.P >= 0.2
+                        and covc < np.count_nonzero(cov)
                     )
                     assert cand.valid[i] == gates
                     if gates:
-                        assert cand.q[i] == -scorer.score(np.flatnonzero(side))
-                    else:
+                        if measure == "survival":
+                            want = -scorer.score(np.flatnonzero(side))
+                        elif measure == "correlation":
+                            want = correlation(cm)
+                        else:
+                            want = -abs(float(np.mean(ds.labels[side])) - ctx.pos_label_mean)
+                        assert cand.q[i] == want
+                    elif measure == "survival":
                         assert cand.q[i] == -np.inf
                 gated_out += int((~cand.valid).sum())
                 scored += int(cand.valid.sum())
@@ -603,3 +625,42 @@ def test_workers_argument_rejects_values_below_one(monkeypatch):
     for workers in (0, -2):
         with pytest.raises(ValueError, match=f"workers must be .* got {workers}"):
             mine_all(generate_synthetic(), workers=workers)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties: the sweep's order semantics
+
+_MINE_PARAMS = MiningParams(minsupps=(0.5, 0.2, 0.1))
+
+
+@pytest.mark.parametrize("make", [random_classification, random_regression, random_survival],
+                         ids=["classification", "regression", "survival"])
+def test_mining_is_invariant_under_row_permutation(make):
+    emitted = 0
+    for seed in range(6):
+        ds = make(seed + 1100, n_min=40, n_max=120)
+        perm = np.random.default_rng(seed).permutation(ds.n_examples)
+        base = mine_all(ds, _MINE_PARAMS)
+        assert mine_all(ds.subset(perm), _MINE_PARAMS) == base
+        emitted += sum(map(len, base.values()))
+    assert emitted >= 30
+
+
+# Survival is left out: the log-rank statistic grows with the sample, so
+# duplicating every row changes the qualities, and the premises can follow.
+@pytest.mark.parametrize("make", [random_classification, random_regression],
+                         ids=["classification", "regression"])
+def test_duplicating_rows_doubles_counts_and_keeps_premises(make):
+    emitted = 0
+    for seed in range(6):
+        ds = make(seed + 1200, n_min=40, n_max=120)
+        twice = ds.subset(np.tile(np.arange(ds.n_examples), 2))
+        base, doubled = mine_all(ds, _MINE_PARAMS), mine_all(twice, _MINE_PARAMS)
+        assert list(doubled) == list(base)
+        for group, sets in base.items():
+            # same premises, qualities and redundancies; every count doubles
+            want = [replace(s, p=2 * s.p, n=2 * s.n, p_new=2 * s.p_new, P=2 * s.P, N=2 * s.N)
+                    for s in sets]
+            assert doubled[group] == want
+            emitted += len(sets)
+    assert emitted >= 30

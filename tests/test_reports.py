@@ -138,6 +138,25 @@ def test_csv_round_trip_from_text_and_stream():
     assert read_csv_report(text, ds) == read_csv_report(io.StringIO(text), ds)
 
 
+def test_readers_take_a_one_line_string_as_a_path(tmp_path):
+    ds, params, results = synthetic_run()
+    header = write_csv_report({}, ds)
+    assert header.count("\n") == 1
+    empty_doc = json.dumps({"groups": {}})
+    for read, text in ((read_csv_report, header), (read_json_report, empty_doc)):
+        one_line = text.rstrip("\n")
+        with pytest.raises(FileNotFoundError) as info:
+            read(one_line, ds)
+        assert info.value.filename == one_line
+        # with a newline the same string is the report text
+        assert read(one_line + "\n", ds) == {}
+    path = tmp_path / "report.csv"
+    write_csv_report(results, ds, out=path)
+    assert read_csv_report(str(path), ds) == read_csv_report(path, ds) == read_csv_report(path.read_text(), ds)
+    write_json_report(results, ds, params, out=path)
+    assert read_json_report(str(path), ds) == read_json_report(path, ds)
+
+
 def test_csv_rejects_unknown_header():
     ds = tiny_ds()
     with pytest.raises(ValueError, match="unrecognized report header"):
