@@ -13,20 +13,15 @@ from .contrast import (
     ContrastSet,
     canonicalize,
     condition_mask,
-    confusion,
     cover,
     is_duplicate,
     parse_conditions,
     render_conditions,
-    satisfies,
 )
 from .data import (
-    MISSING,
     ArffError,
     Attribute,
-    CoverageSet,
     DataSet,
-    Example,
     derive_groups_regression,
     derive_groups_survival,
     load_arff,
@@ -49,7 +44,6 @@ from .induction import (
     grow,
     mine_all,
     mine_group,
-    possible_conditions,
     prune,
 )
 from .quality import (
@@ -75,12 +69,9 @@ from .synthetic import ClusterSpec, SyntheticSpec, default_spec, generate_synthe
 __version__ = "0.1.0"
 
 __all__ = [
-    "MISSING",
     "ArffError",
     "Attribute",
-    "CoverageSet",
     "DataSet",
-    "Example",
     "derive_groups_regression",
     "derive_groups_survival",
     "load_arff",
@@ -91,12 +82,10 @@ __all__ = [
     "ContrastSet",
     "canonicalize",
     "condition_mask",
-    "confusion",
     "cover",
     "is_duplicate",
     "parse_conditions",
     "render_conditions",
-    "satisfies",
     "KMCurve",
     "correlation",
     "km_estimate",
@@ -118,7 +107,6 @@ __all__ = [
     "prune",
     "mine_group",
     "mine_all",
-    "possible_conditions",
     "ReportMetrics",
     "summarize",
     "filter_redundancy",

@@ -231,20 +231,12 @@ def run_mine(args, out=None) -> int:
 def run_summarize(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     if args.dataset == "synthetic":
-        ds = generate_synthetic(default_spec(), seed=args.seed)
+        cfg = {"synthetic": "default", "seed": str(args.seed)}
     else:
-        ds = load_arff(
-            args.dataset,
-            group=args.group_column,
-            label=args.label_column,
-            time=args.time_column,
-            status=args.status_column,
-        )
-        if args.group_column is None:
-            if ds.task == "regression":
-                ds = derive_groups_regression(ds)
-            elif ds.task == "survival":
-                ds = derive_groups_survival(ds)
+        columns = ("group_column", "label_column", "time_column", "status_column")
+        cfg = {key: getattr(args, key) or "" for key in columns}
+        cfg["input"] = args.dataset
+    ds = load_dataset(cfg)
     report = Path(args.report)
     if report.suffix.lower() == ".json":
         results = read_json_report(report, ds)

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import MISSING, CoverageSet, DataSet, Example
+from .data import DataSet
 
 __all__ = [
     "LT",
@@ -25,10 +24,8 @@ __all__ = [
     "Condition",
     "ContrastSet",
     "ConfusionMatrix",
-    "satisfies",
     "condition_mask",
     "cover",
-    "confusion",
     "canonicalize",
     "is_duplicate",
     "render_condition",
@@ -120,20 +117,6 @@ class ConfusionMatrix:
         return (self.n * self.P) / (self.p * self.N)
 
 
-def satisfies(example: Example, condition: Condition) -> bool:
-    """Whether a single example satisfies the condition. MISSING fails."""
-    v = example.values[condition.attr_index]
-    if v is MISSING:
-        return False
-    if condition.op == LT:
-        return v < condition.value
-    if condition.op == GE:
-        return v >= condition.value
-    if condition.op == EQ:
-        return v == condition.value
-    return v != condition.value
-
-
 def condition_mask(condition: Condition, ds: DataSet) -> np.ndarray:
     """Boolean mask of the examples satisfying one condition."""
     col = ds.column(condition.attr_index)
@@ -152,28 +135,15 @@ def condition_mask(condition: Condition, ds: DataSet) -> np.ndarray:
     return (col != condition.value) & (col >= 0)
 
 
-def cover(cs: ContrastSet, subset: CoverageSet | None, ds: DataSet) -> CoverageSet:
-    """Examples of ``subset`` (default: all) covered by the conjunction.
+def cover(cs: ContrastSet, ds: DataSet) -> np.ndarray:
+    """Fresh bool mask of the examples covered by the conjunction.
 
-    An empty premise covers the whole subset.
+    An empty premise covers every example.
     """
-    mask = np.ones(ds.n_examples, dtype=bool) if subset is None else subset.mask.copy()
+    mask = np.ones(ds.n_examples, dtype=bool)
     for cond in cs.conditions:
         mask = mask & condition_mask(cond, ds)
-    return CoverageSet(mask)
-
-
-def confusion(
-    coverage: CoverageSet,
-    positives: CoverageSet,
-    negatives: CoverageSet,
-    uncovered_positives: CoverageSet | None = None,
-) -> ConfusionMatrix:
-    """Counts from coverage intersections."""
-    p = (coverage & positives).count
-    n = (coverage & negatives).count
-    p_new = 0 if uncovered_positives is None else (coverage & uncovered_positives).count
-    return ConfusionMatrix(p=p, n=n, P=positives.count, N=negatives.count, p_new=p_new)
+    return mask
 
 
 def canonicalize(cs: ContrastSet) -> ContrastSet:

@@ -10,18 +10,16 @@ from the label or survival time median.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "MISSING",
     "Attribute",
-    "Example",
     "DataSet",
-    "CoverageSet",
     "ArffError",
     "parse_arff",
     "load_arff",
@@ -34,26 +32,6 @@ NUMERIC = "numeric"
 NOMINAL = "nominal"
 
 TASKS = ("classification", "regression", "survival")
-
-
-class _Missing:
-    """Singleton marker for an absent cell value."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "MISSING"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-MISSING = _Missing()
 
 
 @dataclass(frozen=True)
@@ -79,117 +57,6 @@ class Attribute:
     @property
     def is_numeric(self) -> bool:
         return self.kind == NUMERIC
-
-
-@dataclass(frozen=True)
-class Example:
-    """Row view: conditional values (float, category index, or MISSING)
-    plus the bound special values."""
-
-    values: tuple
-    group: str | None = None
-    label: float | None = None
-    survival_time: float | None = None
-    survival_status: int | None = None
-
-
-class CoverageSet:
-    """Immutable fixed-length bit vector over the examples of one dataset.
-
-    Supports the set algebra the induction loop needs: intersection,
-    union, difference, and popcount. Wraps a read-only numpy bool array so
-    the operations stay word-parallel.
-    """
-
-    __slots__ = ("_mask", "_count")
-
-    def __init__(self, mask: np.ndarray):
-        arr = np.asarray(mask, dtype=bool)
-        if arr.ndim != 1:
-            raise ValueError("coverage mask must be one-dimensional")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self._mask = arr
-        self._count: int | None = None
-
-    @classmethod
-    def empty(cls, size: int) -> "CoverageSet":
-        return cls(np.zeros(size, dtype=bool))
-
-    @classmethod
-    def full(cls, size: int) -> "CoverageSet":
-        return cls(np.ones(size, dtype=bool))
-
-    @classmethod
-    def from_indices(cls, size: int, indices: Iterable[int]) -> "CoverageSet":
-        mask = np.zeros(size, dtype=bool)
-        idx = np.asarray(list(indices), dtype=np.intp)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= size:
-                raise ValueError("coverage index out of range")
-            mask[idx] = True
-        return cls(mask)
-
-    @property
-    def size(self) -> int:
-        return int(self._mask.size)
-
-    @property
-    def count(self) -> int:
-        if self._count is None:
-            self._count = int(np.count_nonzero(self._mask))
-        return self._count
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self._mask
-
-    def _check(self, other: "CoverageSet") -> None:
-        if not isinstance(other, CoverageSet):
-            raise TypeError("expected a CoverageSet")
-        if other.size != self.size:
-            raise ValueError(f"coverage length mismatch: {self.size} vs {other.size}")
-
-    def __and__(self, other: "CoverageSet") -> "CoverageSet":
-        self._check(other)
-        return CoverageSet(self._mask & other._mask)
-
-    def __or__(self, other: "CoverageSet") -> "CoverageSet":
-        self._check(other)
-        return CoverageSet(self._mask | other._mask)
-
-    def difference(self, other: "CoverageSet") -> "CoverageSet":
-        self._check(other)
-        return CoverageSet(self._mask & ~other._mask)
-
-    def __sub__(self, other: "CoverageSet") -> "CoverageSet":
-        return self.difference(other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoverageSet):
-            return NotImplemented
-        return self.size == other.size and bool(np.array_equal(self._mask, other._mask))
-
-    __hash__ = None  # mutable-free but identity hashing would mislead
-
-    def issubset(self, other: "CoverageSet") -> bool:
-        self._check(other)
-        return not bool(np.any(self._mask & ~other._mask))
-
-    def __contains__(self, index: int) -> bool:
-        return bool(self._mask[index])
-
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self._mask)
-
-    def to_set(self) -> set[int]:
-        return set(int(i) for i in self.indices())
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __repr__(self) -> str:
-        return f"CoverageSet({self.count}/{self.size})"
 
 
 class DataSet:
@@ -235,6 +102,7 @@ class DataSet:
             sizes.add(len(status))
         if len(sizes) > 1:
             raise ValueError("column lengths disagree")
+        self._n = sizes.pop() if sizes else 0
         self.attributes = tuple(attributes)
         self.relation = relation
         self.task = task
@@ -250,6 +118,8 @@ class DataSet:
             arr.setflags(write=False)
             self._columns.append(arr)
         self.group_names = tuple(group_names)
+        if len(set(self.group_names)) != len(self.group_names):
+            raise ValueError("duplicate group names")
         if group_codes is not None:
             gc = np.asarray(group_codes, dtype=np.int32).copy()
             if gc.size and (gc.min() < 0 or gc.max() >= max(len(self.group_names), 1)):
@@ -268,8 +138,13 @@ class DataSet:
         self.label_attr = label_attr
         self.time_attr = time_attr
         self.status_attr = status_attr
-        if self.task == "regression" and self.labels is None:
-            raise ValueError("regression task requires a bound label column")
+        if self.status is not None and not np.isin(self.status, (0, 1)).all():
+            raise ValueError("survival status values must be 0 or 1")
+        if self.task == "regression":
+            if self.labels is None:
+                raise ValueError("regression task requires a bound label column")
+            if np.isnan(self.labels).any():
+                raise ValueError("regression labels contain missing values")
         if self.task == "survival":
             if self.times is None or self.status is None:
                 raise ValueError("survival task requires bound time and status columns")
@@ -277,17 +152,10 @@ class DataSet:
                 raise ValueError("survival times contain missing values")
             if (self.times < 0).any():
                 raise ValueError("survival times must be non-negative")
-            bad = ~np.isin(self.status, (0, 1))
-            if bad.any():
-                raise ValueError("survival status values must be 0 or 1")
 
     @property
     def n_examples(self) -> int:
-        if self._columns:
-            return int(len(self._columns[0]))
-        if self.group_codes is not None:
-            return int(len(self.group_codes))
-        return 0
+        return self._n
 
     @property
     def groups(self) -> tuple[str, ...]:
@@ -304,40 +172,17 @@ class DataSet:
                 return i
         raise KeyError(f"no attribute named {key!r}")
 
-    def group_of(self, i: int) -> str | None:
-        if self.group_codes is None:
-            return None
-        return self.group_names[int(self.group_codes[i])]
-
-    def group_mask(self, group: str) -> CoverageSet:
+    def group_mask(self, group: str) -> np.ndarray:
+        """Read-only bool mask of the examples in ``group``."""
         if self.group_codes is None:
             raise ValueError("dataset has no group assignment")
         try:
             gi = self.group_names.index(group)
         except ValueError:
             raise KeyError(f"no group named {group!r}") from None
-        return CoverageSet(self.group_codes == gi)
-
-    def example(self, i: int) -> Example:
-        values = []
-        for attr, col in zip(self.attributes, self._columns):
-            if attr.is_numeric:
-                v = float(col[i])
-                values.append(MISSING if np.isnan(v) else v)
-            else:
-                c = int(col[i])
-                values.append(MISSING if c < 0 else c)
-        return Example(
-            values=tuple(values),
-            group=self.group_of(i),
-            label=None if self.labels is None else float(self.labels[i]),
-            survival_time=None if self.times is None else float(self.times[i]),
-            survival_status=None if self.status is None else int(self.status[i]),
-        )
-
-    def examples(self) -> Iterator[Example]:
-        for i in range(self.n_examples):
-            yield self.example(i)
+        mask = self.group_codes == gi
+        mask.setflags(write=False)
+        return mask
 
     def subset(self, selector) -> "DataSet":
         """New dataset restricted to the selected rows (mask or indices).
@@ -385,6 +230,20 @@ class DataSet:
         )
 
 
+def _check_mask(mask, ds: DataSet, name: str) -> np.ndarray:
+    """``mask`` as a coverage of ``ds``: a 1-D bool array with one entry per example.
+
+    Anything else raises ValueError naming the argument ``name``.
+    """
+    arr = np.asarray(mask)
+    if arr.dtype != bool or arr.shape != (ds.n_examples,):
+        raise ValueError(
+            f"{name} must be a 1-D bool mask of length {ds.n_examples}, "
+            f"got {arr.dtype} array of shape {arr.shape}"
+        )
+    return arr
+
+
 def _observed_groups(names: Sequence[str], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     """Keep the groups that occur in ``codes``, in declaration order, and renumber."""
     seen = np.unique(codes)
@@ -400,29 +259,37 @@ class ArffError(ValueError):
 
 
 def _split_csv(text: str, line_no: int) -> list[str]:
-    """Split a comma-separated ARFF record honoring single or double quotes."""
+    """Split a comma-separated ARFF record honoring single or double quotes.
+
+    Whitespace around a field is dropped; quoted text is kept verbatim.
+    """
     fields: list[str] = []
     buf: list[str] = []
     quote: str | None = None
-    i = 0
-    while i < len(text):
-        ch = text[i]
+    lo = hi = -1  # the span of buf read inside quotes
+    for ch in text + ",":  # the extra comma ends the last field
         if quote is not None:
             if ch == quote:
                 quote = None
+                hi = len(buf)
             else:
                 buf.append(ch)
         elif ch in "'\"":
             quote = ch
+            if lo < 0:
+                lo = len(buf)
         elif ch == ",":
-            fields.append("".join(buf).strip())
+            field = "".join(buf)
+            if lo < 0:
+                fields.append(field.strip())
+            else:
+                fields.append(field[:lo].lstrip() + field[lo:hi] + field[hi:].rstrip())
+                lo = -1
             buf = []
         else:
             buf.append(ch)
-        i += 1
     if quote is not None:
         raise ArffError(line_no, "unterminated quote")
-    fields.append("".join(buf).strip())
     return fields
 
 
@@ -663,8 +530,13 @@ def _format_value(x: float) -> str:
     return repr(float(x))
 
 
+_NEEDS_QUOTES = re.compile(r"[,'\"{}%\s]")
+
+
 def _quote_if_needed(value: str) -> str:
-    if value == "" or any(c in value for c in ", '\"{}%\t"):
+    if value == "" or "\n" in value or "\r" in value:
+        raise ValueError(f"cannot write {value!r}: ARFF has no empty or multi-line names and values")
+    if _NEEDS_QUOTES.search(value):
         # the reader treats either quote char as literal inside the other
         if "'" not in value:
             return f"'{value}'"
@@ -674,57 +546,55 @@ def _quote_if_needed(value: str) -> str:
     return value
 
 
+def _quoted_domain(domain: Sequence[str]) -> tuple[str, ...]:
+    if "?" in domain:
+        raise ValueError("cannot write the nominal value '?': ARFF reads it as a missing cell")
+    return tuple(_quote_if_needed(v) for v in domain)
+
+
 def write_arff(ds: DataSet, out=None) -> str:
     """Serialize a dataset back to ARFF, bound columns included.
 
     The special columns are appended after the conditional attributes under
     their stored names, so ``parse_arff(write_arff(ds), ...)`` with the same
-    bindings round-trips the dataset.
+    bindings round-trips the dataset. A dataset ARFF cannot hold (no
+    columns, duplicate column names, an empty or multi-line name or value, a
+    value mixing both quote characters, or the nominal value ``?``) raises
+    ValueError.
     """
+    # (name, quoted domain or None for numeric, values) per column
+    columns = [
+        (a.name, None if a.is_numeric else _quoted_domain(a.domain), col)
+        for a, col in zip(ds.attributes, ds._columns)
+    ]
+    if ds.group_codes is not None:
+        columns.append((ds.group_attr or "group", _quoted_domain(ds.group_names), ds.group_codes))
+    for name, arr in ((ds.label_attr or "label", ds.labels), (ds.time_attr or "time", ds.times),
+                      (ds.status_attr or "status", ds.status)):
+        if arr is not None:
+            columns.append((name, None, arr))
+    names = [name for name, _, _ in columns]
+    if not names:
+        raise ValueError("cannot write a dataset without columns")
+    if len(set(names)) != len(names):
+        raise ValueError(f"cannot write duplicate column names {names!r}")
     buf = io.StringIO()
     buf.write(f"@relation {_quote_if_needed(ds.relation)}\n\n")
-    extra: list[tuple[str, str, tuple[str, ...] | None, np.ndarray]] = []
-    if ds.group_codes is not None:
-        name = ds.group_attr or "group"
-        extra.append((name, NOMINAL, ds.group_names, ds.group_codes))
-    if ds.labels is not None:
-        extra.append((ds.label_attr or "label", NUMERIC, None, ds.labels))
-    if ds.times is not None:
-        extra.append((ds.time_attr or "time", NUMERIC, None, ds.times))
-    if ds.status is not None:
-        extra.append((ds.status_attr or "status", NUMERIC, None, ds.status))
-    for attr in ds.attributes:
-        if attr.is_numeric:
-            buf.write(f"@attribute {_quote_if_needed(attr.name)} numeric\n")
-        else:
-            domain = ",".join(_quote_if_needed(v) for v in attr.domain)
-            buf.write(f"@attribute {_quote_if_needed(attr.name)} {{{domain}}}\n")
-    for name, kind, domain, _ in extra:
-        if kind == NUMERIC:
-            buf.write(f"@attribute {_quote_if_needed(name)} numeric\n")
-        else:
-            buf.write(
-                f"@attribute {_quote_if_needed(name)} "
-                f"{{{','.join(_quote_if_needed(v) for v in domain)}}}\n"
-            )
+    for name, domain, _ in columns:
+        kind = "numeric" if domain is None else "{" + ",".join(domain) + "}"
+        buf.write(f"@attribute {_quote_if_needed(name)} {kind}\n")
     buf.write("\n@data\n")
-    n = ds.n_examples
-    for i in range(n):
+    for i in range(ds.n_examples):
         fields: list[str] = []
-        for attr, col in zip(ds.attributes, ds._columns):
-            if attr.is_numeric:
-                v = col[i]
-                fields.append("?" if np.isnan(v) else _format_value(v))
-            else:
-                c = int(col[i])
-                fields.append("?" if c < 0 else _quote_if_needed(attr.domain[c]))
-        for name, kind, domain, arr in extra:
-            if kind == NOMINAL:
-                fields.append(_quote_if_needed(domain[int(arr[i])]))
+        for _, domain, arr in columns:
+            if domain is not None:
+                c = int(arr[i])
+                fields.append("?" if c < 0 else domain[c])
             elif arr is ds.status:
                 fields.append(str(int(arr[i])))
             else:
-                fields.append(_format_value(arr[i]))
+                v = arr[i]
+                fields.append("?" if np.isnan(v) else _format_value(v))
         buf.write(",".join(fields) + "\n")
     return _write_text(buf.getvalue(), out)
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .contrast import ContrastSet, cover
-from .data import CoverageSet, DataSet
+from .data import DataSet, _check_mask
 
 __all__ = [
     "PenaltyState",
@@ -164,17 +164,14 @@ def _max_similarity(
     return best, best_i
 
 
-def _positive_cover(cs: ContrastSet, positives: CoverageSet, ds: DataSet) -> np.ndarray:
-    return cover(cs, None, ds).mask & positives.mask
-
-
 def similarity(
-    cs_a: ContrastSet, cs_b: ContrastSet, positives: CoverageSet, ds: DataSet
+    cs_a: ContrastSet, cs_b: ContrastSet, positives: np.ndarray, ds: DataSet
 ) -> float:
     """Product of two Jaccard indices: attribute sets and positive coverages."""
+    positives = _check_mask(positives, ds, "positives")
     return _max_similarity(
-        cs_a.attribute_indices, _positive_cover(cs_a, positives, ds),
-        [cs_b.attribute_indices], [_positive_cover(cs_b, positives, ds)],
+        cs_a.attribute_indices, cover(cs_a, ds) & positives,
+        [cs_b.attribute_indices], [cover(cs_b, ds) & positives],
     )[0]
 
 
@@ -189,16 +186,17 @@ class RedundancyRecord:
 def redundancy(
     cs: ContrastSet,
     predecessors: Sequence[ContrastSet],
-    positives: CoverageSet,
+    positives: np.ndarray,
     ds: DataSet,
 ) -> RedundancyRecord:
     """Maximum similarity of ``cs`` to the sets emitted before it.
 
     The first set of a group has redundancy 0 with no predecessor.
     """
+    positives = _check_mask(positives, ds, "positives")
     value, index = _max_similarity(
-        cs.attribute_indices, _positive_cover(cs, positives, ds),
+        cs.attribute_indices, cover(cs, ds) & positives,
         [prev.attribute_indices for prev in predecessors],
-        [_positive_cover(prev, positives, ds) for prev in predecessors],
+        [cover(prev, ds) & positives for prev in predecessors],
     )
     return RedundancyRecord(value, index)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .contrast import (
     canonicalize,
     condition_mask,
 )
-from .data import CoverageSet, DataSet
+from .data import DataSet, _check_mask
 from .diversity import PenaltyState, _apply_multiplier, _max_similarity, _reward_factor
 from .quality import MEASURES, _LogRankScorer, correlation, measure_for_task
 
@@ -38,8 +38,6 @@ __all__ = [
     "MiningParams",
     "AnnotatedContrastSet",
     "MiningEvent",
-    "numeric_split_points",
-    "possible_conditions",
     "grow",
     "prune",
     "mine_group",
@@ -85,8 +83,8 @@ class MiningParams:
             raise ValueError("max_neg2pos must be non-negative")
         if self.max_passes < 1:
             raise ValueError("max_passes must be at least 1")
-        if self.penalty_strength < 0:
-            raise ValueError("penalty_strength must be non-negative")
+        if not 0 <= self.penalty_strength <= 1:
+            raise ValueError("penalty_strength must be in [0, 1]")
         if not 0 < self.reward_saturation <= 1:
             raise ValueError("reward_saturation must be in (0, 1]")
         if self.mode not in ("one-vs-all", "one-vs-one"):
@@ -136,43 +134,6 @@ class MiningEvent:
     usage_total_after: int
 
 
-def numeric_split_points(values: np.ndarray) -> np.ndarray:
-    """Midpoints between consecutive distinct finite values, ascending.
-
-    Midpoints that round down onto the lower value cannot separate anything
-    and are dropped.
-    """
-    vals = np.asarray(values, dtype=np.float64)
-    vals = np.unique(vals[~np.isnan(vals)])
-    if vals.size < 2:
-        return np.empty(0, dtype=np.float64)
-    mids = (vals[:-1] + vals[1:]) / 2.0
-    return mids[mids > vals[:-1]]
-
-
-def possible_conditions(covered: CoverageSet, ds: DataSet) -> Iterator[Condition]:
-    """Candidate conditions over the currently covered region.
-
-    Numeric attributes yield ``< m`` then ``>= m`` for each midpoint between
-    consecutive distinct covered values; nominal attributes yield ``= v``
-    then ``!= v`` for each value observed among covered examples. Candidates
-    come out in deterministic order: attribute declaration order, ascending
-    threshold or category, ``<`` before ``>=``, ``=`` before ``!=``.
-    """
-    idx = covered.indices()
-    for ai, attr in enumerate(ds.attributes):
-        col = ds.column(ai)[idx]
-        if attr.is_numeric:
-            for m in numeric_split_points(col):
-                yield Condition(ai, LT, float(m))
-                yield Condition(ai, GE, float(m))
-        else:
-            observed = np.unique(col[col >= 0])
-            for v in observed:
-                yield Condition(ai, EQ, int(v))
-                yield Condition(ai, NE, int(v))
-
-
 @dataclass
 class _Context:
     """Per-group mining state shared by grow and prune."""
@@ -209,7 +170,7 @@ class _Context:
         The uncovered pool defaults to the whole group, the reward baseline
         to the uncovered pool, and the support floor to the first level.
         """
-        pos = ds.group_mask(group).mask
+        pos = ds.group_mask(group)
         neg = ~pos
         P = int(np.count_nonzero(pos))
         N = int(np.count_nonzero(neg))
@@ -527,22 +488,24 @@ def _api_context(
     ds: DataSet,
     group: str,
     params: MiningParams,
-    uncovered: CoverageSet | None,
+    uncovered: np.ndarray | None,
     penalty: PenaltyState | None,
-    reward_uncovered: CoverageSet | None,
+    reward_uncovered: np.ndarray | None,
     minsupp_all: float | None = None,
 ) -> _Context:
-    """Context for the public grow and prune calls, from coverage sets."""
+    """Context for the public grow and prune calls, from coverage masks."""
     measure = _resolve_measure(ds, params)
-    # an empty baseline is falsy but still a baseline
-    reward_pool = uncovered if reward_uncovered is None else reward_uncovered
+    if uncovered is not None:
+        uncovered = _check_mask(uncovered, ds, "uncovered")
+    if reward_uncovered is not None:
+        reward_uncovered = _check_mask(reward_uncovered, ds, "reward_uncovered")
     return _Context.build(
         ds,
         group,
         params,
         measure,
-        d_u=None if uncovered is None else uncovered.mask.copy(),
-        r_u=None if reward_pool is None else reward_pool.mask.copy(),
+        d_u=uncovered,
+        r_u=uncovered if reward_uncovered is None else reward_uncovered,
         penalty=penalty,
         minsupp_all=minsupp_all,
     )
@@ -551,10 +514,10 @@ def _api_context(
 def grow(
     ds: DataSet,
     group: str,
-    uncovered: CoverageSet,
+    uncovered: np.ndarray,
     params: MiningParams,
     penalty: PenaltyState | None = None,
-    reward_uncovered: CoverageSet | None = None,
+    reward_uncovered: np.ndarray | None = None,
     minsupp_all: float | None = None,
 ) -> ContrastSet | None:
     """Grow one premise for ``group``; None when nothing satisfiable.
@@ -573,14 +536,14 @@ def prune(
     cs: ContrastSet,
     ds: DataSet,
     params: MiningParams,
-    uncovered: CoverageSet | None = None,
+    uncovered: np.ndarray | None = None,
     penalty: PenaltyState | None = None,
-    reward_uncovered: CoverageSet | None = None,
+    reward_uncovered: np.ndarray | None = None,
 ) -> ContrastSet:
     """Prune a premise; single-condition input returns unchanged."""
+    ctx = _api_context(ds, cs.group, params, uncovered, penalty, reward_uncovered)
     if len(cs.conditions) <= 1:
         return cs
-    ctx = _api_context(ds, cs.group, params, uncovered, penalty, reward_uncovered)
     masks = [condition_mask(c, ds) for c in cs.conditions]
     cov = np.ones(ds.n_examples, dtype=bool)
     for msk in masks:
@@ -733,7 +696,7 @@ def mine_all(
             raise ValueError("the negative group cannot also be a group of interest")
         jobs = []
         for g in targets:
-            sel = (ds.group_mask(g) | ds.group_mask(negative)).mask
+            sel = ds.group_mask(g) | ds.group_mask(negative)
             jobs.append((ds.subset(sel), g, params))
     else:
         targets = list(groups) if groups is not None else list(ds.groups)

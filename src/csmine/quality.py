@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrast import ConfusionMatrix
-from .data import CoverageSet, DataSet
+from .data import DataSet, _check_mask
 
 __all__ = [
     "MEASURES",
@@ -44,18 +44,18 @@ def correlation(cm: ConfusionMatrix) -> float:
     return (p * N - P * n) / math.sqrt(den_sq)
 
 
-def regression_consistency(coverage: CoverageSet, ds: DataSet, positives: CoverageSet) -> float:
+def regression_consistency(coverage: np.ndarray, ds: DataSet, positives: np.ndarray) -> float:
     """Negated absolute difference between the covered label mean and the
     label mean of the group of interest. The covered mean runs over every
     covered example regardless of group."""
     if ds.labels is None:
         raise ValueError("dataset has no regression labels")
-    cov_idx = coverage.indices()
-    pos_idx = positives.indices()
-    if cov_idx.size == 0 or pos_idx.size == 0:
+    coverage = _check_mask(coverage, ds, "coverage")
+    positives = _check_mask(positives, ds, "positives")
+    if not coverage.any() or not positives.any():
         raise ValueError("regression consistency needs non-empty coverage and positives")
-    mean_cov = float(np.mean(ds.labels[cov_idx]))
-    mean_pos = float(np.mean(ds.labels[pos_idx]))
+    mean_cov = float(np.mean(ds.labels[coverage]))
+    mean_pos = float(np.mean(ds.labels[positives]))
     return -abs(mean_cov - mean_pos)
 
 
@@ -265,13 +265,13 @@ class _LogRankScorer:
         return np.concatenate(out)
 
 
-def survival_consistency(coverage: CoverageSet, ds: DataSet, positives: CoverageSet) -> float:
+def survival_consistency(coverage: np.ndarray, ds: DataSet, positives: np.ndarray) -> float:
     """Negated log-rank statistic between the covered sample and the group
     of interest, overlap included."""
     if ds.times is None or ds.status is None:
         raise ValueError("dataset has no survival columns")
-    cov = coverage.indices()
-    pos = positives.indices()
+    cov = _check_mask(coverage, ds, "coverage")
+    pos = _check_mask(positives, ds, "positives")
     return -_log_rank_arrays(
         ds.times[cov], np.asarray(ds.status[cov] == 1, dtype=np.int8),
         ds.times[pos], np.asarray(ds.status[pos] == 1, dtype=np.int8),

@@ -86,15 +86,15 @@ def summarize(results: dict[str, list[AnnotatedContrastSet]], ds: DataSet) -> Re
     for g, sets in results.items():
         if not sets:
             continue
-        gmask = ds.group_mask(g).mask
+        gmask = ds.group_mask(g)
         depth = np.zeros(ds.n_examples, dtype=np.int64)
         for a in sets:
-            depth += cover(a.contrast_set, None, ds).mask
+            depth += cover(a.contrast_set, ds)
         per_example[gmask] = depth[gmask]
     counts: dict[int, int] = {}
     in_scope = np.zeros(ds.n_examples, dtype=bool)
     for g in results:
-        in_scope |= ds.group_mask(g).mask
+        in_scope |= ds.group_mask(g)
     values, freq = np.unique(per_example[in_scope], return_counts=True)
     for v, f in zip(values, freq):
         counts[int(v)] = int(f)
@@ -156,7 +156,7 @@ def read_csv_report(source, ds: DataSet) -> dict[str, list[AnnotatedContrastSet]
             continue
         g = row[0]
         cs = parse_conditions(row[1], g, ds)
-        P = ds.group_mask(g).count
+        P = int(np.count_nonzero(ds.group_mask(g)))
         N = ds.n_examples - P
         results.setdefault(g, []).append(
             AnnotatedContrastSet(
@@ -231,7 +231,7 @@ def write_json_report(
             "examples": ds.n_examples,
             "attributes": [a.name for a in ds.attributes],
             "task": ds.task,
-            "groups": {g: ds.group_mask(g).count for g in results},
+            "groups": {g: int(np.count_nonzero(ds.group_mask(g))) for g in results},
         },
         "params": _params_dict(params),
         "groups": {g: [_set_dict(a, ds) for a in sets] for g, sets in kept.items()},

@@ -1,10 +1,11 @@
 """Shared generators and reference implementations for the test suite.
 
-The references here are deliberately slow and literal: growing enumerates
-every candidate condition one by one, pruning re-evaluates every removal
-from scratch, redundancy compares Python sets of row indices one pair at a
-time, and the survival statistics are redone in exact Fraction
-arithmetic. Production code must agree with them bitwise for
+The references here are deliberately slow and literal: rows are read one
+example at a time through a row view and tested condition by condition,
+growing enumerates every candidate condition one by one, pruning
+re-evaluates every removal from scratch, redundancy compares Python sets of
+row indices one pair at a time, and the survival statistics are redone in
+exact Fraction arithmetic. Production code must agree with them bitwise for
 classification, exactly for integer-label regression, and to 1e-9 for
 survival scores.
 """
@@ -12,15 +13,144 @@ survival scores.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
-from csmine.contrast import ConfusionMatrix, condition_mask, satisfies
-from csmine.data import Attribute, CoverageSet, DataSet, derive_groups_survival
+from csmine.contrast import EQ, GE, LT, NE, Condition, ConfusionMatrix, condition_mask
+from csmine.data import Attribute, DataSet, derive_groups_survival
 from csmine.diversity import MULTIPLIER_FLOOR, PenaltyState
-from csmine.induction import possible_conditions
 from csmine.quality import _LogRankScorer, measure_for_task
+
+
+# ---------------------------------------------------------------------------
+# row view: one example at a time
+
+class _Missing:
+    """Singleton marker for an absent cell value."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "MISSING"
+
+    def __bool__(self) -> bool:
+        return False
+
+
+MISSING = _Missing()
+
+
+@dataclass(frozen=True)
+class Example:
+    """Row view: conditional values (float, category index, or MISSING)
+    plus the bound special values."""
+
+    values: tuple
+    group: str | None = None
+    label: float | None = None
+    survival_time: float | None = None
+    survival_status: int | None = None
+
+
+def group_of(ds: DataSet, i: int) -> str | None:
+    if ds.group_codes is None:
+        return None
+    return ds.group_names[int(ds.group_codes[i])]
+
+
+def example(ds: DataSet, i: int) -> Example:
+    values = []
+    for ai, attr in enumerate(ds.attributes):
+        col = ds.column(ai)
+        if attr.is_numeric:
+            v = float(col[i])
+            values.append(MISSING if np.isnan(v) else v)
+        else:
+            c = int(col[i])
+            values.append(MISSING if c < 0 else c)
+    return Example(
+        values=tuple(values),
+        group=group_of(ds, i),
+        label=None if ds.labels is None else float(ds.labels[i]),
+        survival_time=None if ds.times is None else float(ds.times[i]),
+        survival_status=None if ds.status is None else int(ds.status[i]),
+    )
+
+
+def examples(ds: DataSet) -> Iterator[Example]:
+    for i in range(ds.n_examples):
+        yield example(ds, i)
+
+
+def satisfies(example: Example, condition: Condition) -> bool:
+    """Whether a single example satisfies the condition. MISSING fails."""
+    v = example.values[condition.attr_index]
+    if v is MISSING:
+        return False
+    if condition.op == LT:
+        return v < condition.value
+    if condition.op == GE:
+        return v >= condition.value
+    if condition.op == EQ:
+        return v == condition.value
+    return v != condition.value
+
+
+def count_confusion(coverage, positives, uncovered_positives=None) -> ConfusionMatrix:
+    """Counts of a coverage mask against a group mask; every other row is negative."""
+    p = int(np.count_nonzero(coverage & positives))
+    n = int(np.count_nonzero(coverage & ~positives))
+    p_new = 0 if uncovered_positives is None else int(np.count_nonzero(coverage & uncovered_positives))
+    P = int(np.count_nonzero(positives))
+    return ConfusionMatrix(p=p, n=n, P=P, N=positives.size - P, p_new=p_new)
+
+
+# ---------------------------------------------------------------------------
+# candidate enumeration, independent of the engine's sweep
+
+def numeric_split_points(values: np.ndarray) -> np.ndarray:
+    """Midpoints between consecutive distinct finite values, ascending.
+
+    Midpoints that round down onto the lower value cannot separate anything
+    and are dropped.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    vals = np.unique(vals[~np.isnan(vals)])
+    if vals.size < 2:
+        return np.empty(0, dtype=np.float64)
+    mids = (vals[:-1] + vals[1:]) / 2.0
+    return mids[mids > vals[:-1]]
+
+
+def possible_conditions(covered: np.ndarray, ds: DataSet) -> Iterator[Condition]:
+    """Candidate conditions over the currently covered region (a bool mask).
+
+    Numeric attributes yield ``< m`` then ``>= m`` for each midpoint between
+    consecutive distinct covered values; nominal attributes yield ``= v``
+    then ``!= v`` for each value observed among covered examples. Candidates
+    come out in deterministic order: attribute declaration order, ascending
+    threshold or category, ``<`` before ``>=``, ``=`` before ``!=``.
+    """
+    idx = np.flatnonzero(covered)
+    for ai, attr in enumerate(ds.attributes):
+        col = ds.column(ai)[idx]
+        if attr.is_numeric:
+            for m in numeric_split_points(col):
+                yield Condition(ai, LT, float(m))
+                yield Condition(ai, GE, float(m))
+        else:
+            observed = np.unique(col[col >= 0])
+            for v in observed:
+                yield Condition(ai, EQ, int(v))
+                yield Condition(ai, NE, int(v))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +367,11 @@ def redundancy_oracle(cs, predecessors, positives, ds):
     index of the covered positive rows, each a Python set found example by
     example. The earliest maximum wins; no predecessors gives (0.0, None).
     """
-    examples = list(ds.examples())
-    pos_rows = set(np.flatnonzero(positives.mask).tolist())
+    rows_view = list(examples(ds))
+    pos_rows = set(np.flatnonzero(positives).tolist())
 
     def rows(s):
-        return {i for i in pos_rows if all(satisfies(examples[i], c) for c in s.conditions)}
+        return {i for i in pos_rows if all(satisfies(rows_view[i], c) for c in s.conditions)}
 
     def jaccard(a, b):
         return len(a & b) / len(a | b) if a | b else 0.0
@@ -311,7 +441,7 @@ def naive_grow(ds, group, params, uncovered, reward_uncovered=None, penalty=None
     Returns the grown condition list, or None when growing fails either
     support gate at the start or the final negative-to-positive ceiling.
     """
-    pos = ds.group_mask(group).mask
+    pos = ds.group_mask(group)
     neg = ~pos
     P = int(np.count_nonzero(pos))
     N = int(np.count_nonzero(neg))
@@ -330,7 +460,7 @@ def naive_grow(ds, group, params, uncovered, reward_uncovered=None, penalty=None
     while True:
         cov_count = int(np.count_nonzero(cov))
         best_q = best_cov = best_cond = None
-        for cond in possible_conditions(CoverageSet(cov), ds):
+        for cond in possible_conditions(cov, ds):
             cmask = cov & condition_mask(cond, ds)
             covc = int(np.count_nonzero(cmask))
             if covc >= cov_count:
@@ -366,7 +496,7 @@ def naive_grow(ds, group, params, uncovered, reward_uncovered=None, penalty=None
 def naive_prune(ds, group, conditions, params, uncovered=None, reward_uncovered=None,
                 penalty=None):
     """From-scratch replication of the pruning rounds."""
-    pos = ds.group_mask(group).mask
+    pos = ds.group_mask(group)
     neg = ~pos
     P = int(np.count_nonzero(pos))
     N = int(np.count_nonzero(neg))

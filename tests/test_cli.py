@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from csmine import cli
@@ -102,7 +103,7 @@ def test_params_from_config_errors(cfg, needle):
 # dataset resolution
 
 def group_counts(ds):
-    return {g: ds.group_mask(g).count for g in ds.groups}
+    return {g: int(np.count_nonzero(ds.group_mask(g))) for g in ds.groups}
 
 
 def test_load_dataset_synthetic():
@@ -226,6 +227,9 @@ def test_main_mine_rejects_bad_override(tmp_path, capsys):
     assert "unknown key 'colour'" in capsys.readouterr().err
     assert main(["mine", str(cfg), "--set", "minsupps"]) == 2
     assert "--set expects KEY=VALUE" in capsys.readouterr().err
+    # README documents s in [0, 1]
+    assert main(["mine", str(cfg), "--set", "penalty_strength=3"]) == 2
+    assert "penalty_strength must be in [0, 1]" in capsys.readouterr().err
 
 
 def test_main_mine_multi_input_suffixes_outputs(tmp_path, capsys):
@@ -298,6 +302,21 @@ def test_main_summarize_reads_arff_dataset(tmp_path, capsys):
     code = main(["summarize", str(csv_path), str(arff), "--group-column", "group"])
     assert code == 0
     assert "sets: 8" in capsys.readouterr().out
+
+
+def test_main_summarize_loads_like_mine(tmp_path, capsys):
+    arff = tmp_path / "bench.arff"
+    write_arff(generate_synthetic(), arff)
+    csv_path = tmp_path / "report.csv"
+    cfg = write_config(tmp_path, input=arff, group_column="group", output_csv=csv_path)
+    assert main(["mine", str(cfg)]) == 0
+    capsys.readouterr()
+    # without a group column both commands refuse the classification ARFF alike
+    assert main(["mine", str(write_config(tmp_path, input=arff))]) == 2
+    mine_err = capsys.readouterr().err
+    assert main(["summarize", str(csv_path), str(arff)]) == 2
+    assert capsys.readouterr().err == mine_err
+    assert "classification task needs a group_column" in mine_err
 
 
 @pytest.mark.parametrize(

@@ -15,17 +15,15 @@ from csmine.contrast import (
     ContrastSet,
     canonicalize,
     condition_mask,
-    confusion,
     cover,
     is_duplicate,
     parse_conditions,
     render_condition,
     render_conditions,
-    satisfies,
 )
-from csmine.data import Attribute, CoverageSet, DataSet
+from csmine.data import Attribute, DataSet
 
-from conftest import random_classification
+from conftest import count_confusion, example, examples, random_classification, satisfies
 
 
 def render_ds():
@@ -87,7 +85,7 @@ def test_condition_mask_matches_satisfies():
             cond = cs.conditions[0]
             mask = condition_mask(cond, ds)
             for i in range(ds.n_examples):
-                assert mask[i] == satisfies(ds.example(i), cond)
+                assert mask[i] == satisfies(example(ds, i), cond)
 
 
 def test_condition_mask_missing_fails_both_sides():
@@ -121,11 +119,15 @@ def test_condition_mask_kind_mismatch():
 def test_cover_empty_premise_and_subset():
     ds = render_ds()
     empty = ContrastSet((), "g")
-    assert cover(empty, None, ds).count == 3
-    sub = CoverageSet.from_indices(3, [0, 2])
-    assert cover(empty, sub, ds) == sub
+    assert np.count_nonzero(cover(empty, ds)) == 3
+    sub = np.array([True, False, True])
+    assert np.array_equal(cover(empty, ds) & sub, sub)
     one = ContrastSet((Condition(0, GE, 2.0),), "g")
-    assert cover(one, sub, ds).to_set() == {2}
+    assert set(np.flatnonzero(cover(one, ds) & sub)) == {2}
+    # every call returns a fresh mask
+    first = cover(one, ds)
+    first[:] = False
+    assert np.count_nonzero(cover(one, ds)) == 2
 
 
 def test_cover_is_antitone_in_conditions():
@@ -134,10 +136,10 @@ def test_cover_is_antitone_in_conditions():
         rng = np.random.default_rng(seed)
         for _ in range(10):
             cs = random_premise(rng, ds)
-            prev = cover(ContrastSet((), cs.group), None, ds)
+            prev = cover(ContrastSet((), cs.group), ds)
             for k in range(1, len(cs.conditions) + 1):
-                cur = cover(ContrastSet(cs.conditions[:k], cs.group), None, ds)
-                assert cur.issubset(prev)
+                cur = cover(ContrastSet(cs.conditions[:k], cs.group), ds)
+                assert not (cur & ~prev).any()
                 prev = cur
 
 
@@ -147,28 +149,27 @@ def test_confusion_matches_per_example_counting():
         rng = np.random.default_rng(seed + 99)
         group = ds.groups[0]
         positives = ds.group_mask(group)
-        negatives = CoverageSet(~positives.mask)
+        groups = [ex.group for ex in examples(ds)]
         for _ in range(10):
             cs = random_premise(rng, ds)
-            cm = confusion(cover(cs, None, ds), positives, negatives)
+            cm = count_confusion(cover(cs, ds), positives)
             p = n = 0
-            for i, ex in enumerate(ds.examples()):
+            for i, ex in enumerate(examples(ds)):
                 if all(satisfies(ex, c) for c in cs.conditions):
                     if ex.group == group:
                         p += 1
                     else:
                         n += 1
             assert (cm.p, cm.n) == (p, n)
-            assert (cm.P, cm.N) == (positives.count, negatives.count)
+            assert (cm.P, cm.N) == (groups.count(group), len(groups) - groups.count(group))
 
 
 def test_confusion_p_new():
     ds = render_ds()
     positives = ds.group_mask("g")
-    negatives = CoverageSet(~positives.mask)
-    unc = CoverageSet.from_indices(3, [2])
+    unc = np.array([False, False, True])
     cs = ContrastSet((Condition(0, GE, 2.0),), "g")
-    cm = confusion(cover(cs, None, ds), positives, negatives, unc)
+    cm = count_confusion(cover(cs, ds), positives, unc)
     assert (cm.p, cm.p_new) == (2, 1)
 
 
@@ -200,7 +201,7 @@ def test_canonicalize_preserves_contradictions():
     canon = canonicalize(cs)
     assert canon.conditions == (Condition(0, GE, 5.0), Condition(0, LT, 2.0))
     ds = render_ds()
-    assert cover(canon, None, ds).count == 0
+    assert not cover(canon, ds).any()
 
 
 def test_canonicalize_idempotent_and_coverage_preserving():
@@ -211,11 +212,11 @@ def test_canonicalize_idempotent_and_coverage_preserving():
             cs = random_premise(rng, ds)
             canon = canonicalize(cs)
             assert canonicalize(canon) == canon
-            assert cover(canon, None, ds) == cover(cs, None, ds)
+            assert np.array_equal(cover(canon, ds), cover(cs, ds))
             # per-example oracle, not just mask algebra
-            for i, ex in enumerate(ds.examples()):
+            for i, ex in enumerate(examples(ds)):
                 want = all(satisfies(ex, c) for c in cs.conditions)
-                assert (i in cover(canon, None, ds)) == want
+                assert cover(canon, ds)[i] == want
 
 
 def test_is_duplicate():

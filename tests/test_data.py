@@ -1,23 +1,34 @@
-"""Dataset container, coverage bitsets, ARFF I/O, group derivation."""
-
-import itertools
+"""Dataset container, coverage masks, ARFF I/O, group derivation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from csmine.contrast import GE, NE, Condition, ContrastSet
 from csmine.data import (
-    MISSING,
+    TASKS,
     ArffError,
     Attribute,
-    CoverageSet,
     DataSet,
     derive_groups_regression,
     derive_groups_survival,
     load_arff,
     parse_arff,
     write_arff,
+)
+from csmine.diversity import redundancy, similarity
+from csmine.induction import MiningParams, grow, prune
+from csmine.quality import regression_consistency, survival_consistency
+
+from conftest import (
+    MISSING,
+    example,
+    examples,
+    group_of,
+    random_classification,
+    random_regression,
+    random_survival,
 )
 
 
@@ -93,8 +104,8 @@ def test_columns_are_frozen():
 def test_group_lookup():
     ds = small_ds()
     assert ds.groups == ("g1", "g2")
-    assert ds.group_of(0) == "g1"
-    assert ds.group_mask("g2").to_set() == {2, 3}
+    assert group_of(ds, 0) == "g1"
+    assert set(np.flatnonzero(ds.group_mask("g2"))) == {2, 3}
     with pytest.raises(KeyError, match="no group named"):
         ds.group_mask("nope")
     with pytest.raises(KeyError, match="no attribute named"):
@@ -104,93 +115,59 @@ def test_group_lookup():
 
 def test_example_view():
     ds = small_ds()
-    ex = ds.example(2)
+    ex = example(ds, 2)
     assert ex.values[0] is MISSING
     assert ex.values[1] == 2
     assert ex.group == "g2"
-    ex3 = ds.example(3)
+    ex3 = example(ds, 3)
     assert ex3.values == (4.0, MISSING)
-    assert len(list(ds.examples())) == 4
+    assert len(list(examples(ds))) == 4
 
 
-# ---------------------------------------------------------------------------
-# CoverageSet
-
-def _sets_equal(cs, pyset, size):
-    assert cs.to_set() == pyset
-    assert cs.count == len(pyset)
-    assert len(cs) == len(pyset)
-    for i in range(size):
-        assert (i in cs) == (i in pyset)
+_BAD_MASKS = {
+    "wrong-length": lambda n: np.ones(n + 1, dtype=bool),
+    "2-D": lambda n: np.ones((1, n), dtype=bool),
+    "not-bool": lambda n: np.ones(n, dtype=np.int8),
+}
 
 
-def test_coverage_algebra_exhaustive_small():
-    # every pair of masks up to length 4
-    for size in range(5):
-        for bits_a in itertools.product([False, True], repeat=size):
-            for bits_b in itertools.product([False, True], repeat=size):
-                a = CoverageSet(np.array(bits_a, dtype=bool))
-                b = CoverageSet(np.array(bits_b, dtype=bool))
-                sa = {i for i, v in enumerate(bits_a) if v}
-                sb = {i for i, v in enumerate(bits_b) if v}
-                _sets_equal(a & b, sa & sb, size)
-                _sets_equal(a | b, sa | sb, size)
-                _sets_equal(a - b, sa - sb, size)
-                _sets_equal(a.difference(b), sa - sb, size)
-                assert (a == b) == (sa == sb)
-                assert a.issubset(b) == (sa <= sb)
-
-
-@st.composite
-def mask_pairs(draw):
-    n = draw(st.integers(min_value=0, max_value=64))
-    a = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    b = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return np.array(a, dtype=bool), np.array(b, dtype=bool)
-
-
-@settings(max_examples=200, deadline=None)
-@given(mask_pairs())
-def test_coverage_algebra_random(pair):
-    ma, mb = pair
-    a, b = CoverageSet(ma), CoverageSet(mb)
-    sa, sb = set(np.flatnonzero(ma)), set(np.flatnonzero(mb))
-    _sets_equal(a & b, sa & sb, ma.size)
-    _sets_equal(a | b, sa | sb, ma.size)
-    _sets_equal(a - b, sa - sb, ma.size)
-    assert a.issubset(a | b)
-    assert (a & b).issubset(a)
-
-
-def test_coverage_large_random():
-    rng = np.random.default_rng(3)
-    ma, mb = rng.random(10_000) < 0.4, rng.random(10_000) < 0.7
-    a, b = CoverageSet(ma), CoverageSet(mb)
-    assert (a & b).count == int(np.count_nonzero(ma & mb))
-    assert (a | b).count == int(np.count_nonzero(ma | mb))
-    assert np.array_equal((a - b).mask, ma & ~mb)
-    assert np.array_equal(a.indices(), np.flatnonzero(ma))
-
-
-def test_coverage_constructors_and_errors():
-    assert CoverageSet.empty(5).count == 0
-    assert CoverageSet.full(5).count == 5
-    assert CoverageSet.from_indices(5, [1, 3]).to_set() == {1, 3}
-    with pytest.raises(ValueError, match="out of range"):
-        CoverageSet.from_indices(5, [5])
-    with pytest.raises(ValueError, match="one-dimensional"):
-        CoverageSet(np.zeros((2, 2), dtype=bool))
-    with pytest.raises(ValueError, match="length mismatch"):
-        CoverageSet.empty(3) & CoverageSet.empty(4)
-    with pytest.raises(TypeError):
-        CoverageSet.empty(3) & {1, 2}
-    assert CoverageSet.__hash__ is None
+@pytest.mark.parametrize("bad", list(_BAD_MASKS))
+@pytest.mark.parametrize("function, argument", [
+    ("grow", "uncovered"), ("grow", "reward_uncovered"),
+    ("prune", "uncovered"), ("prune", "reward_uncovered"),
+    ("regression_consistency", "coverage"), ("regression_consistency", "positives"),
+    ("survival_consistency", "coverage"), ("survival_consistency", "positives"),
+    ("similarity", "positives"), ("redundancy", "positives"),
+])
+def test_coverage_arguments_must_be_masks(function, argument, bad):
+    ds = {"regression_consistency": random_regression,
+          "survival_consistency": random_survival}.get(function, random_classification)(0)
+    group = ds.groups[0]
+    n = ds.n_examples
+    masks = dict.fromkeys(("uncovered", "reward_uncovered", "coverage", "positives"), ds.group_mask(group))
+    masks[argument] = _BAD_MASKS[bad](n)
+    # one condition only: prune checks its arguments even with nothing to remove
+    cs = ContrastSet((Condition(0, NE, 0) if ds.attributes[0].kind == "nominal" else Condition(0, GE, 0.0),), group)
+    call = {
+        "grow": lambda m: grow(ds, group, m["uncovered"], MiningParams(),
+                               reward_uncovered=m["reward_uncovered"]),
+        "prune": lambda m: prune(cs, ds, MiningParams(), uncovered=m["uncovered"],
+                                 reward_uncovered=m["reward_uncovered"]),
+        "regression_consistency": lambda m: regression_consistency(m["coverage"], ds, m["positives"]),
+        "survival_consistency": lambda m: survival_consistency(m["coverage"], ds, m["positives"]),
+        "similarity": lambda m: similarity(cs, cs, m["positives"], ds),
+        "redundancy": lambda m: redundancy(cs, [cs], m["positives"], ds),
+    }[function]
+    with pytest.raises(ValueError, match=rf"^{argument} must be a 1-D bool mask of length {n}, got"):
+        call(masks)
 
 
 def test_coverage_mask_is_read_only():
-    cs = CoverageSet.full(3)
+    ds = small_ds()
+    mask = ds.group_mask("g1")
+    assert mask.dtype == bool and mask.shape == (4,)
     with pytest.raises(ValueError):
-        cs.mask[0] = False
+        mask[0] = False
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +329,20 @@ def test_round_trip_classification():
 def test_round_trip_quoting_and_fractions():
     attrs = (
         Attribute("odd name", "numeric"),
-        Attribute("b", "nominal", ("with, comma", "plain", "it's")),
+        Attribute("b", "nominal", ("with, comma", "plain", "it's", " a", "b ")),
     )
-    cols = [np.array([0.1, 1 / 3]), np.array([0, 2], dtype=np.int32)]
+    cols = [np.array([0.1, 1 / 3, 2.0]), np.array([0, 2, 4], dtype=np.int32)]
     ds = DataSet(attrs, cols, relation="quote check", task="classification",
-                 group_names=("only",), group_codes=np.zeros(2, dtype=np.int32))
+                 group_names=("only",), group_codes=np.zeros(3, dtype=np.int32))
     again = parse_arff(write_arff(ds), group="group")
     _assert_datasets_equal(ds, again)
     assert float(again.column(0)[1]) == 1 / 3
+    # quoted whitespace is kept; values ARFF cannot hold are refused on write
+    assert again.attributes[1].domain[3:] == (" a", "b ")
+    for bad in ("", "x\ny", "x\ry", "?", "'\""):
+        unwritable = DataSet((Attribute("b", "nominal", ("ok", bad)),), [np.array([1], dtype=np.int32)])
+        with pytest.raises(ValueError, match="cannot"):
+            write_arff(unwritable)
 
 
 def test_round_trip_survival_and_regression(tmp_path):
@@ -379,6 +362,69 @@ def test_round_trip_survival_and_regression(tmp_path):
     write_arff(reg, out=path)
     again = load_arff(path, label="y")
     _assert_datasets_equal(reg, again)
+
+
+# Text that ARFF must quote or cannot hold: separators, comment and brace
+# characters, both quotes, whitespace at either end, line breaks, the
+# missing-value marker, and the empty string.
+_ARFF_TEXT = st.one_of(
+    st.text(min_size=1, max_size=5),
+    st.text(alphabet=" ,%{}'\"\t\n\r?ab", max_size=5),
+    st.builds("{}{}{}".format, st.sampled_from(["", " ", "\t"]), st.text(min_size=1, max_size=3),
+              st.sampled_from(["", " ", "\t"])),
+)
+_CELL_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_ROLES = ("group", "label", "time", "status")
+
+
+@st.composite
+def arff_datasets(draw):
+    """Any dataset the constructor accepts: mixed attributes, missing cells
+    and a random set of bound group/label/time/status columns."""
+    n = draw(st.integers(0, 5))
+    rows = dict(min_size=n, max_size=n)
+    attrs, cols = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(_ARFF_TEXT)
+        if draw(st.booleans()):
+            attrs.append(Attribute(name, "numeric"))
+            cols.append(draw(st.lists(_CELL_FLOATS, **rows)))
+        else:
+            domain = tuple(draw(st.lists(_ARFF_TEXT, min_size=1, max_size=3, unique=True)))
+            attrs.append(Attribute(name, "nominal", domain))
+            cols.append(draw(st.lists(st.integers(-1, len(domain) - 1), **rows)))
+    kwargs = {"relation": draw(_ARFF_TEXT), "task": draw(st.sampled_from(TASKS))}
+    for role in draw(st.sets(st.sampled_from(_ROLES))):
+        kwargs[f"{role}_attr"] = draw(st.none() | _ARFF_TEXT)
+        if role == "group":
+            names = draw(st.lists(_ARFF_TEXT, min_size=1, max_size=3))
+            kwargs["group_names"] = names
+            kwargs["group_codes"] = draw(st.lists(st.integers(0, len(names) - 1), **rows))
+        elif role == "status":
+            kwargs["status"] = draw(st.lists(st.integers(0, 1), **rows))
+        else:
+            kwargs["labels" if role == "label" else "times"] = draw(st.lists(_CELL_FLOATS, **rows))
+    try:
+        return DataSet(attrs, cols, **kwargs)
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=400, deadline=None)
+@given(arff_datasets())
+def test_arff_round_trip_or_value_error(ds):
+    try:
+        text = write_arff(ds)
+    except ValueError:
+        return
+    bindings = {
+        role: getattr(ds, f"{role}_attr") or role
+        for role, values in zip(_ROLES, (ds.group_codes, ds.labels, ds.times, ds.status))
+        if values is not None
+    }
+    again = parse_arff(text, task=ds.task, **bindings)
+    # reading keeps the observed groups only, as subset does
+    _assert_datasets_equal(ds.subset(np.arange(ds.n_examples)), again)
 
 
 # ---------------------------------------------------------------------------
@@ -453,5 +499,5 @@ def test_with_groups():
     ds = small_ds()
     out = ds.with_groups(("lo", "hi"), np.array([1, 0, 1, 0], dtype=np.int32))
     assert out.groups == ("lo", "hi")
-    assert out.group_of(0) == "hi"
+    assert group_of(out, 0) == "hi"
     np.testing.assert_array_equal(out.column(0), ds.column(0))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmine.contrast import EQ, GE, LT, Condition, ContrastSet
-from csmine.data import Attribute, CoverageSet, DataSet
+from csmine.data import Attribute, DataSet
 from csmine.diversity import (
     MULTIPLIER_FLOOR,
     PenaltyState,

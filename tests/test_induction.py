@@ -19,19 +19,16 @@ from csmine.contrast import (
     ContrastSet,
     canonicalize,
     condition_mask,
-    confusion,
     cover,
     render_conditions,
 )
-from csmine.data import Attribute, CoverageSet, DataSet
+from csmine.data import Attribute, DataSet
 from csmine.diversity import PenaltyState
 from csmine.induction import (
     MiningParams,
     grow,
     mine_all,
     mine_group,
-    numeric_split_points,
-    possible_conditions,
     prune,
 )
 from csmine import induction, quality
@@ -40,8 +37,11 @@ from csmine.synthetic import generate_synthetic
 
 from conftest import (
     condition_tuples,
+    count_confusion,
     naive_grow,
     naive_prune,
+    numeric_split_points,
+    possible_conditions,
     random_classification,
     random_regression,
     random_survival,
@@ -69,6 +69,9 @@ def test_mining_params_validation():
         MiningParams(max_passes=0)
     with pytest.raises(ValueError, match="penalty_strength"):
         MiningParams(penalty_strength=-1.0)
+    with pytest.raises(ValueError, match=r"penalty_strength must be in \[0, 1\]"):
+        MiningParams(penalty_strength=3)
+    MiningParams(penalty_strength=1.0)  # the upper end is allowed
     with pytest.raises(ValueError, match="reward_saturation"):
         MiningParams(reward_saturation=0.0)
     with pytest.raises(ValueError, match="unknown mode"):
@@ -102,7 +105,7 @@ def test_possible_conditions_order():
     cols = [np.array([1.0, 2.0, 3.0]), np.array([2, 0, 2], dtype=np.int32)]
     ds = DataSet(attrs, cols, relation="r", task="classification",
                  group_names=("g",), group_codes=np.zeros(3, dtype=np.int32))
-    got = list(possible_conditions(CoverageSet.full(3), ds))
+    got = list(possible_conditions(np.ones(3, dtype=bool), ds))
     assert got == [
         Condition(0, "lt", 1.5), Condition(0, "ge", 1.5),
         Condition(0, "lt", 2.5), Condition(0, "ge", 2.5),
@@ -110,7 +113,7 @@ def test_possible_conditions_order():
         Condition(1, "eq", 2), Condition(1, "ne", 2),
     ]
     # restricting coverage restricts observed values
-    got = list(possible_conditions(CoverageSet.from_indices(3, [0, 2]), ds))
+    got = list(possible_conditions(np.array([True, False, True]), ds))
     assert got == [
         Condition(0, "lt", 2.0), Condition(0, "ge", 2.0),
         Condition(1, "eq", 2), Condition(1, "ne", 2),
@@ -139,7 +142,7 @@ def _random_pool(rng, pos_mask):
 def _grow_cases(ds, rng):
     """Yield (params, group, uncovered, reward_uncovered, penalty, minsupp_all)."""
     for group in ds.groups[:2]:
-        pos = ds.group_mask(group).mask
+        pos = ds.group_mask(group)
         for s in (0.0, 0.5, 1.0):
             params = MiningParams(
                 minsupps=(0.5, 0.2, 0.1),
@@ -156,8 +159,8 @@ def _grow_cases(ds, rng):
 def _check_grow_equivalence(ds, rng):
     checked = 0
     for params, group, unc, rew, pen, level in _grow_cases(ds, rng):
-        got = grow(ds, group, CoverageSet(unc), params,
-                   penalty=pen, reward_uncovered=CoverageSet(rew), minsupp_all=level)
+        got = grow(ds, group, unc, params,
+                   penalty=pen, reward_uncovered=rew, minsupp_all=level)
         want = naive_grow(ds, group, params, unc, rew, pen, level)
         if want is None:
             assert got is None
@@ -165,8 +168,8 @@ def _check_grow_equivalence(ds, rng):
             assert got is not None
             assert condition_tuples(got.conditions) == condition_tuples(want)
             checked += 1
-            pruned = prune(got, ds, params, uncovered=CoverageSet(unc),
-                           penalty=pen, reward_uncovered=CoverageSet(rew))
+            pruned = prune(got, ds, params, uncovered=unc,
+                           penalty=pen, reward_uncovered=rew)
             want_pruned = naive_prune(ds, group, got.conditions, params,
                                       uncovered=unc, reward_uncovered=rew, penalty=pen)
             assert condition_tuples(pruned.conditions) == condition_tuples(want_pruned)
@@ -203,7 +206,7 @@ def test_survival_group_without_events():
         base = random_survival(seed, n_min=40, n_max=100, max_attrs=4)
         ds = with_status(base, np.where(base.group_codes == 0, 0, base.status))
         group = ds.groups[0]
-        assert not ds.status[ds.group_mask(group).mask].any()
+        assert not ds.status[ds.group_mask(group)].any()
         sets = mine_group(ds, group, MiningParams(minsupps=(0.5, 0.2)))
         assert all(math.isfinite(s.quality) for s in sets)
         emitted += len(sets)
@@ -214,7 +217,7 @@ def test_survival_group_without_events():
 
 
 def test_grow_keeps_an_empty_reward_baseline():
-    # an empty CoverageSet is falsy; it must not fall back to the pool
+    # an empty baseline must not fall back to the pool
     ds = generate_synthetic()
     n = ds.n_examples
     params = MiningParams(penalty_strength=1.0)
@@ -222,12 +225,12 @@ def test_grow_keeps_an_empty_reward_baseline():
     pen.update({0})
     pen.update({0, 1})
     unc = ds.group_mask("red")
-    got = grow(ds, "red", unc, params, penalty=pen, reward_uncovered=CoverageSet.empty(n))
-    want = naive_grow(ds, "red", params, unc.mask, np.zeros(n, dtype=bool), pen)
+    got = grow(ds, "red", unc, params, penalty=pen, reward_uncovered=np.zeros(n, dtype=bool))
+    want = naive_grow(ds, "red", params, unc, np.zeros(n, dtype=bool), pen)
     assert got is not None
     assert condition_tuples(got.conditions) == condition_tuples(want)
     # the baseline decides the premise here, so the check can tell them apart
-    assert want != naive_grow(ds, "red", params, unc.mask, unc.mask, pen)
+    assert want != naive_grow(ds, "red", params, unc, unc, pen)
 
 
 @pytest.mark.parametrize(
@@ -251,14 +254,14 @@ def test_sweep_scores_exactly_the_gated_candidates(monkeypatch, measure, make):
         rng = np.random.default_rng(seed)
         reward_rng = np.random.default_rng(seed + 100)
         for group in ds.groups:
-            pos = ds.group_mask(group).mask
+            pos = ds.group_mask(group)
             ctx = induction._Context.build(
                 ds, group, MiningParams(minsupp_new=0.2), measure,
                 d_u=_random_pool(rng, pos), r_u=_random_pool(reward_rng, pos), minsupp_all=0.4,
             )
             scorer = quality._LogRankScorer(ds, pos) if measure == "survival" else None
             cov = rng.random(ds.n_examples) < 0.8
-            listed = list(possible_conditions(CoverageSet(cov), ds))
+            listed = list(possible_conditions(cov, ds))
             for ai in range(len(ds.attributes)):
                 kernel_rows.clear()
                 cand = induction._sweep_attribute(ctx, ai, np.flatnonzero(cov))
@@ -308,10 +311,11 @@ def test_sweep_scores_exactly_the_gated_candidates(monkeypatch, measure, make):
 def test_grow_fails_when_pool_below_gate():
     ds = generate_synthetic()
     params = MiningParams()
-    empty = CoverageSet.empty(ds.n_examples)
+    empty = np.zeros(ds.n_examples, dtype=bool)
     assert grow(ds, "red", empty, params) is None
     # 16 of 170 reds is just under the 10% default
-    few = CoverageSet.from_indices(ds.n_examples, ds.group_mask("red").indices()[:16])
+    few = np.zeros(ds.n_examples, dtype=bool)
+    few[np.flatnonzero(ds.group_mask("red"))[:16]] = True
     assert grow(ds, "red", few, params) is None
 
 
@@ -340,7 +344,7 @@ def test_grow_coverage_strictly_shrinks():
                 continue
             prev = ds.n_examples
             for k in range(1, len(got.conditions) + 1):
-                cur = cover(ContrastSet(got.conditions[:k], group), None, ds).count
+                cur = np.count_nonzero(cover(ContrastSet(got.conditions[:k], group), ds))
                 assert cur < prev
                 prev = cur
 
@@ -369,10 +373,10 @@ def test_prune_single_condition_unchanged():
 
 def _modified_quality_of_premise(ds, cs, params, penalty):
     from conftest import _naive_modifier, _naive_raw_quality
-    pos = ds.group_mask(cs.group).mask
+    pos = ds.group_mask(cs.group)
     P, N = int(pos.sum()), int((~pos).sum())
     raw_q = _naive_raw_quality(ds, params, pos, P, N)
-    mask = cover(cs, None, ds).mask
+    mask = cover(cs, ds)
     p, n = int((mask & pos).sum()), int((mask & ~pos).sum())
     q = raw_q(mask, p, n)
     pi = penalty.premise_penalty(cs.attribute_indices)
@@ -434,8 +438,8 @@ def test_single_pass_without_penalties():
     assert [(a.p, a.n, a.p_new) for a in sets] == [(77, 0, 77), (85, 6, 85)]
     assert sets[0].quality == pytest.approx(0.57457, abs=5e-6)
     assert sets[1].quality == pytest.approx(0.56713, abs=5e-6)
-    joint = cover(sets[0].contrast_set, None, ds) | cover(sets[1].contrast_set, None, ds)
-    covered_red = (joint & ds.group_mask("red")).count
+    joint = cover(sets[0].contrast_set, ds) | cover(sets[1].contrast_set, ds)
+    covered_red = np.count_nonzero(joint & ds.group_mask("red"))
     assert covered_red == 162
 
 
@@ -500,7 +504,6 @@ def test_default_ladder_snapshot():
 
 def _check_annotations(ds, params, sets, events):
     pos = ds.group_mask(sets[0].group) if sets else None
-    neg = None if pos is None else CoverageSet(~pos.mask)
     seen = set()
     per_pass = {}
     bound = math.floor(1.0 / params.minsupp_new)
@@ -510,7 +513,7 @@ def _check_annotations(ds, params, sets, events):
         key = canon.key()
         assert key not in seen  # duplicates never reach the pool
         seen.add(key)
-        cm = confusion(cover(canon, None, ds), pos, neg)
+        cm = count_confusion(cover(canon, ds), pos)
         assert (cm.p, cm.n) == (a.p, a.n)
         assert (cm.P, cm.N) == (a.P, a.N)
         assert a.p / a.P >= a.minsupp_all - 1e-12
@@ -561,7 +564,7 @@ def test_mine_group_unknown_group():
 
 def test_mine_all_one_vs_one_restricts_universe():
     ds = random_classification(881, n_min=90, n_max=250, n_groups=3)
-    sizes = {g: ds.group_mask(g).count for g in ds.groups}
+    sizes = {g: np.count_nonzero(ds.group_mask(g)) for g in ds.groups}
     params = MiningParams(mode="one-vs-one", negative_group=ds.groups[2],
                           minsupps=(0.2, 0.1))
     res = mine_all(ds, params)
@@ -588,7 +591,7 @@ def test_mine_all_mode_errors():
                  groups=["red", "blue"])
     with pytest.raises(KeyError, match="no group named"):
         mine_all(ds, groups=["green"])
-    single = ds.subset(ds.group_mask("red").mask)
+    single = ds.subset(ds.group_mask("red"))
     with pytest.raises(ValueError, match="at least two groups"):
         mine_all(single)
 

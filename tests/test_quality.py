@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmine.contrast import ConfusionMatrix
-from csmine.data import Attribute, CoverageSet, DataSet
+from csmine.data import Attribute, DataSet
 from csmine.quality import (
     _LogRankScorer,
     correlation,
@@ -96,27 +96,33 @@ def _reg_ds(values, labels, codes):
                    group_codes=np.asarray(codes, dtype=np.int32))
 
 
+def _rows(n, indices):
+    mask = np.zeros(n, dtype=bool)
+    mask[list(indices)] = True
+    return mask
+
+
 def test_regression_consistency_values():
     ds = _reg_ds([1, 2, 3, 4, 5], [1, 3, 2, 2, 2], [0, 0, 0, 0, 0])
     pos = ds.group_mask("g1")
     # covered labels {1, 3} have the same mean as the positives {1,3,2,2,2}
-    assert regression_consistency(CoverageSet.from_indices(5, [0, 1]), ds, pos) == 0.0
+    assert regression_consistency(_rows(5, [0, 1]), ds, pos) == 0.0
     ds2 = _reg_ds([1, 2, 3, 4, 5], [0, 0, 2, 2, 2], [0, 0, 1, 1, 1])
     pos2 = ds2.group_mask("g2")
     # covered mean 0 vs positive mean 2
-    assert regression_consistency(CoverageSet.from_indices(5, [0, 1]), ds2, pos2) == -2.0
+    assert regression_consistency(_rows(5, [0, 1]), ds2, pos2) == -2.0
     # the measure is never positive
-    assert regression_consistency(CoverageSet.from_indices(5, [2, 3, 4]), ds2, pos2) == 0.0
+    assert regression_consistency(_rows(5, [2, 3, 4]), ds2, pos2) == 0.0
 
 
 def test_regression_consistency_errors():
     ds = _reg_ds([1, 2], [1, 2], [0, 1])
     with pytest.raises(ValueError, match="non-empty"):
-        regression_consistency(CoverageSet.empty(2), ds, ds.group_mask("g1"))
+        regression_consistency(np.zeros(2, dtype=bool), ds, ds.group_mask("g1"))
     no_labels = DataSet((Attribute("a", "numeric"),), [np.array([1.0])],
                         group_names=("g",), group_codes=np.zeros(1, dtype=np.int32))
     with pytest.raises(ValueError, match="no regression labels"):
-        regression_consistency(CoverageSet.full(1), no_labels, CoverageSet.full(1))
+        regression_consistency(np.ones(1, dtype=bool), no_labels, np.ones(1, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +249,7 @@ def test_log_rank_matches_fraction_oracle(a, b):
 def test_scorer_matches_log_rank():
     for seed in range(6):
         ds = random_survival(seed, n_min=30, n_max=120)
-        pos = ds.group_mask(ds.groups[0]).mask
+        pos = ds.group_mask(ds.groups[0])
         scorer = _LogRankScorer(ds, pos)
         rng = np.random.default_rng(seed)
         pos_pairs = list(zip(ds.times[pos].tolist(), ds.status[pos].tolist()))
@@ -308,7 +314,7 @@ def test_block_scan_matches_score_exactly(monkeypatch, block_elements):
     seen = {"numeric": 0, "nominal": 0, "empty": 0, "censored": 0}
     for ds in _block_datasets():
         for group in ds.groups:
-            pos = ds.group_mask(group).mask
+            pos = ds.group_mask(group)
             scorer = _LogRankScorer(ds, pos)
             for cov in (np.ones(ds.n_examples, dtype=bool), rng.random(ds.n_examples) < 0.6):
                 for ai, attr in enumerate(ds.attributes):
@@ -332,11 +338,11 @@ def test_block_scan_matches_score_exactly(monkeypatch, block_elements):
 def test_survival_consistency_is_negated_log_rank():
     ds = random_survival(3, n_min=30, n_max=80)
     pos = ds.group_mask(ds.groups[0])
-    cov = CoverageSet.from_indices(ds.n_examples, np.arange(0, ds.n_examples, 2))
+    cov = _rows(ds.n_examples, np.arange(0, ds.n_examples, 2))
     got = survival_consistency(cov, ds, pos)
     want = -log_rank(
-        (ds.times[cov.mask], ds.status[cov.mask]),
-        (ds.times[pos.mask], ds.status[pos.mask]),
+        (ds.times[cov], ds.status[cov]),
+        (ds.times[pos], ds.status[pos]),
     )
     assert got == want
     assert survival_consistency(pos, ds, pos) == 0.0
@@ -345,7 +351,7 @@ def test_survival_consistency_is_negated_log_rank():
 def test_survival_consistency_requires_survival_columns():
     ds = _reg_ds([1, 2], [1, 2], [0, 1])
     with pytest.raises(ValueError, match="no survival columns"):
-        survival_consistency(CoverageSet.full(2), ds, ds.group_mask("g1"))
+        survival_consistency(np.ones(2, dtype=bool), ds, ds.group_mask("g1"))
 
 
 def test_measure_for_task():
