@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -143,13 +144,13 @@ class DataSet:
         if self.task == "regression":
             if self.labels is None:
                 raise ValueError("regression task requires a bound label column")
-            if np.isnan(self.labels).any():
-                raise ValueError("regression labels contain missing values")
+            if not np.isfinite(self.labels).all():
+                raise ValueError("regression labels must be finite: no missing or infinite values")
         if self.task == "survival":
             if self.times is None or self.status is None:
                 raise ValueError("survival task requires bound time and status columns")
-            if np.isnan(self.times).any():
-                raise ValueError("survival times contain missing values")
+            if not np.isfinite(self.times).all():
+                raise ValueError("survival times must be finite: no missing or infinite values")
             if (self.times < 0).any():
                 raise ValueError("survival times must be non-negative")
 
@@ -258,39 +259,78 @@ class ArffError(ValueError):
         self.line = line
 
 
-def _split_csv(text: str, line_no: int) -> list[str]:
-    """Split a comma-separated ARFF record honoring single or double quotes.
+# A field is a run of unquoted characters other than a comma and of quoted
+# runs, which may hold commas and the other quote character; unrolled as
+# normal* (quoted normal*)*, so a failed match backtracks in linear time.
+_FIELDS = re.compile(r"""([^,'"]*(?:(?:'[^']*'|"[^"]*")[^,'"]*)*),""")
+_QUOTED_RUN = re.compile(r"""'([^']*)'|"([^"]*)\"""")
+_QUOTED_SPAN = re.compile(r"""['"].*['"]""", re.S)  # first quote to last
 
-    Whitespace around a field is dropped; quoted text is kept verbatim.
-    """
-    fields: list[str] = []
-    buf: list[str] = []
-    quote: str | None = None
-    lo = hi = -1  # the span of buf read inside quotes
-    for ch in text + ",":  # the extra comma ends the last field
-        if quote is not None:
-            if ch == quote:
-                quote = None
-                hi = len(buf)
-            else:
-                buf.append(ch)
-        elif ch in "'\"":
-            quote = ch
-            if lo < 0:
-                lo = len(buf)
-        elif ch == ",":
-            field = "".join(buf)
-            if lo < 0:
-                fields.append(field.strip())
-            else:
-                fields.append(field[:lo].lstrip() + field[lo:hi] + field[hi:].rstrip())
-                lo = -1
-            buf = []
-        else:
-            buf.append(ch)
-    if quote is not None:
+
+def _raw_fields(text: str, line_no: int) -> list[str]:
+    """The raw fields of a comma-separated ARFF record, quotes and all."""
+    text += ","  # the extra comma ends the last field
+    fields = _FIELDS.findall(text)
+    # findall skips over an unterminated quote, so the fields then fall
+    # short of covering the whole record
+    if sum(map(len, fields)) + len(fields) != len(text):
         raise ArffError(line_no, "unterminated quote")
     return fields
+
+
+def _field_text(raw: str) -> str:
+    """The text of a raw field: whitespace around it is dropped, and quoted
+    text is kept verbatim without its quotes."""
+    span = _QUOTED_SPAN.search(raw)
+    if span is None:
+        return raw.strip()
+    lo, hi = span.span()
+    return raw[:lo].lstrip() + _QUOTED_RUN.sub(r"\1\2", raw[lo:hi]) + raw[hi:].rstrip()
+
+
+def _decode_column(
+    fields: Sequence[str],
+    lines: Sequence[int],
+    name: str,
+    lookup: dict[str, int] | None,
+    missing: str | None,
+    binary: bool,
+) -> np.ndarray:
+    """The raw ``fields`` of column ``name`` as codes into ``lookup`` or,
+    without one, as numbers (each 0 or 1 when ``binary``).
+
+    Only a bare ``?`` is a missing cell, read as -1 or NaN; a quoted ``'?'``
+    is the text ``?``. Where ``missing`` is given, a missing cell (or a
+    ``nan``) raises it instead. Each distinct raw field is decoded once, in
+    order of first appearance, so a bad one raises ArffError at the first
+    line that holds it.
+    """
+
+    def decode(raw: str) -> float:
+        text = None if raw.strip() == "?" else _field_text(raw)
+        if lookup is not None:
+            if text is not None and text not in lookup:
+                raise ValueError(f"value {text!r} not in declared domain of {name!r}")
+            value = -1 if text is None else lookup[text]
+        else:
+            try:
+                value = np.nan if text is None else float(text)
+            except ValueError:
+                raise ValueError(f"non-numeric value {text!r} in column {name!r}") from None
+        if missing and (text is None or value != value):
+            raise ValueError(missing)
+        if binary and value not in (0.0, 1.0):
+            raise ValueError("survival status must be 0 or 1")
+        return value
+
+    table = {}
+    for raw in dict.fromkeys(fields):
+        try:
+            table[raw] = decode(raw)
+        except ValueError as exc:
+            raise ArffError(lines[fields.index(raw)], str(exc)) from None
+    dtype = np.float64 if lookup is None else np.int32
+    return np.fromiter(map(table.__getitem__, fields), dtype, len(fields))
 
 
 def _parse_attribute_line(rest: str, line_no: int) -> Attribute:
@@ -314,7 +354,7 @@ def _parse_attribute_line(rest: str, line_no: int) -> Attribute:
     if type_part.startswith("{"):
         if not type_part.endswith("}"):
             raise ArffError(line_no, "unterminated nominal domain")
-        values = _split_csv(type_part[1:-1], line_no)
+        values = [_field_text(f) for f in _raw_fields(type_part[1:-1], line_no)]
         if any(v == "" for v in values):
             raise ArffError(line_no, f"empty value in nominal domain of {name!r}")
         try:
@@ -339,8 +379,8 @@ def parse_arff(
     """Parse an ARFF character stream into a DataSet.
 
     Recognizes ``@relation``, ``@attribute name numeric|real|integer`` or an
-    explicit nominal domain, and dense ``@data`` rows with ``?`` for missing
-    cells. ``%`` lines are comments. The named columns are pulled out of the
+    explicit nominal domain, and dense ``@data`` rows with a bare ``?`` for
+    missing cells. ``%`` lines are comments. The named columns are pulled out of the
     conditional attribute list and bound as group / label / time / status.
     Malformed input raises :class:`ArffError` with the offending line number.
     """
@@ -350,7 +390,7 @@ def parse_arff(
         text = source
     relation = "data"
     attributes: list[Attribute] = []
-    rows: list[list[str]] = []
+    rows: list[list[str]] = []  # raw fields
     row_lines: list[int] = []
     in_data = False
     for line_no, raw in enumerate(io.StringIO(text), start=1):
@@ -375,7 +415,7 @@ def parse_arff(
         else:
             if line.startswith("{"):
                 raise ArffError(line_no, "sparse data rows are not supported")
-            fields = _split_csv(line, line_no)
+            fields = _raw_fields(line, line_no)
             if len(fields) != len(attributes):
                 raise ArffError(
                     line_no,
@@ -413,104 +453,43 @@ def parse_arff(
     if task == "regression" and "label" not in special:
         raise ArffError(1, "regression task needs a label column")
 
-    special_idx = set(special.values())
-    cond_attrs = [a for i, a in enumerate(attributes) if i not in special_idx]
-    n = len(rows)
+    roles = {i: role for role, i in special.items()}
+    cond_idx = [i for i in range(len(attributes)) if i not in roles]
+    columns: dict[int, np.ndarray] = {}
+    # conditional columns first, then the bound ones in role order; one
+    # column of raw fields at a time, so peak memory stays that of the rows
+    for i in cond_idx + list(special.values()):
+        attr, role = attributes[i], roles.get(i)
+        if role == "group" and attr.is_numeric:
+            raise ArffError(1, f"group column {attr.name!r} must be nominal")
+        # nominal-declared label, time and status columns are read as numbers
+        codes = role == "group" or (role is None and not attr.is_numeric)
+        missing = {
+            "group": f"missing group value in column {attr.name!r}",
+            "label": "missing label value" if task == "regression" else None,
+            "time": "missing survival time value" if task == "survival" else None,
+            "status": "missing survival status value",
+        }.get(role)
+        columns[i] = _decode_column(
+            list(map(itemgetter(i), rows)), row_lines, attr.name,
+            {v: k for k, v in enumerate(attr.domain)} if codes else None, missing, role == "status",
+        )
 
-    def numeric_cell(raw_value: str, line_no_hint: int, col_name: str) -> float:
-        if raw_value == "?":
-            return float("nan")
-        try:
-            return float(raw_value)
-        except ValueError:
-            raise ArffError(
-                line_no_hint, f"non-numeric value {raw_value!r} in column {col_name!r}"
-            ) from None
-
-    def numeric_column(ci: int) -> np.ndarray:
-        # nominal-declared special columns are read as numbers too
-        name = attributes[ci].name
-        col = np.empty(n, dtype=np.float64)
-        for r, fields in enumerate(rows):
-            col[r] = numeric_cell(fields[ci], row_lines[r], name)
-        return col
-
-    columns: list[np.ndarray] = []
-    for i, attr in enumerate(attributes):
-        if i in special_idx:
-            columns.append(None)  # placeholder; handled below
-            continue
-        if attr.is_numeric:
-            col = numeric_column(i)
-        else:
-            lookup = {v: k for k, v in enumerate(attr.domain)}
-            col = np.empty(n, dtype=np.int32)
-            for r, fields in enumerate(rows):
-                v = fields[i]
-                if v == "?":
-                    col[r] = -1
-                elif v in lookup:
-                    col[r] = lookup[v]
-                else:
-                    raise ArffError(
-                        row_lines[r],
-                        f"value {v!r} not in declared domain of {attr.name!r}",
-                    )
-        columns.append(col)
-
-    group_names: tuple[str, ...] = ()
-    group_codes = None
+    group_names, group_codes = (), None
     if "group" in special:
         gi = special["group"]
-        gattr = attributes[gi]
-        if gattr.is_numeric:
-            raise ArffError(1, f"group column {gattr.name!r} must be nominal")
-        lookup = {v: k for k, v in enumerate(gattr.domain)}
-        raw_codes = np.empty(n, dtype=np.int32)
-        for r, fields in enumerate(rows):
-            v = fields[gi]
-            if v == "?":
-                raise ArffError(row_lines[r], f"missing group value in column {gattr.name!r}")
-            if v not in lookup:
-                raise ArffError(row_lines[r], f"value {v!r} not in declared domain of {gattr.name!r}")
-            raw_codes[r] = lookup[v]
-        group_names, group_codes = _observed_groups(gattr.domain, raw_codes)
-
-    def special_numeric(role: str) -> np.ndarray | None:
-        return numeric_column(special[role]) if role in special else None
-
-    labels_arr = special_numeric("label")
-    times_arr = special_numeric("time")
-    status_f = special_numeric("status")
-    status_arr = None
-    if status_f is not None:
-        if np.isnan(status_f).any():
-            bad = int(np.flatnonzero(np.isnan(status_f))[0])
-            raise ArffError(row_lines[bad], "missing survival status value")
-        ok = np.isin(status_f, (0.0, 1.0))
-        if not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
-            raise ArffError(row_lines[bad], "survival status must be 0 or 1")
-        status_arr = status_f.astype(np.int8)
-    if task == "regression" and labels_arr is not None and np.isnan(labels_arr).any():
-        bad = int(np.flatnonzero(np.isnan(labels_arr))[0])
-        raise ArffError(row_lines[bad], "missing label value")
-    if task == "survival" and times_arr is not None and np.isnan(times_arr).any():
-        bad = int(np.flatnonzero(np.isnan(times_arr))[0])
-        raise ArffError(row_lines[bad], "missing survival time value")
-
-    cond_columns = [c for i, c in enumerate(columns) if i not in special_idx]
+        group_names, group_codes = _observed_groups(attributes[gi].domain, columns[gi])
     try:
         return DataSet(
-            cond_attrs,
-            cond_columns,
+            [attributes[i] for i in cond_idx],
+            [columns[i] for i in cond_idx],
             relation=relation,
             task=task,
             group_names=group_names,
             group_codes=group_codes,
-            labels=labels_arr,
-            times=times_arr,
-            status=status_arr,
+            labels=columns.get(special.get("label")),
+            times=columns.get(special.get("time")),
+            status=columns.get(special.get("status")),
             group_attr=group,
             label_attr=label,
             time_attr=time,
@@ -526,17 +505,13 @@ def load_arff(path, **bindings) -> DataSet:
         return parse_arff(fh, **bindings)
 
 
-def _format_value(x: float) -> str:
-    return repr(float(x))
-
-
 _NEEDS_QUOTES = re.compile(r"[,'\"{}%\s]")
 
 
 def _quote_if_needed(value: str) -> str:
     if value == "" or "\n" in value or "\r" in value:
         raise ValueError(f"cannot write {value!r}: ARFF has no empty or multi-line names and values")
-    if _NEEDS_QUOTES.search(value):
+    if _NEEDS_QUOTES.search(value) or value == "?":  # a bare ? is a missing cell
         # the reader treats either quote char as literal inside the other
         if "'" not in value:
             return f"'{value}'"
@@ -546,29 +521,24 @@ def _quote_if_needed(value: str) -> str:
     return value
 
 
-def _quoted_domain(domain: Sequence[str]) -> tuple[str, ...]:
-    if "?" in domain:
-        raise ValueError("cannot write the nominal value '?': ARFF reads it as a missing cell")
-    return tuple(_quote_if_needed(v) for v in domain)
-
-
 def write_arff(ds: DataSet, out=None) -> str:
     """Serialize a dataset back to ARFF, bound columns included.
 
     The special columns are appended after the conditional attributes under
     their stored names, so ``parse_arff(write_arff(ds), ...)`` with the same
     bindings round-trips the dataset. A dataset ARFF cannot hold (no
-    columns, duplicate column names, an empty or multi-line name or value, a
-    value mixing both quote characters, or the nominal value ``?``) raises
-    ValueError.
+    columns, duplicate column names, an empty or multi-line name or value, or
+    a value mixing both quote characters) raises ValueError.
     """
     # (name, quoted domain or None for numeric, values) per column
     columns = [
-        (a.name, None if a.is_numeric else _quoted_domain(a.domain), col)
+        (a.name, None if a.is_numeric else tuple(map(_quote_if_needed, a.domain)), col)
         for a, col in zip(ds.attributes, ds._columns)
     ]
     if ds.group_codes is not None:
-        columns.append((ds.group_attr or "group", _quoted_domain(ds.group_names), ds.group_codes))
+        columns.append(
+            (ds.group_attr or "group", tuple(map(_quote_if_needed, ds.group_names)), ds.group_codes)
+        )
     for name, arr in ((ds.label_attr or "label", ds.labels), (ds.time_attr or "time", ds.times),
                       (ds.status_attr or "status", ds.status)):
         if arr is not None:
@@ -584,18 +554,14 @@ def write_arff(ds: DataSet, out=None) -> str:
         kind = "numeric" if domain is None else "{" + ",".join(domain) + "}"
         buf.write(f"@attribute {_quote_if_needed(name)} {kind}\n")
     buf.write("\n@data\n")
-    for i in range(ds.n_examples):
-        fields: list[str] = []
-        for _, domain, arr in columns:
-            if domain is not None:
-                c = int(arr[i])
-                fields.append("?" if c < 0 else domain[c])
-            elif arr is ds.status:
-                fields.append(str(int(arr[i])))
-            else:
-                v = arr[i]
-                fields.append("?" if np.isnan(v) else _format_value(v))
-        buf.write(",".join(fields) + "\n")
+    # a column at a time; status ints print as they read back
+    cells = [
+        ["?" if x != x else repr(x) for x in arr.tolist()] if domain is None
+        # code -1 picks the "?" after the domain
+        else list(map((domain + ("?",)).__getitem__, arr.tolist()))
+        for _, domain, arr in columns
+    ]
+    buf.writelines(",".join(row) + "\n" for row in zip(*cells))
     return _write_text(buf.getvalue(), out)
 
 

@@ -4,10 +4,10 @@ The references here are deliberately slow and literal: rows are read one
 example at a time through a row view and tested condition by condition,
 growing enumerates every candidate condition one by one, pruning
 re-evaluates every removal from scratch, redundancy compares Python sets of
-row indices one pair at a time, and the survival statistics are redone in
-exact Fraction arithmetic. Production code must agree with them bitwise for
-classification, exactly for integer-label regression, and to 1e-9 for
-survival scores.
+row indices one pair at a time, ARFF fields are split one character at a
+time, and the survival statistics are redone in exact Fraction arithmetic.
+Production code must agree with them bitwise for classification, exactly
+for integer-label regression, and to 1e-9 for survival scores.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from csmine.contrast import EQ, GE, LT, NE, Condition, ConfusionMatrix, condition_mask
-from csmine.data import Attribute, DataSet, derive_groups_survival
+from csmine.data import ArffError, Attribute, DataSet, derive_groups_survival
 from csmine.diversity import MULTIPLIER_FLOOR, PenaltyState
 from csmine.quality import _LogRankScorer, measure_for_task
 
@@ -111,6 +111,44 @@ def count_confusion(coverage, positives, uncovered_positives=None) -> ConfusionM
     p_new = 0 if uncovered_positives is None else int(np.count_nonzero(coverage & uncovered_positives))
     P = int(np.count_nonzero(positives))
     return ConfusionMatrix(p=p, n=n, P=P, N=positives.size - P, p_new=p_new)
+
+
+# ---------------------------------------------------------------------------
+# ARFF field splitting, one character at a time
+
+def split_csv_reference(text: str, line_no: int) -> list[str]:
+    """Split a comma-separated ARFF record honoring single or double quotes.
+
+    Whitespace around a field is dropped; quoted text is kept verbatim.
+    """
+    fields: list[str] = []
+    buf: list[str] = []
+    quote: str | None = None
+    lo = hi = -1  # the span of buf read inside quotes
+    for ch in text + ",":  # the extra comma ends the last field
+        if quote is not None:
+            if ch == quote:
+                quote = None
+                hi = len(buf)
+            else:
+                buf.append(ch)
+        elif ch in "'\"":
+            quote = ch
+            if lo < 0:
+                lo = len(buf)
+        elif ch == ",":
+            field = "".join(buf)
+            if lo < 0:
+                fields.append(field.strip())
+            else:
+                fields.append(field[:lo].lstrip() + field[lo:hi] + field[hi:].rstrip())
+                lo = -1
+            buf = []
+        else:
+            buf.append(ch)
+    if quote is not None:
+        raise ArffError(line_no, "unterminated quote")
+    return fields
 
 
 # ---------------------------------------------------------------------------

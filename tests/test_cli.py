@@ -355,6 +355,19 @@ def test_main_bad_workers_env_exit_code(tmp_path, capsys, monkeypatch, value):
     assert f"error: CSMINE_WORKERS must be an integer of at least 1, got '{value}'" in err
 
 
+def test_main_mine_non_finite_label_exit_code(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    rows = [f"{x!r},{y!r}" for x, y in rng.normal(size=(40, 2)).tolist()]
+    rows[17] = "0.5,inf"
+    arff = tmp_path / "reg.arff"
+    arff.write_text("@relation r\n@attribute a numeric\n@attribute y numeric\n@data\n"
+                    + "\n".join(rows) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, input=arff, label_column="y", output_csv=tmp_path / "out.csv")
+    assert main(["mine", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "reg.arff: line 1: regression labels must be finite" in err
+
+
 def test_main_bad_report_exit_code(tmp_path, capsys):
     bad = tmp_path / "report.csv"
     bad.write_text('"a","b"\n', encoding="utf-8")

@@ -11,6 +11,8 @@ from csmine.data import (
     ArffError,
     Attribute,
     DataSet,
+    _field_text,
+    _raw_fields,
     derive_groups_regression,
     derive_groups_survival,
     load_arff,
@@ -29,6 +31,7 @@ from conftest import (
     random_classification,
     random_regression,
     random_survival,
+    split_csv_reference,
 )
 
 
@@ -91,6 +94,12 @@ def test_dataset_validation():
     with pytest.raises(ValueError, match="0 or 1"):
         DataSet(attrs, [np.array([1.0])], task="survival",
                 times=np.array([1.0]), status=np.array([2]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^regression labels must be finite"):
+            DataSet(attrs, [np.array([1.0])], task="regression", labels=np.array([bad]))
+        with pytest.raises(ValueError, match="^survival times must be finite"):
+            DataSet(attrs, [np.array([1.0])], task="survival",
+                    times=np.array([bad]), status=np.array([1]))
 
 
 def test_columns_are_frozen():
@@ -226,6 +235,8 @@ def test_parse_accepts_stream_and_case():
     ("@relation r\n@attribute a numeric\n@data\n'1\n", 4, "unterminated quote"),
     ("@relation r\n@attribute a numeric\n@data\noops\n", 4, "non-numeric value 'oops'"),
     ("@relation r\n@attribute a {x,y}\n@data\nz\n", 4, "not in declared domain"),
+    pytest.param("@relation r\n@attribute a numeric\n@data\n?\n'?'\n", 5,
+                 "non-numeric value '\\?' in column 'a'", id="quoted-question-mark-is-text"),
     ("@relation r\n@attribute a numeric\n@attribute a numeric\n@data\n1,1\n", 1,
      "duplicate attribute name"),
     pytest.param("@relation r\n@attribute a numeric\n@data\n1\n% note\n\n2\noops\n", 8,
@@ -241,6 +252,28 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
         parse_arff(text, **bindings)
     assert exc.value.line == line
     assert str(exc.value).startswith(f"line {line}:")
+
+
+def test_quoted_question_mark_is_a_value():
+    text = (
+        "@relation r\n"
+        "@attribute a {'?', a}\n"
+        "@attribute g {'?', b}\n"
+        "@data\n"
+        "'?', '?'\n"
+        "?, b\n"
+        "a, \"?\"\n"
+        " ? , b\n"
+    )
+    ds = parse_arff(text, group="g")
+    assert ds.attributes[0].domain == ("?", "a")
+    # only a bare ?, whitespace around it or not, is a missing cell
+    np.testing.assert_array_equal(ds.column("a"), [0, -1, 1, -1])
+    assert ds.groups == ("?", "b")
+    np.testing.assert_array_equal(ds.group_codes, [0, 1, 0, 1])
+    with pytest.raises(ArffError, match="missing group value") as exc:
+        parse_arff(text.replace('a, "?"', "a, ?"), group="g")
+    assert exc.value.line == 7
 
 
 def test_binding_errors():
@@ -297,6 +330,19 @@ def test_regression_binding_infers_task():
     assert exc.value.line == 6
 
 
+@settings(max_examples=1000, deadline=None)
+@given(st.text() | st.text(alphabet=" ,'\"ab?\t\r{}%"))
+def test_raw_fields_match_reference_splitter(text):
+    try:
+        want = split_csv_reference(text, 1)
+    except ArffError as exc:
+        assert str(exc) == "line 1: unterminated quote"
+        with pytest.raises(ArffError, match="^line 1: unterminated quote$"):
+            _raw_fields(text, 1)
+        return
+    assert [_field_text(f) for f in _raw_fields(text, 1)] == want
+
+
 # ---------------------------------------------------------------------------
 # ARFF round trips
 
@@ -329,17 +375,18 @@ def test_round_trip_classification():
 def test_round_trip_quoting_and_fractions():
     attrs = (
         Attribute("odd name", "numeric"),
-        Attribute("b", "nominal", ("with, comma", "plain", "it's", " a", "b ")),
+        Attribute("b", "nominal", ("with, comma", "plain", "it's", " a", "b ", "?")),
     )
-    cols = [np.array([0.1, 1 / 3, 2.0]), np.array([0, 2, 4], dtype=np.int32)]
+    # the value "?" (code 5) and a missing cell (code -1) stay apart
+    cols = [np.array([0.1, 1 / 3, 2.0, 0.5, np.nan]), np.array([0, 2, 4, 5, -1], dtype=np.int32)]
     ds = DataSet(attrs, cols, relation="quote check", task="classification",
-                 group_names=("only",), group_codes=np.zeros(3, dtype=np.int32))
+                 group_names=("only",), group_codes=np.zeros(5, dtype=np.int32))
     again = parse_arff(write_arff(ds), group="group")
     _assert_datasets_equal(ds, again)
     assert float(again.column(0)[1]) == 1 / 3
-    # quoted whitespace is kept; values ARFF cannot hold are refused on write
-    assert again.attributes[1].domain[3:] == (" a", "b ")
-    for bad in ("", "x\ny", "x\ry", "?", "'\""):
+    # quoted whitespace and a quoted ? are kept; values ARFF cannot hold are refused on write
+    assert again.attributes[1].domain[3:] == (" a", "b ", "?")
+    for bad in ("", "x\ny", "x\ry", "'\""):
         unwritable = DataSet((Attribute("b", "nominal", ("ok", bad)),), [np.array([1], dtype=np.int32)])
         with pytest.raises(ValueError, match="cannot"):
             write_arff(unwritable)
