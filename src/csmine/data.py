@@ -10,11 +10,12 @@ from the label or survival time median.
 from __future__ import annotations
 
 import io
+import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +34,10 @@ NUMERIC = "numeric"
 NOMINAL = "nominal"
 
 TASKS = ("classification", "regression", "survival")
+
+_LABELS_FINITE = "regression labels must be finite: no missing or infinite values"
+_TIMES_FINITE = "survival times must be finite: no missing or infinite values"
+_TIMES_NON_NEGATIVE = "survival times must be non-negative"
 
 
 @dataclass(frozen=True)
@@ -145,14 +150,14 @@ class DataSet:
             if self.labels is None:
                 raise ValueError("regression task requires a bound label column")
             if not np.isfinite(self.labels).all():
-                raise ValueError("regression labels must be finite: no missing or infinite values")
+                raise ValueError(_LABELS_FINITE)
         if self.task == "survival":
             if self.times is None or self.status is None:
                 raise ValueError("survival task requires bound time and status columns")
             if not np.isfinite(self.times).all():
-                raise ValueError("survival times must be finite: no missing or infinite values")
+                raise ValueError(_TIMES_FINITE)
             if (self.times < 0).any():
-                raise ValueError("survival times must be non-negative")
+                raise ValueError(_TIMES_NON_NEGATIVE)
 
     @property
     def n_examples(self) -> int:
@@ -294,15 +299,16 @@ def _decode_column(
     name: str,
     lookup: dict[str, int] | None,
     missing: str | None,
-    binary: bool,
+    check: Callable[[float], str | None] | None,
 ) -> np.ndarray:
     """The raw ``fields`` of column ``name`` as codes into ``lookup`` or,
-    without one, as numbers (each 0 or 1 when ``binary``).
+    without one, as numbers.
 
     Only a bare ``?`` is a missing cell, read as -1 or NaN; a quoted ``'?'``
     is the text ``?``. Where ``missing`` is given, a missing cell (or a
-    ``nan``) raises it instead. Each distinct raw field is decoded once, in
-    order of first appearance, so a bad one raises ArffError at the first
+    ``nan``) raises it instead; ``check`` returns the error of any other
+    value the column may not hold. Each distinct raw field is decoded once,
+    in order of first appearance, so a bad one raises ArffError at the first
     line that holds it.
     """
 
@@ -319,8 +325,9 @@ def _decode_column(
                 raise ValueError(f"non-numeric value {text!r} in column {name!r}") from None
         if missing and (text is None or value != value):
             raise ValueError(missing)
-        if binary and value not in (0.0, 1.0):
-            raise ValueError("survival status must be 0 or 1")
+        error = check and check(value)
+        if error:
+            raise ValueError(error)
         return value
 
     table = {}
@@ -331,6 +338,22 @@ def _decode_column(
             raise ArffError(lines[fields.index(raw)], str(exc)) from None
     dtype = np.float64 if lookup is None else np.int32
     return np.fromiter(map(table.__getitem__, fields), dtype, len(fields))
+
+
+def _finite_label(value: float) -> str | None:
+    return None if math.isfinite(value) else _LABELS_FINITE
+
+
+def _finite_time(value: float) -> str | None:
+    if not math.isfinite(value):
+        return _TIMES_FINITE
+    if value < 0:
+        return _TIMES_NON_NEGATIVE
+    return None
+
+
+def _binary_status(value: float) -> str | None:
+    return None if value in (0.0, 1.0) else "survival status must be 0 or 1"
 
 
 def _parse_attribute_line(rest: str, line_no: int) -> Attribute:
@@ -470,9 +493,15 @@ def parse_arff(
             "time": "missing survival time value" if task == "survival" else None,
             "status": "missing survival status value",
         }.get(role)
+        # the values DataSet refuses, found here so the error names their line
+        check = {
+            "label": _finite_label if task == "regression" else None,
+            "time": _finite_time if task == "survival" else None,
+            "status": _binary_status,
+        }.get(role)
         columns[i] = _decode_column(
             list(map(itemgetter(i), rows)), row_lines, attr.name,
-            {v: k for k, v in enumerate(attr.domain)} if codes else None, missing, role == "status",
+            {v: k for k, v in enumerate(attr.domain)} if codes else None, missing, check,
         )
 
     group_names, group_codes = (), None

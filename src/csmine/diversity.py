@@ -117,23 +117,29 @@ def modified_quality(q: float, s: float, pi: float, phi: float) -> float:
     return float(_apply_multiplier(q, s * pi, phi))
 
 
-def _reward_factor(p_new, p, spi: float, b: float) -> np.ndarray:
-    """phi per candidate from its new and total positive counts.
+def _reward_factor(p_new, p, spi, b: float) -> np.ndarray:
+    """phi per candidate from its new and total positive counts and its s*pi.
 
-    A candidate with p = 0 has x = 0. When s*pi >= 1 phi is 1: the
-    multiplier is floored there whatever phi is.
+    ``spi`` is one value or one per candidate. A candidate with p = 0 has
+    x = 0. Where s*pi >= 1 phi is 1: the multiplier is floored there
+    whatever phi is.
     """
     p = np.asarray(p, dtype=np.float64)
-    if spi >= 1.0:
-        return np.ones(p.shape)
+    spi = np.asarray(spi, dtype=np.float64)
     x = np.divide(np.asarray(p_new, dtype=np.float64), p, out=np.zeros(p.shape), where=p > 0)
-    slope = 1.0 / (1.0 - spi) - 1.0
-    return np.where(x <= b, 1.0, 1.0 + ((x - b) / (1.0 - b)) * slope)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = 1.0 / (1.0 - spi) - 1.0
+        grown = 1.0 + ((x - b) / (1.0 - b)) * slope
+    return np.where((spi >= 1.0) | (x <= b), 1.0, grown)
 
 
-def _apply_multiplier(q, spi: float, phi) -> np.ndarray:
-    """q times m = max((1 - s*pi) * phi, MULTIPLIER_FLOOR), or q / m for q < 0."""
-    m = np.maximum((1.0 - spi) * np.asarray(phi, dtype=np.float64), MULTIPLIER_FLOOR)
+def _apply_multiplier(q, spi, phi) -> np.ndarray:
+    """q times m = max((1 - s*pi) * phi, MULTIPLIER_FLOOR), or q / m for q < 0.
+
+    ``spi`` is one value or one per quality.
+    """
+    m = np.maximum((1.0 - np.asarray(spi, dtype=np.float64)) * np.asarray(phi, dtype=np.float64),
+                   MULTIPLIER_FLOOR)
     q = np.asarray(q, dtype=np.float64)
     return np.where(q >= 0, q * m, q / m)
 

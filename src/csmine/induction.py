@@ -241,20 +241,28 @@ class _Candidates:
         """
         if self.numeric:
             run = x.cumsum()
-            first, total = run[self.last], run[-1]
-        else:
-            per = np.bincount(self.codes, weights=x, minlength=self.domain)
-            first, total = per[self.values], per.sum()
-        out = np.empty(2 * first.size, dtype=first.dtype)
-        out[0::2] = first
-        out[1::2] = total - first
-        return out
+            return _sides(run[self.last], run[-1])
+        per = np.bincount(self.codes, weights=x, minlength=self.domain)
+        return _sides(per[self.values], per.sum())
 
     def condition(self, i: int) -> Condition:
         j, side = divmod(i, 2)
-        if self.numeric:
-            return Condition(self.attr_index, (LT, GE)[side], float(self.values[j]))
-        return Condition(self.attr_index, (EQ, NE)[side], int(self.values[j]))
+        return _condition(self.attr_index, self.numeric, self.values[j], side)
+
+
+def _sides(first: np.ndarray, total) -> np.ndarray:
+    """Interleave each split's first side with the rest of ``total``."""
+    out = np.empty(2 * first.size, dtype=first.dtype)
+    out[0::2] = first
+    out[1::2] = total - first
+    return out
+
+
+def _condition(attr_index: int, numeric: bool, value, side: int) -> Condition:
+    """The condition of one side of a split at ``value``."""
+    if numeric:
+        return Condition(attr_index, (LT, GE)[side], float(value))
+    return Condition(attr_index, (EQ, NE)[side], int(value))
 
 
 def _sweep_attribute(ctx: _Context, ai: int, cov_idx: np.ndarray) -> _Candidates | None:
@@ -277,19 +285,22 @@ def _sweep_attribute(ctx: _Context, ai: int, cov_idx: np.ndarray) -> _Candidates
         last, values = bnd[keep], mids[keep]
         if last.size == 0:
             return None
+        first = last + 1
     else:
         codes = col[known].astype(np.intp)
         # each observed category is one run of the category order; counting finds where it ends
         size = np.bincount(codes, minlength=domain)
         values = np.flatnonzero(size)
-        last = np.cumsum(size[values]) - 1
+        first = size[values]
+        last = np.cumsum(first) - 1
     cand = _Candidates(ai, numeric, cov_idx[known], last, values, codes, domain)
     rows = cand.rows
     # counts are whole numbers, exact in any float or integer form
-    cand.p, cand.p_new_pass, cand.p_new_reward, cand.covc = (
+    cand.p, cand.p_new_pass, cand.p_new_reward = (
         cand.side_sums(x).astype(np.int64, copy=False)
-        for x in (ctx.pos[rows], ctx.d_u[rows], ctx.r_u[rows], np.ones(rows.size))
+        for x in (ctx.pos[rows], ctx.d_u[rows], ctx.r_u[rows])
     )
+    cand.covc = _sides(first.astype(np.int64, copy=False), rows.size)
     cand.n = cand.covc - cand.p  # every row is in the group or in its contrast
     # same division forms as the pool gate in _grow, so boundaries agree
     cand.valid = (
@@ -363,24 +374,29 @@ def _grow(ctx: _Context) -> _Grown | None:
     attr_set: set[int] = set()
     while True:
         cov_idx = np.flatnonzero(cov)
-        best: tuple[float, int] | None = None
-        best_cond: Condition | None = None
+        # the valid candidates of every attribute, in enumeration order: their
+        # scoring inputs, and what _condition needs; the sweeps' rows are dropped
+        parts: list[tuple] = []
+        picks: list[tuple] = []
         for ai in range(len(ctx.ds.attributes)):
             cand = _sweep_attribute(ctx, ai, cov_idx)
             if cand is None or not cand.valid.any():
                 continue
             vidx = np.flatnonzero(cand.valid)
-            qv = _modified(ctx, cand.q[vidx], cand.p[vidx], cand.p_new_reward[vidx], attr_set | {ai})
-            cv = cand.covc[vidx]
-            top = float(qv.max())
-            at_top = np.flatnonzero(qv == top)
-            top_cov = int(cv[at_top].max())
-            local = int(vidx[at_top[cv[at_top] == top_cov][0]])
-            if best is None or top > best[0] or (top == best[0] and top_cov > best[1]):
-                best = (top, top_cov)
-                best_cond = cand.condition(local)
-        if best_cond is None:
+            parts.append((cand.q[vidx], cand.p[vidx], cand.p_new_reward[vidx], cand.covc[vidx],
+                          np.full(vidx.size, _spi(ctx, attr_set | {ai}))))
+            picks.append((ai, cand.numeric, cand.values[vidx // 2], vidx % 2))
+        if not parts:
             break
+        q, p, rew, covc, spi = (np.concatenate(x) for x in zip(*parts))
+        qv = _modified(ctx, q, p, rew, spi)
+        at_top = np.flatnonzero(qv == qv.max())
+        best = int(at_top[np.argmax(covc[at_top])])  # argmax: the first of the largest
+        for ai, numeric, values, sides in picks:
+            if best < values.size:
+                break
+            best -= values.size
+        best_cond = _condition(ai, numeric, values[best], int(sides[best]))
         mask = condition_mask(best_cond, ctx.ds)
         cov = cov & mask
         conditions.append(best_cond)
@@ -415,63 +431,101 @@ def _raw_quality(ctx: _Context, cov: np.ndarray, cm: ConfusionMatrix) -> float:
     return -ctx.survival_scorer.score(np.flatnonzero(cov))
 
 
-def _modified(ctx: _Context, q, p, p_new_reward, attrs: Iterable[int]) -> np.ndarray:
-    """Raw qualities with the diversity multiplier of premise ``attrs``."""
-    spi = ctx.params.penalty_strength * ctx.penalty.premise_penalty(attrs)
+def _spi(ctx: _Context, attrs: Iterable[int]) -> float:
+    """s * pi of the premise over ``attrs``.
+
+    ``premise_penalty`` sums over a set, in the set's iteration order, so the
+    float depends on the order its distinct attributes were first inserted.
+    """
+    return ctx.params.penalty_strength * ctx.penalty.premise_penalty(attrs)
+
+
+def _modified(ctx: _Context, q, p, p_new_reward, spi) -> np.ndarray:
+    """Raw qualities times the diversity multiplier of s*pi ``spi`` (one or one each)."""
     return _apply_multiplier(q, spi, _reward_factor(p_new_reward, p, spi, ctx.params.reward_saturation))
 
 
-def _modified_quality_cm(
-    ctx: _Context, cov: np.ndarray, cm: ConfusionMatrix, attrs: Iterable[int]
-) -> float:
-    """Modified quality of one coverage whose counts are already known."""
-    q = _raw_quality(ctx, cov, cm)
-    rew = int(np.count_nonzero(cov & ctx.r_u))
-    return float(_modified(ctx, q, cm.p, rew, attrs))
-
-
-def _modified_quality_of(ctx: _Context, cov: np.ndarray, attrs: Iterable[int]) -> float:
-    return _modified_quality_cm(ctx, cov, _counts(ctx, cov), attrs)
+def _modified_quality_of(ctx: _Context, q: float, p: int, p_new_reward: int, attrs: Iterable[int]) -> float:
+    """Modified quality of one premise from its raw quality and counts."""
+    return float(_modified(ctx, q, p, p_new_reward, _spi(ctx, attrs)))
 
 
 def _prune(ctx: _Context, grown: _Grown) -> _Grown:
     """Greedily remove conditions while the modified quality does not drop.
 
-    Each round scans the premise in order; a removal candidate must keep
-    the negative-to-positive ratio within bounds, and the last scanned
-    removal with quality >= the running best wins the round. Stops when no
-    removal qualifies or one condition remains.
+    Each round scores the removal of every condition. A removal must keep
+    the negative-to-positive ratio within bounds and reach the premise's
+    own modified quality; the last removal with the highest quality wins,
+    as a running-best scan in premise order would pick (a NaN never wins).
+    Stops when no removal qualifies or one condition remains.
+
+    Each row holds how many conditions it fails and the sum of their ids
+    (positions in ``grown``). The premise covers the rows that fail none;
+    removing condition c adds the rows that fail only c, whose id sum is c,
+    so one bincount over those rows gives every removal's counts. A removal
+    that adds no rows keeps the premise's raw quality; the others are
+    scored afresh on their exact coverage.
     """
+    if len(grown.conditions) <= 1:
+        return grown
     conditions = list(grown.conditions)
     masks = list(grown.masks)
+    ids = np.arange(len(masks))
+    fails = np.zeros(ctx.ds.n_examples, dtype=np.int32)
+    # wraps past 2**31 on long premises, but a row that fails once holds its id exactly
+    id_sum = np.zeros(ctx.ds.n_examples, dtype=np.int32)
+    for c, msk in enumerate(masks):
+        miss = ~msk
+        fails += miss
+        id_sum += miss * np.int32(c)
     cov = grown.cov
     params = ctx.params
     while len(conditions) > 1:
-        q_best = _modified_quality_of(ctx, cov, (c.attr_index for c in conditions))
-        k = len(conditions)
-        prefix = [np.ones(ctx.ds.n_examples, dtype=bool)]
-        for msk in masks:
-            prefix.append(prefix[-1] & msk)
-        suffix = [np.ones(ctx.ds.n_examples, dtype=bool)]
-        for msk in reversed(masks):
-            suffix.append(suffix[-1] & msk)
-        suffix.reverse()
-        remove = -1
-        for i in range(k):
-            cov_i = prefix[i] & suffix[i + 1]
-            cm = _counts(ctx, cov_i)
-            if cm.neg2pos > params.max_neg2pos:
-                continue
-            attrs = set(c.attr_index for j, c in enumerate(conditions) if j != i)
-            qmod = _modified_quality_cm(ctx, cov_i, cm, attrs)
-            if qmod >= q_best:
-                remove = i
-                q_best = qmod
-        if remove < 0:
+        attrs = [c.attr_index for c in conditions]
+        cm = _counts(ctx, cov)
+        rew = int(np.count_nonzero(cov & ctx.r_u))
+        q = _raw_quality(ctx, cov, cm)
+        q_best = _modified_quality_of(ctx, q, cm.p, rew, attrs)
+        single = np.flatnonzero(fails == 1)
+        sid = id_sum[single]
+        # one integer bincount over (id, in the group, in the reward baseline)
+        key = sid * 4 + ctx.pos[single] * 2 + ctx.r_u[single]
+        per = np.bincount(key, minlength=4 * len(grown.masks)).reshape(-1, 2, 2)[ids]
+        added, add_p, add_rew = per.sum(axis=(1, 2)), per[:, 1].sum(axis=1), per[:, :, 1].sum(axis=1)
+        p = cm.p + add_p
+        q_rm = np.full(ids.size, q)
+        ok = np.full(ids.size, not cm.neg2pos > params.max_neg2pos)
+        for i in np.flatnonzero(added):
+            cm_i = ConfusionMatrix(int(p[i]), cm.n + int(added[i] - add_p[i]), ctx.P, ctx.N)
+            ok[i] = not cm_i.neg2pos > params.max_neg2pos
+            if ok[i]:
+                cov_i = cov  # correlation reads only the counts
+                if ctx.measure != "correlation":
+                    cov_i = cov.copy()
+                    cov_i[single[sid == ids[i]]] = True
+                q_rm[i] = _raw_quality(ctx, cov_i, cm_i)
+        # a removal that is not its attribute's first use leaves the premise's
+        # distinct attributes in their insertion order, so they share one set
+        spi = np.full(ids.size, _spi(ctx, set(attrs)))
+        first: dict[int, int] = {}
+        for i, a in enumerate(attrs):
+            first.setdefault(a, i)
+        for i in first.values():
+            if ok[i]:
+                spi[i] = _spi(ctx, set(a for j, a in enumerate(attrs) if j != i))
+        el = np.flatnonzero(ok)
+        qmod = _modified(ctx, q_rm[el], p[el], rew + add_rew[el], spi[el])
+        reach = qmod >= q_best
+        if not reach.any():
             break
+        remove = int(el[np.flatnonzero(reach & (qmod == qmod[reach].max()))[-1]])
+        miss = ~masks[remove]
+        fails -= miss
+        id_sum -= miss * np.int32(ids[remove])
+        ids = np.delete(ids, remove)
         del conditions[remove]
         del masks[remove]
-        cov = prefix[remove] & suffix[remove + 1]
+        cov = fails == 0
     return _Grown(conditions, masks, cov)
 
 

@@ -271,6 +271,32 @@ def random_survival(seed, n_min=40, n_max=160, max_attrs=5):
     )
 
 
+def continuous(seed, n, k, task="classification"):
+    """Two groups over k 2-decimal normal attributes; the first three carry a
+    shift of group 0, so premises grown at a low support run long.
+
+    Regression labels are integers, so label sums are exact; survival times
+    are integers with ~30% censoring, shorter in group 0.
+    """
+    rng = np.random.default_rng(seed)
+    codes = (rng.random(n) < 0.5).astype(np.int32)
+    cols = [np.round(rng.normal(0.0, 1.0, n) + 0.9 * (codes == 0) * (i < 3), 2) for i in range(k)]
+    extra = {}
+    if task == "regression":
+        extra["labels"] = (rng.integers(0, 20, n) + 6 * (codes == 0)).astype(np.float64)
+    elif task == "survival":
+        extra["times"] = np.ceil(rng.exponential(np.where(codes == 0, 10.0, 25.0)))
+        extra["status"] = (rng.random(n) < 0.7).astype(np.int8)
+    return DataSet(
+        [Attribute(f"x{i}", "numeric") for i in range(k)], cols,
+        relation=f"continuous{seed}",
+        task=task,
+        group_names=("A", "B"),
+        group_codes=codes,
+        **extra,
+    )
+
+
 def with_status(ds, status):
     """Copy of a survival dataset with its event statuses replaced."""
     return DataSet(

@@ -365,7 +365,7 @@ def test_main_mine_non_finite_label_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, input=arff, label_column="y", output_csv=tmp_path / "out.csv")
     assert main(["mine", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "reg.arff: line 1: regression labels must be finite" in err
+    assert "reg.arff: line 22: regression labels must be finite" in err
 
 
 def test_main_bad_report_exit_code(tmp_path, capsys):

@@ -320,6 +320,26 @@ def test_survival_bindings():
     assert exc.value.line == 7
 
 
+@pytest.mark.parametrize(
+    "bad_rows, line, message",
+    [
+        ({1: "2, inf, 0"}, 7, "survival times must be finite"),
+        ({2: "4, -2, 1"}, 8, "survival times must be non-negative"),
+        ({2: "4, 9, 0.5"}, 8, "survival status must be 0 or 1"),
+        ({1: "2, -1, 0", 2: "4, inf, 1"}, 7, "survival times must be non-negative"),
+    ],
+    ids=["infinite-time", "negative-time", "status", "first-bad-row"],
+)
+def test_survival_value_errors_name_their_row(bad_rows, line, message):
+    rows = ["1, 5, 1", "2, 7, 0", "4, 9, 1"]  # lines 6-8
+    for i, row in bad_rows.items():
+        rows[i] = row
+    text = "@relation r\n@attribute a numeric\n@attribute t numeric\n@attribute s numeric\n@data\n"
+    with pytest.raises(ArffError, match=message) as exc:
+        parse_arff(text + "\n".join(rows) + "\n", time="t", status="s")
+    assert exc.value.line == line
+
+
 def test_regression_binding_infers_task():
     text = "@relation r\n@attribute a numeric\n@attribute y numeric\n@data\n1,3\n2,9\n"
     ds = parse_arff(text, label="y")

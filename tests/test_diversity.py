@@ -18,8 +18,9 @@ from csmine.diversity import (
     reward,
     similarity,
 )
+from csmine.diversity import _apply_multiplier, _reward_factor
 
-from conftest import random_classification
+from conftest import _naive_modifier, random_classification
 from test_contrast import random_premise
 
 
@@ -154,6 +155,30 @@ def test_modified_quality_identity_cases():
     s, pi = 0.5, 0.6
     phi = reward(10, 10, s, pi, 0.2)
     assert modified_quality(0.625, s, pi, phi) == pytest.approx(0.625, rel=1e-12)
+
+
+def test_array_spi_kernels_match_scalar_calls():
+    # one kernel call over many (q, p, p_new, s*pi) equals a scalar call per
+    # element and the literal modifier, bit for bit, on both sides of the floor
+    rng = np.random.default_rng(9)
+    b = 0.2
+    spi = np.concatenate([[0.0, 1.0, 1.5, 0.5, 1.0 - 1e-12], rng.uniform(0.0, 1.2, 195)])
+    p = rng.integers(0, 12, spi.size)
+    p_new = np.minimum(rng.integers(0, 12, spi.size), p)
+    q = rng.uniform(-1.0, 1.0, spi.size)
+    q[:3] = (0.0, -0.25, 0.5)
+    phi = _reward_factor(p_new, p, spi, b)
+    got = _apply_multiplier(q, spi, phi)
+    for i in range(spi.size):
+        phi_i = _reward_factor(int(p_new[i]), int(p[i]), float(spi[i]), b)
+        assert phi[i].tobytes() == phi_i.tobytes()
+        want = _apply_multiplier(float(q[i]), float(spi[i]), phi_i)
+        assert got[i].tobytes() == want.tobytes()
+        m = _naive_modifier(1.0, b, float(spi[i]), int(p[i]), int(p_new[i]))
+        assert got[i] == (q[i] * m if q[i] >= 0 else q[i] / m)
+        if spi[i] < 1.0 and p[i] > 0:
+            assert phi[i] == reward(int(p_new[i]), int(p[i]), 1.0, float(spi[i]), b)
+    assert (phi[spi >= 1.0] == 1.0).all()
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ histories, and gate settings.
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from csmine.contrast import (
+    GE,
+    LT,
     Condition,
     ConfusionMatrix,
     ContrastSet,
@@ -37,6 +40,7 @@ from csmine.synthetic import generate_synthetic
 
 from conftest import (
     condition_tuples,
+    continuous,
     count_confusion,
     naive_grow,
     naive_prune,
@@ -303,6 +307,127 @@ def test_sweep_scores_exactly_the_gated_candidates(monkeypatch, measure, make):
                 gated_out += int((~cand.valid).sum())
                 scored += int(cand.valid.sum())
     assert gated_out >= 40 and scored >= 40
+
+
+@pytest.mark.parametrize("task", ["classification", "regression", "survival"])
+def test_prune_matches_reference_on_long_premises(task):
+    # premises grown at a low level by correlation run to dozens of
+    # conditions over 12 attributes, each used many times; prune them with
+    # the task's own measure
+    ds = continuous(5, 400, 12, task)
+    rng = np.random.default_rng(11)
+    base = MiningParams(minsupps=(0.05,), max_neg2pos=1.0, measure="correlation")
+    lengths = []
+    for group in ds.groups:
+        pos = ds.group_mask(group)
+        grown = grow(ds, group, pos, base, minsupp_all=0.05)
+        lengths.append(len(grown.conditions))
+        for s in (0.0, 0.5, 1.0):
+            params = replace(base, penalty_strength=s, measure=None)
+            unc, rew = _random_pool(rng, pos), _random_pool(rng, pos)
+            pen = _random_penalty(rng, len(ds.attributes))
+            got = prune(grown, ds, params, uncovered=unc, penalty=pen, reward_uncovered=rew)
+            want = naive_prune(ds, group, grown.conditions, params,
+                               uncovered=unc, reward_uncovered=rew, penalty=pen)
+            assert condition_tuples(got.conditions) == condition_tuples(want)
+    assert min(lengths) >= 40
+
+
+def test_prune_first_use_penalty_follows_set_order():
+    """Dropping the first of two uses of an attribute keeps the premise's
+    attributes but reinserts that one last, which can reorder the set that
+    premise_penalty sums over and so change the last bit of s*pi.
+
+    Rows sit in the eight cells of x0, x1, x8 in {-1, 1}; the group is the
+    all-negative cell, and the cells one step from it hold most negatives,
+    so x1 and x8 cannot go. The premise uses x0 twice, so removing either
+    use keeps the coverage and only s*pi tells them apart: {0, 1, 8} sums
+    x0 first, {1, 8, 0} sums x8 first.
+    """
+    rng = np.random.default_rng(3)
+    cells = [(x0, x1, x8) for x0 in (-1.0, 1.0) for x1 in (-1.0, 1.0) for x8 in (-1.0, 1.0)]
+    sizes = [20 if sum(c) == -3 else 60 if sum(c) == -1 else 5 for c in cells]
+    grid = np.repeat(np.array(cells), sizes, axis=0)
+    n = grid.shape[0]
+    cols = [np.round(rng.normal(size=n), 2) for _ in range(12)]
+    for ai, j in ((0, 0), (1, 1), (8, 2)):
+        cols[ai] = grid[:, j]
+    codes = (grid.sum(axis=1) != -3).astype(np.int32)
+    ds = DataSet([Attribute(f"x{i}", "numeric") for i in range(12)], cols, relation="cells",
+                 task="classification", group_names=("g", "rest"), group_codes=codes)
+    counts = [2, 3, 3, 4, 0, 0, 0, 0, 3, 0, 0, 0]
+    pen = PenaltyState(12, counts=counts, total=sum(counts))
+    x0, x1, x8 = (Condition(ai, LT, 0.0) for ai in (0, 1, 8))
+    cs = ContrastSet((x0, x1, x8, x0), "g")
+    params = MiningParams(penalty_strength=1.0, max_neg2pos=1.0)
+    empty = np.zeros(n, dtype=bool)
+    got = prune(cs, ds, params, penalty=pen, reward_uncovered=empty)
+    want = naive_prune(ds, "g", cs.conditions, params, reward_uncovered=empty, penalty=pen)
+    assert condition_tuples(got.conditions) == condition_tuples(want)
+    if pen.premise_penalty(set([1, 8, 0])) < pen.premise_penalty(set([0, 1, 8])):
+        # summation order matters on this interpreter: the first use goes
+        assert got.conditions == (x1, x8, x0)
+
+
+def _tie_dataset(first_rows, second_rows):
+    """20 rows, rows 0-9 in group "g"; attribute i is 0 on rows[i], else 1."""
+    cols = []
+    for rows in (first_rows, second_rows):
+        col = np.ones(20)
+        col[list(rows)] = 0.0
+        cols.append(col)
+    return DataSet([Attribute("a", "numeric"), Attribute("b", "numeric")], cols,
+                   relation="ties", task="classification", group_names=("g", "rest"),
+                   group_codes=(np.arange(20) >= 10).astype(np.int32))
+
+
+@pytest.mark.parametrize(
+    "first_rows, second_rows, winner",
+    [
+        # 6 positives and 1 negative below 0.5 on both: equal quality and
+        # coverage, so the earlier attribute wins
+        ([0, 1, 2, 3, 4, 5, 10], [4, 5, 6, 7, 8, 9, 19], 0),
+        # 6+1 on the first against 9+4 on the second: P = N makes
+        # (p - n) / sqrt(c * (20 - c)) equal, so the larger coverage wins
+        ([0, 1, 2, 3, 4, 5, 10], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], 1),
+    ],
+    ids=["equal-coverage", "larger-coverage-later"],
+)
+def test_grow_breaks_ties_across_attributes(first_rows, second_rows, winner):
+    ds = _tie_dataset(first_rows, second_rows)
+    params = MiningParams(minsupps=(0.5,), max_neg2pos=1.0, penalty_strength=0.0)
+    pos = ds.group_mask("g")
+    got = grow(ds, "g", pos, params)
+    want = naive_grow(ds, "g", params, pos)
+    assert condition_tuples(got.conditions) == condition_tuples(want)
+    assert got.conditions[0] == Condition(winner, LT, 0.5)
+
+
+def test_prune_memory_does_not_grow_with_premise_length():
+    # conditions that each drop a few rows; prune is handed their masks, so
+    # what it allocates on top must not scale with their number
+    ds = continuous(1, 20_000, 12)
+    ctx = induction._Context.build(ds, "A", MiningParams(max_neg2pos=1.0), "correlation")
+    rng = np.random.default_rng(0)
+
+    def prune_peak(k):
+        conds = [
+            Condition(int(ai), GE, float(np.quantile(ds.column(int(ai)), q)))
+            for ai, q in zip(rng.integers(0, 12, k), rng.uniform(0.0, 0.02, k))
+        ]
+        masks = [condition_mask(c, ds) for c in conds]
+        cov = np.logical_and.reduce(masks)
+        grown = induction._Grown(conds, masks, cov)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            induction._prune(ctx, grown)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    short, long = prune_peak(15), prune_peak(150)
+    assert long < 2 * short
 
 
 # ---------------------------------------------------------------------------
