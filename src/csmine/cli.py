@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .data import ArffError, load_arff, derive_groups_regression, derive_groups_survival, write_arff
@@ -26,6 +27,7 @@ from .reports import (
 )
 from .synthetic import default_spec, generate_synthetic
 
+# the run's own keys, then one key per MiningParams field
 CONFIG_KEYS = (
     "input",
     "synthetic",
@@ -35,19 +37,10 @@ CONFIG_KEYS = (
     "label_column",
     "time_column",
     "status_column",
-    "mode",
-    "negative_group",
-    "minsupps",
-    "minsupp_new",
-    "max_neg2pos",
-    "max_passes",
-    "penalty_strength",
-    "reward_saturation",
-    "measure",
     "redundancy_threshold",
     "output_csv",
     "output_json",
-)
+) + tuple(f.name for f in fields(MiningParams))
 
 
 class ConfigError(ValueError):
@@ -164,7 +157,11 @@ def _suffixed(path: str, stem: str, multi: bool) -> Path:
     return p.with_name(f"{p.stem}_{stem}{p.suffix}")
 
 
-def _print_metrics(metrics, out) -> None:
+def _print_metrics(results, ds, out) -> None:
+    """Each group's set count, then the summary of ``results`` against ``ds``."""
+    for g, sets in results.items():
+        print(f"group {g}: {len(sets)} sets", file=out)
+    metrics = summarize(results, ds)
     print(f"sets: {metrics.n_sets}", file=out)
     print(f"mean support: {100.0 * metrics.mean_support:.1f}%", file=out)
     print(f"mean precision: {100.0 * metrics.mean_precision:.1f}%", file=out)
@@ -214,9 +211,7 @@ def run_mine(args, out=None) -> int:
         )
         results = mine_all(ds, params, workers=workers)
         kept = filter_redundancy(results, threshold) if threshold is not None else results
-        for g, sets in kept.items():
-            print(f"group {g}: {len(sets)} sets", file=out)
-        _print_metrics(summarize(kept, ds), out)
+        _print_metrics(kept, ds, out)
         if cfg.get("output_csv"):
             target = _suffixed(cfg["output_csv"], stem, multi)
             write_csv_report(kept, ds, target)
@@ -242,9 +237,7 @@ def run_summarize(args, out=None) -> int:
         results = read_json_report(report, ds)
     else:
         results = read_csv_report(report, ds)
-    for g, sets in results.items():
-        print(f"group {g}: {len(sets)} sets", file=out)
-    _print_metrics(summarize(results, ds), out)
+    _print_metrics(results, ds, out)
     return 0
 
 

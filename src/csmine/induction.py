@@ -361,7 +361,8 @@ def _grow(ctx: _Context) -> _Grown | None:
 
     Every iteration scores each candidate extension with the diversity
     modifier applied and adds the best one; ties go to the larger coverage,
-    then to the earliest candidate in enumeration order. The finished
+    then to the earliest candidate in enumeration order. A NaN score never
+    wins, and a step whose scores are all NaN ends growing. The finished
     premise must pass the negative-to-positive ceiling or growing fails.
     """
     params = ctx.params
@@ -390,7 +391,10 @@ def _grow(ctx: _Context) -> _Grown | None:
             break
         q, p, rew, covc, spi = (np.concatenate(x) for x in zip(*parts))
         qv = _modified(ctx, q, p, rew, spi)
-        at_top = np.flatnonzero(qv == qv.max())
+        top = np.fmax.reduce(qv)  # a NaN score never wins; NaN only when all are
+        if np.isnan(top):
+            break
+        at_top = np.flatnonzero(qv == top)
         best = int(at_top[np.argmax(covc[at_top])])  # argmax: the first of the largest
         for ai, numeric, values, sides in picks:
             if best < values.size:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,6 +41,9 @@ CSV_COLUMNS = (
     "quality",
     "redundancy",
 )
+# what _read_set needs of a record: the CSV fields after the group, plus
+# the group sizes, which a CSV reader takes from the dataset
+_RECORD_FIELDS = CSV_COLUMNS[1:] + ("P", "N")
 
 
 @dataclass(frozen=True)
@@ -116,82 +119,9 @@ def filter_redundancy(
     return [a for a in results if a.redundancy < threshold]
 
 
-def write_csv_report(results: dict[str, list[AnnotatedContrastSet]], ds: DataSet, out=None) -> str:
-    """One row per contrast set, groups in mining order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for g, sets in results.items():
-        for a in sets:
-            writer.writerow(
-                [
-                    g,
-                    render_conditions(a.contrast_set, ds),
-                    a.pass_index,
-                    a.minsupp_all,
-                    a.p,
-                    a.n,
-                    a.p_new,
-                    a.quality,
-                    a.redundancy,
-                ]
-            )
-    return _write_text(buf.getvalue(), out)
-
-
-def read_csv_report(source, ds: DataSet) -> dict[str, list[AnnotatedContrastSet]]:
-    """Rebuild annotated sets from a CSV report; needs the dataset for the
-    attribute bindings and group sizes.
-
-    ``source`` is a readable stream, a ``Path``, or a string: a string
-    without a newline is a path, any other string is the report text.
-    """
-    reader = csv.reader(io.StringIO(_read_text(source)), quoting=csv.QUOTE_NONNUMERIC)
-    header = next(reader, None)
-    if header is None or tuple(header) != CSV_COLUMNS:
-        raise ValueError("unrecognized report header")
-    results: dict[str, list[AnnotatedContrastSet]] = {}
-    for row in reader:
-        if not row:
-            continue
-        g = row[0]
-        cs = parse_conditions(row[1], g, ds)
-        P = int(np.count_nonzero(ds.group_mask(g)))
-        N = ds.n_examples - P
-        results.setdefault(g, []).append(
-            AnnotatedContrastSet(
-                contrast_set=cs,
-                group=g,
-                pass_index=int(row[2]),
-                minsupp_all=float(row[3]),
-                p=int(row[4]),
-                n=int(row[5]),
-                p_new=int(row[6]),
-                P=P,
-                N=N,
-                quality=float(row[7]),
-                redundancy=float(row[8]),
-                redundancy_with=None,
-            )
-        )
-    return results
-
-
-def _params_dict(params: MiningParams) -> dict:
-    return {
-        "minsupps": list(params.minsupps),
-        "minsupp_new": params.minsupp_new,
-        "max_neg2pos": params.max_neg2pos,
-        "max_passes": params.max_passes,
-        "penalty_strength": params.penalty_strength,
-        "reward_saturation": params.reward_saturation,
-        "mode": params.mode,
-        "negative_group": params.negative_group,
-        "measure": params.measure,
-    }
-
-
 def _set_dict(a: AnnotatedContrastSet, ds: DataSet) -> dict:
+    """The report record of one set: a JSON report's set object, and, after
+    the group, the fields of a CSV row (``CSV_COLUMNS``)."""
     return {
         "conditions": render_conditions(a.contrast_set, ds),
         "pass": a.pass_index,
@@ -206,6 +136,81 @@ def _set_dict(a: AnnotatedContrastSet, ds: DataSet) -> dict:
         "quality": a.quality,
         "redundancy": a.redundancy,
     }
+
+
+def _read_set(rec, g: str, ds: DataSet, where: str = "") -> AnnotatedContrastSet:
+    """The annotated set of one report record of group ``g``; the inverse of
+    :func:`_set_dict`. Support and precision are derived, not read.
+
+    Raises ``ValueError`` naming the group, after ``where`` (the report
+    line of a CSV row), when the record is not a mapping of the fields
+    this reads or holds a value of the wrong kind.
+    """
+    at = f"{where}group {g!r}"
+    if not isinstance(rec, dict):
+        raise ValueError(f"{at}: a set must be an object of fields, got {rec!r}")
+    missing = [k for k in _RECORD_FIELDS if k not in rec]
+    if missing:
+        raise ValueError(f"{at}: a set lacks the field {missing[0]!r}")
+    if not isinstance(rec["conditions"], str):
+        raise ValueError(f"{at}: conditions must be a string, got {rec['conditions']!r}")
+    try:
+        return AnnotatedContrastSet(
+            contrast_set=parse_conditions(rec["conditions"], g, ds),
+            group=g,
+            pass_index=int(rec["pass"]),
+            minsupp_all=float(rec["minsupp_all"]),
+            p=int(rec["p"]),
+            n=int(rec["n"]),
+            p_new=int(rec["p_new"]),
+            P=int(rec["P"]),
+            N=int(rec["N"]),
+            quality=float(rec["quality"]),
+            redundancy=float(rec["redundancy"]),
+            redundancy_with=None,
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{at}: {exc}") from None
+
+
+def write_csv_report(results: dict[str, list[AnnotatedContrastSet]], ds: DataSet, out=None) -> str:
+    """One row per contrast set, groups in mining order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for g, sets in results.items():
+        for a in sets:
+            rec = _set_dict(a, ds)
+            writer.writerow([g] + [rec[k] for k in CSV_COLUMNS[1:]])
+    return _write_text(buf.getvalue(), out)
+
+
+def read_csv_report(source, ds: DataSet) -> dict[str, list[AnnotatedContrastSet]]:
+    """Rebuild annotated sets from a CSV report; needs the dataset for the
+    attribute bindings and group sizes.
+
+    ``source`` is a readable stream, a ``Path``, or a string: a string
+    without a newline is a path, any other string is the report text.
+    """
+    reader = csv.reader(io.StringIO(_read_text(source)), quoting=csv.QUOTE_NONNUMERIC)
+    results: dict[str, list[AnnotatedContrastSet]] = {}
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_COLUMNS:
+            raise ValueError("unrecognized report header")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"line {reader.line_num}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+            rec = dict(zip(CSV_COLUMNS, row))
+            g = rec["group"]
+            rec["P"] = int(np.count_nonzero(ds.group_mask(g)))
+            rec["N"] = ds.n_examples - rec["P"]
+            results.setdefault(g, []).append(_read_set(rec, g, ds, f"line {reader.line_num}, "))
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    return results
 
 
 def write_json_report(
@@ -233,7 +238,7 @@ def write_json_report(
             "task": ds.task,
             "groups": {g: int(np.count_nonzero(ds.group_mask(g))) for g in results},
         },
-        "params": _params_dict(params),
+        "params": asdict(params),
         "groups": {g: [_set_dict(a, ds) for a in sets] for g, sets in kept.items()},
         "metrics": metrics.to_dict(),
     }
@@ -251,25 +256,7 @@ def read_json_report(source, ds: DataSet) -> dict[str, list[AnnotatedContrastSet
     the report text.
     """
     doc = json.loads(_read_text(source))
-    results: dict[str, list[AnnotatedContrastSet]] = {}
-    for g, sets in doc["groups"].items():
-        out = []
-        for s in sets:
-            out.append(
-                AnnotatedContrastSet(
-                    contrast_set=parse_conditions(s["conditions"], g, ds),
-                    group=g,
-                    pass_index=int(s["pass"]),
-                    minsupp_all=float(s["minsupp_all"]),
-                    p=int(s["p"]),
-                    n=int(s["n"]),
-                    p_new=int(s["p_new"]),
-                    P=int(s["P"]),
-                    N=int(s["N"]),
-                    quality=float(s["quality"]),
-                    redundancy=float(s["redundancy"]),
-                    redundancy_with=None,
-                )
-            )
-        results[g] = out
-    return results
+    groups = doc.get("groups") if isinstance(doc, dict) else None
+    if not isinstance(groups, dict) or not all(isinstance(sets, list) for sets in groups.values()):
+        raise ValueError('a JSON report must be an object whose "groups" maps each group to a list of sets')
+    return {g: [_read_set(rec, g, ds) for rec in sets] for g, sets in groups.items()}

@@ -541,6 +541,8 @@ def naive_grow(ds, group, params, uncovered, reward_uncovered=None, penalty=None
             q = raw_q(cmask, p, n)
             m = _naive_modifier(s, b, pi, p, rew)
             qmod = q * m if q >= 0 else q / m
+            if qmod != qmod:  # a NaN score never wins
+                continue
             if best_q is None or qmod > best_q or (qmod == best_q and covc > best_cov):
                 best_q, best_cov, best_cond = qmod, covc, cond
         if best_cond is None:

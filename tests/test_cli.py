@@ -1,9 +1,12 @@
 """Config parsing, dataset resolution and the csmine entry point."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_regression
 
 from csmine import cli
 from csmine.cli import (
@@ -14,8 +17,8 @@ from csmine.cli import (
     params_from_config,
     parse_config,
 )
-from csmine.data import load_arff, write_arff
-from csmine.induction import MiningParams
+from csmine.data import DataSet, load_arff, write_arff
+from csmine.induction import MiningParams, mine_all
 from csmine.synthetic import generate_synthetic
 
 
@@ -373,6 +376,64 @@ def test_main_bad_report_exit_code(tmp_path, capsys):
     bad.write_text('"a","b"\n', encoding="utf-8")
     assert main(["summarize", str(bad), "synthetic"]) == 1
     assert "unrecognized report header" in capsys.readouterr().err
+
+
+_CSV_HEADER = '"group","conditions","pass","minsupp_all","p","n","p_new","quality","redundancy"\n'
+_SET = {"conditions": "a3 != 3", "pass": 1, "minsupp_all": 0.8, "p": 150, "n": 60, "p_new": 150,
+        "P": 170, "N": 250, "quality": 0.5, "redundancy": 0.0}
+
+
+@pytest.mark.parametrize(
+    "name, text, needle",
+    [
+        ("report.json", "[]", '"groups"'),
+        ("report.json", json.dumps({"groups": {"red": "x"}}), '"groups"'),
+        ("report.json", json.dumps({"groups": {"red": [{k: v for k, v in _SET.items() if k != "p"}]}}),
+         "group 'red': a set lacks the field 'p'"),
+        ("report.json", json.dumps({"groups": {"red": [dict(_SET, conditions=5)]}}),
+         "group 'red': conditions must be a string, got 5"),
+        ("report.json", json.dumps({"groups": {"red": [dict(_SET, p=None)]}}), "group 'red': "),
+        ("report.csv", _CSV_HEADER + '"red","a3 != 3",1\n', "line 2: expected 9 fields, got 3"),
+        ("report.csv", _CSV_HEADER + '"red",5,1,0.8,150,60,150,0.5,0.0\n',
+         "line 2, group 'red': conditions must be a string, got 5.0"),
+        ("report.csv", _CSV_HEADER + '"red","' + "x" * 200_000 + '"\n', "line 2: field larger"),
+    ],
+    ids=["json-list", "json-group-not-list", "json-no-p", "json-numeric-conditions",
+         "json-null-count", "csv-short-row", "csv-numeric-conditions", "csv-huge-field"],
+)
+def test_main_summarize_malformed_report_exits_1(tmp_path, capsys, name, text, needle):
+    report = tmp_path / name
+    report.write_text(text, encoding="utf-8")
+    assert main(["summarize", str(report), "synthetic"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error: ")
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def test_extreme_finite_labels_mine_and_exit_0(tmp_path, capsys):
+    # labels of +-1e308 overflow a covered mean, so candidates score NaN;
+    # a NaN score never wins a grow step, so mining finishes
+    base = random_regression(1)
+    labels = np.where(np.arange(base.n_examples) % 2 == 0, 1e308, -1e308)
+    ds = DataSet(base.attributes, [base.column(i) for i in range(len(base.attributes))],
+                 relation=base.relation, task="regression", group_names=base.group_names,
+                 group_codes=base.group_codes, labels=labels)
+    with np.errstate(all="ignore"):
+        assert set(mine_all(ds)) == set(ds.groups)
+        arff = tmp_path / "extreme.arff"
+        write_arff(ds, arff)
+        cfg = write_config(tmp_path, input=arff, group_column="group", label_column="label",
+                           output_json=tmp_path / "out.json")
+        assert main(["mine", str(cfg)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_readme_config_table_lists_exactly_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Config keys:", 1)[1].split("\n\n", 2)[1]
+    keys = [k for row in table.splitlines()[2:] for k in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(CONFIG_KEYS)
 
 
 def test_config_keys_cover_documented_surface():

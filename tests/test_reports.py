@@ -1,6 +1,7 @@
 """Metrics, redundancy filtering, CSV and JSON report round trips."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -216,6 +217,22 @@ def test_json_round_trip(tmp_path):
     # text form parses the same way
     text = write_json_report(results, ds, params)
     assert read_json_report(text, ds) == back
+
+
+# sha256 of the JSON report of the default synthetic run, without and with a
+# 0.5 redundancy threshold. The benchmark's digests cover only the CSV report,
+# so these keep a change to the JSON writer from drifting its bytes.
+_JSON_REPORT_SHA256 = {
+    None: "e3d2e575708b8f7c94f115546ce4f0e70f1dd7f65150b63428045a14e00cac70",
+    0.5: "1850d1783cc72cf5b0e703d6dd22038be739375e0f4a018e6c57c13f7ef52545",
+}
+
+
+@pytest.mark.parametrize("threshold", [None, 0.5])
+def test_json_report_bytes_are_pinned(threshold):
+    ds, params, results = synthetic_run()
+    text = write_json_report(results, ds, params, redundancy_threshold=threshold)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _JSON_REPORT_SHA256[threshold]
 
 
 def test_report_outputs_are_reproducible():
