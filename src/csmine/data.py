@@ -10,12 +10,11 @@ from the label or survival time median.
 from __future__ import annotations
 
 import io
-import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,9 +34,28 @@ NOMINAL = "nominal"
 
 TASKS = ("classification", "regression", "survival")
 
-_LABELS_FINITE = "regression labels must be finite: no missing or infinite values"
-_TIMES_FINITE = "survival times must be finite: no missing or infinite values"
-_TIMES_NON_NEGATIVE = "survival times must be non-negative"
+# The values a bound column may hold: (role, task the rule holds in or None
+# for every task, test of the valid values, message). Each row is tested
+# against its role's rules in this order.
+_RULES = (
+    ("label", "regression", np.isfinite,
+     "regression labels must be finite: no missing or infinite values"),
+    ("time", "survival", np.isfinite, "survival times must be finite: no missing or infinite values"),
+    ("time", "survival", lambda v: v >= 0, "survival times must be non-negative"),
+    ("status", None, lambda v: (v == 0) | (v == 1), "survival status must be 0 or 1"),
+)
+
+
+def _rule_error(role: str | None, values: np.ndarray, task: str) -> tuple[int, str] | None:
+    """The first row of the float column ``values``, bound as ``role``, that
+    breaks a rule of ``task``, with that rule's message; None if none does."""
+    errors = []
+    for r, t, test, message in _RULES:
+        if r == role and t in (None, task):
+            ok = test(values)
+            if not ok.all():
+                errors.append((int(np.argmin(ok)), message))
+    return min(errors, key=itemgetter(0), default=None)
 
 
 @dataclass(frozen=True)
@@ -134,9 +152,20 @@ class DataSet:
             self.group_codes: np.ndarray | None = gc
         else:
             self.group_codes = None
-        self.labels = None if labels is None else np.asarray(labels, dtype=np.float64).copy()
-        self.times = None if times is None else np.asarray(times, dtype=np.float64).copy()
-        self.status = None if status is None else np.asarray(status, dtype=np.int8).copy()
+        if task == "regression" and labels is None:
+            raise ValueError("regression task requires a bound label column")
+        if task == "survival" and (times is None or status is None):
+            raise ValueError("survival task requires bound time and status columns")
+        # the rules see the values as given, so a status of 0.5 or NaN is refused, not cast
+        labels, times, status = (
+            None if v is None else np.array(v, dtype=np.float64) for v in (labels, times, status)
+        )
+        for role, values in (("label", labels), ("time", times), ("status", status)):
+            error = values is not None and _rule_error(role, values, task)
+            if error:
+                raise ValueError(error[1])
+        self.labels, self.times = labels, times
+        self.status = None if status is None else status.astype(np.int8)
         for arr in (self.labels, self.times, self.status):
             if arr is not None:
                 arr.setflags(write=False)
@@ -144,20 +173,6 @@ class DataSet:
         self.label_attr = label_attr
         self.time_attr = time_attr
         self.status_attr = status_attr
-        if self.status is not None and not np.isin(self.status, (0, 1)).all():
-            raise ValueError("survival status values must be 0 or 1")
-        if self.task == "regression":
-            if self.labels is None:
-                raise ValueError("regression task requires a bound label column")
-            if not np.isfinite(self.labels).all():
-                raise ValueError(_LABELS_FINITE)
-        if self.task == "survival":
-            if self.times is None or self.status is None:
-                raise ValueError("survival task requires bound time and status columns")
-            if not np.isfinite(self.times).all():
-                raise ValueError(_TIMES_FINITE)
-            if (self.times < 0).any():
-                raise ValueError(_TIMES_NON_NEGATIVE)
 
     @property
     def n_examples(self) -> int:
@@ -299,16 +314,14 @@ def _decode_column(
     name: str,
     lookup: dict[str, int] | None,
     missing: str | None,
-    check: Callable[[float], str | None] | None,
 ) -> np.ndarray:
     """The raw ``fields`` of column ``name`` as codes into ``lookup`` or,
     without one, as numbers.
 
     Only a bare ``?`` is a missing cell, read as -1 or NaN; a quoted ``'?'``
     is the text ``?``. Where ``missing`` is given, a missing cell (or a
-    ``nan``) raises it instead; ``check`` returns the error of any other
-    value the column may not hold. Each distinct raw field is decoded once,
-    in order of first appearance, so a bad one raises ArffError at the first
+    ``nan``) raises it instead. Each distinct raw field is decoded once, in
+    order of first appearance, so a bad one raises ArffError at the first
     line that holds it.
     """
 
@@ -325,9 +338,6 @@ def _decode_column(
                 raise ValueError(f"non-numeric value {text!r} in column {name!r}") from None
         if missing and (text is None or value != value):
             raise ValueError(missing)
-        error = check and check(value)
-        if error:
-            raise ValueError(error)
         return value
 
     table = {}
@@ -338,22 +348,6 @@ def _decode_column(
             raise ArffError(lines[fields.index(raw)], str(exc)) from None
     dtype = np.float64 if lookup is None else np.int32
     return np.fromiter(map(table.__getitem__, fields), dtype, len(fields))
-
-
-def _finite_label(value: float) -> str | None:
-    return None if math.isfinite(value) else _LABELS_FINITE
-
-
-def _finite_time(value: float) -> str | None:
-    if not math.isfinite(value):
-        return _TIMES_FINITE
-    if value < 0:
-        return _TIMES_NON_NEGATIVE
-    return None
-
-
-def _binary_status(value: float) -> str | None:
-    return None if value in (0.0, 1.0) else "survival status must be 0 or 1"
 
 
 def _parse_attribute_line(rest: str, line_no: int) -> Attribute:
@@ -493,16 +487,14 @@ def parse_arff(
             "time": "missing survival time value" if task == "survival" else None,
             "status": "missing survival status value",
         }.get(role)
-        # the values DataSet refuses, found here so the error names their line
-        check = {
-            "label": _finite_label if task == "regression" else None,
-            "time": _finite_time if task == "survival" else None,
-            "status": _binary_status,
-        }.get(role)
         columns[i] = _decode_column(
             list(map(itemgetter(i), rows)), row_lines, attr.name,
-            {v: k for k, v in enumerate(attr.domain)} if codes else None, missing, check,
+            {v: k for k, v in enumerate(attr.domain)} if codes else None, missing,
         )
+        # the values DataSet refuses, found here so the error names their line
+        error = _rule_error(role, columns[i], task)
+        if error:
+            raise ArffError(row_lines[error[0]], error[1])
 
     group_names, group_codes = (), None
     if "group" in special:
@@ -689,9 +681,7 @@ def _bind_numeric(ds: DataSet, name: str, role: str) -> DataSet:
     elif role == "time":
         changes.update(times=col, time_attr=name)
     elif role == "status":
-        if np.isnan(col).any() or not np.isin(col, (0.0, 1.0)).all():
-            raise ValueError(f"status column {name!r} must hold only 0 and 1")
-        changes.update(status=col.astype(np.int8), status_attr=name)
+        changes.update(status=col, status_attr=name)
     if changes.get("times", ds.times) is not None and changes.get("status", ds.status) is not None:
         changes["task"] = "survival"
     return ds._replace(**changes)

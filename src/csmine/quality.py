@@ -78,85 +78,65 @@ class KMCurve:
         return s
 
 
+def _survival_sample(sample) -> DataSet:
+    """A sample as a survival DataSet with no attributes, so DataSet's time
+    and status rules apply. A tuple of two numpy arrays is (times, statuses);
+    anything else is read as (time, status) pairs."""
+    arrays = isinstance(sample, tuple) and len(sample) == 2
+    if arrays and all(isinstance(c, np.ndarray) for c in sample):
+        times, status = sample
+        if times.size != status.size:
+            raise ValueError("time/status length mismatch")
+    else:
+        pairs = np.array([(t, s) for t, s in sample], dtype=np.float64).reshape(-1, 2)
+        times, status = pairs[:, 0], pairs[:, 1]
+    return DataSet((), (), task="survival", times=times, status=status)
+
+
+def _counts(rank: np.ndarray, events: np.ndarray, shape: tuple[int, ...]):
+    """At-risk and event counts, shaped ``shape`` = (..., grid size), of the
+    rows at flat grid positions ``rank`` with event flags ``events``.
+
+    At-risk at grid time t is the number of rows with time >= t.
+    """
+    size = math.prod(shape)
+    counts = np.bincount(rank, minlength=size).reshape(shape)
+    at_risk = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1]
+    return at_risk, np.bincount(rank, weights=events, minlength=size).reshape(shape)
+
+
 def km_estimate(observations) -> KMCurve:
-    """Kaplan-Meier estimate from (time, status) pairs; status 1 is an event.
+    """Kaplan-Meier estimate of a sample (see :func:`log_rank`); status 1 is
+    an event.
 
     Censored observations at time t stay in the at-risk set for the events
     at t and leave afterwards. An all-censored sample yields a flat curve.
     """
-    pairs = [(float(t), int(s)) for t, s in observations]
-    if any(s not in (0, 1) for _, s in pairs):
-        raise ValueError("status values must be 0 or 1")
-    if any(t < 0 for t, _ in pairs):
-        raise ValueError("times must be non-negative")
-    pairs.sort(key=lambda ts: ts[0])
-    n_at_risk = len(pairs)
-    times: list[float] = []
-    probs: list[float] = []
-    risks: list[int] = []
-    events: list[int] = []
-    s = 1.0
-    i = 0
-    while i < len(pairs):
-        t = pairs[i][0]
-        d = 0
-        removed = 0
-        while i < len(pairs) and pairs[i][0] == t:
-            d += pairs[i][1]
-            removed += 1
-            i += 1
-        if d > 0:
-            s *= (n_at_risk - d) / n_at_risk
-            times.append(t)
-            probs.append(s)
-            risks.append(n_at_risk)
-            events.append(d)
-        n_at_risk -= removed
-    return KMCurve(tuple(times), tuple(probs), tuple(risks), tuple(events))
-
-
-def _as_time_status(sample) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(sample, tuple) and len(sample) == 2 and not np.isscalar(sample[0]):
-        t = np.asarray(sample[0], dtype=np.float64)
-        s = np.asarray(sample[1], dtype=np.int8)
-    else:
-        pairs = [(float(t), int(st)) for t, st in sample]
-        t = np.asarray([p[0] for p in pairs], dtype=np.float64)
-        s = np.asarray([p[1] for p in pairs], dtype=np.int8)
-    if t.size != s.size:
-        raise ValueError("time/status length mismatch")
-    return t, s
+    ds = _survival_sample(observations)
+    grid, rank = np.unique(ds.times, return_inverse=True)
+    n, d = _counts(rank, ds.status, grid.shape)
+    hit = d > 0
+    n, d = n[hit], d[hit]
+    return KMCurve(
+        tuple(grid[hit].tolist()), tuple(np.cumprod((n - d) / n).tolist()),
+        tuple(n.tolist()), tuple(d.astype(np.int64).tolist()),
+    )
 
 
 def log_rank(sample_a, sample_b) -> float:
     """Two-sample log-rank chi-square statistic.
 
-    Samples are iterables of (time, status) pairs, or (times, statuses)
-    array pairs. Overlapping multisets are compared exactly as given, so
-    identical samples score 0. No pooled events, or zero variance, scores 0.
+    A sample is an iterable of (time, status) pairs, or a tuple of two numpy
+    arrays (times, statuses); its values must keep a survival DataSet's
+    time and status rules. Overlapping multisets are compared exactly as
+    given, so identical samples score 0. No pooled events, or zero
+    variance, scores 0.
     """
-    ta, sa = _as_time_status(sample_a)
-    tb, sb = _as_time_status(sample_b)
-    return _log_rank_arrays(ta, sa, tb, sb)
-
-
-def _log_rank_arrays(ta, sa, tb, sb) -> float:
-    """Log-rank between two (times, statuses) samples over their joint time grid."""
-    grid = np.unique(np.concatenate([ta, tb]))
-    ra = np.searchsorted(grid, ta)
-    rb = np.searchsorted(grid, tb)
-    g = grid.size
-    return float(_log_rank_rows(
-        _at_risk(np.bincount(ra, minlength=g))[None, :],
-        np.bincount(ra, weights=(sa == 1), minlength=g)[None, :],
-        _at_risk(np.bincount(rb, minlength=g)),
-        np.bincount(rb, weights=(sb == 1), minlength=g),
-    )[0])
-
-
-def _at_risk(counts: np.ndarray) -> np.ndarray:
-    # at-risk at grid time t = number of observations with time >= t
-    return np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1]
+    a, b = _survival_sample(sample_a), _survival_sample(sample_b)
+    both = DataSet((), (), task="survival", times=np.concatenate((a.times, b.times)),
+                   status=np.concatenate((a.status, b.status)))
+    rows = np.arange(both.n_examples)
+    return _LogRankScorer(both, rows >= a.n_examples).score(rows[: a.n_examples])
 
 
 def _log_rank_rows(n1: np.ndarray, d1: np.ndarray, n2: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -210,18 +190,13 @@ class _LogRankScorer:
         self.grid = np.unique(ds.times)
         self.rank = np.searchsorted(self.grid, ds.times)
         self.events = (ds.status == 1).astype(np.int64)
-        g = self.grid.size
-        pos_rank = self.rank[positives_mask]
-        pos_events = self.events[positives_mask]
-        self.n2 = _at_risk(np.bincount(pos_rank, minlength=g))
-        self.d2 = np.bincount(pos_rank, weights=pos_events, minlength=g)
+        self.n2, self.d2 = _counts(
+            self.rank[positives_mask], self.events[positives_mask], self.grid.shape
+        )
 
     def score(self, indices: np.ndarray) -> float:
-        g = self.grid.size
-        r = self.rank[indices]
-        n1 = _at_risk(np.bincount(r, minlength=g))
-        d1 = np.bincount(r, weights=self.events[indices], minlength=g)
-        return float(_log_rank_rows(n1[None, :], d1[None, :], self.n2, self.d2)[0])
+        n1, d1 = _counts(self.rank[indices], self.events[indices], (1, self.grid.size))
+        return float(_log_rank_rows(n1, d1, self.n2, self.d2)[0])
 
     def split_scores(
         self, rows: np.ndarray, seg: np.ndarray, want: np.ndarray, cumulative: bool
@@ -240,8 +215,7 @@ class _LogRankScorer:
         k = want.shape[0]
         r = self.rank[rows]
         ev = self.events[rows]
-        n_all = _at_risk(np.bincount(r, minlength=g))
-        d_all = np.bincount(r, weights=ev, minlength=g)
+        n_all, d_all = _counts(r, ev, (g,))
         carry_n = np.zeros(g, dtype=np.int64)
         carry_d = np.zeros(g, dtype=np.float64)
         step = max(1, _BLOCK_ELEMENTS // g)
@@ -249,15 +223,12 @@ class _LogRankScorer:
         for j0 in range(0, k, step):
             j1 = min(j0 + step, k)
             lo, hi = np.searchsorted(seg, (j0, j1))
-            key = (seg[lo:hi] - j0) * g + r[lo:hi]
-            size = (j1 - j0) * g
-            cnt = np.bincount(key, minlength=size).reshape(-1, g)
-            d1 = np.bincount(key, weights=ev[lo:hi], minlength=size).reshape(-1, g)
+            # at-risk counts add up over segments like any other count
+            n1, d1 = _counts((seg[lo:hi] - j0) * g + r[lo:hi], ev[lo:hi], (j1 - j0, g))
             if cumulative:
-                cnt = np.cumsum(cnt, axis=0) + carry_n
+                n1 = np.cumsum(n1, axis=0) + carry_n
                 d1 = np.cumsum(d1, axis=0) + carry_d
-                carry_n, carry_d = cnt[-1], d1[-1]
-            n1 = _at_risk(cnt)
+                carry_n, carry_d = n1[-1], d1[-1]
             sel = want[j0:j1].ravel()
             n1 = np.stack((n1, n_all - n1), axis=1).reshape(-1, g)[sel]
             d1 = np.stack((d1, d_all - d1), axis=1).reshape(-1, g)[sel]
@@ -268,14 +239,9 @@ class _LogRankScorer:
 def survival_consistency(coverage: np.ndarray, ds: DataSet, positives: np.ndarray) -> float:
     """Negated log-rank statistic between the covered sample and the group
     of interest, overlap included."""
-    if ds.times is None or ds.status is None:
-        raise ValueError("dataset has no survival columns")
     cov = _check_mask(coverage, ds, "coverage")
     pos = _check_mask(positives, ds, "positives")
-    return -_log_rank_arrays(
-        ds.times[cov], np.asarray(ds.status[cov] == 1, dtype=np.int8),
-        ds.times[pos], np.asarray(ds.status[pos] == 1, dtype=np.int8),
-    )
+    return -_LogRankScorer(ds, pos).score(np.flatnonzero(cov))
 
 
 def measure_for_task(task: str) -> str:

@@ -193,23 +193,32 @@ def read_csv_report(source, ds: DataSet) -> dict[str, list[AnnotatedContrastSet]
     without a newline is a path, any other string is the report text.
     """
     reader = csv.reader(io.StringIO(_read_text(source)), quoting=csv.QUOTE_NONNUMERIC)
+
+    def rows():
+        # the reader raises on a malformed line or on an unquoted cell that
+        # is not a number; errors of the loop below are not caught here
+        try:
+            yield from reader
+        except (csv.Error, ValueError) as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+
     results: dict[str, list[AnnotatedContrastSet]] = {}
-    try:
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_COLUMNS:
-            raise ValueError("unrecognized report header")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(CSV_COLUMNS):
-                raise ValueError(f"line {reader.line_num}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-            rec = dict(zip(CSV_COLUMNS, row))
-            g = rec["group"]
-            rec["P"] = int(np.count_nonzero(ds.group_mask(g)))
-            rec["N"] = ds.n_examples - rec["P"]
-            results.setdefault(g, []).append(_read_set(rec, g, ds, f"line {reader.line_num}, "))
-    except csv.Error as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    sizes: dict[str, int] = {}
+    lines = rows()
+    header = next(lines, None)
+    if header is None or tuple(header) != CSV_COLUMNS:
+        raise ValueError("unrecognized report header")
+    for row in lines:
+        if not row:
+            continue
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"line {reader.line_num}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+        rec = dict(zip(CSV_COLUMNS, row))
+        g = rec["group"]
+        if g not in sizes:
+            sizes[g] = int(np.count_nonzero(ds.group_mask(g)))
+        rec["P"], rec["N"] = sizes[g], ds.n_examples - sizes[g]
+        results.setdefault(g, []).append(_read_set(rec, g, ds, f"line {reader.line_num}, "))
     return results
 
 

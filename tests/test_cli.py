@@ -397,9 +397,12 @@ _SET = {"conditions": "a3 != 3", "pass": 1, "minsupp_all": 0.8, "p": 150, "n": 6
         ("report.csv", _CSV_HEADER + '"red",5,1,0.8,150,60,150,0.5,0.0\n',
          "line 2, group 'red': conditions must be a string, got 5.0"),
         ("report.csv", _CSV_HEADER + '"red","' + "x" * 200_000 + '"\n', "line 2: field larger"),
+        ("report.csv", _CSV_HEADER + '"red","a3 != 3",1,0.8,150,60,150,0.5,0.0\n'
+         + '"red","a3 != 3",1,0.8,b,60,150,0.5,0.0\n', "line 3: could not convert string to float"),
     ],
     ids=["json-list", "json-group-not-list", "json-no-p", "json-numeric-conditions",
-         "json-null-count", "csv-short-row", "csv-numeric-conditions", "csv-huge-field"],
+         "json-null-count", "csv-short-row", "csv-numeric-conditions", "csv-huge-field",
+         "csv-bare-text"],
 )
 def test_main_summarize_malformed_report_exits_1(tmp_path, capsys, name, text, needle):
     report = tmp_path / name

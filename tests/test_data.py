@@ -100,6 +100,18 @@ def test_dataset_validation():
         with pytest.raises(ValueError, match="^survival times must be finite"):
             DataSet(attrs, [np.array([1.0])], task="survival",
                     times=np.array([bad]), status=np.array([1]))
+    # the status rule sees the values before the int8 cast, in any task
+    for bad, task in ((0.5, "survival"), (np.nan, "survival"), (0.5, "classification")):
+        with pytest.raises(ValueError, match="^survival status must be 0 or 1$"):
+            DataSet(attrs, [np.array([1.0])], task=task, times=np.array([1.0]),
+                    status=np.array([bad]))
+
+
+def test_bound_status_column_keeps_the_dataset_rule():
+    attrs = (Attribute("a", "numeric"), Attribute("t", "numeric"), Attribute("s", "numeric"))
+    ds = DataSet(attrs, [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([1.0, 0.5])])
+    with pytest.raises(ValueError, match="^survival status must be 0 or 1$"):
+        derive_groups_survival(ds, time="t", status="s")
 
 
 def test_columns_are_frozen():
@@ -327,8 +339,10 @@ def test_survival_bindings():
         ({2: "4, -2, 1"}, 8, "survival times must be non-negative"),
         ({2: "4, 9, 0.5"}, 8, "survival status must be 0 or 1"),
         ({1: "2, -1, 0", 2: "4, inf, 1"}, 7, "survival times must be non-negative"),
+        # a column is decoded whole before its values meet the rules
+        ({0: "1, -5, 1", 2: "4, x, 1"}, 8, "non-numeric value 'x'"),
     ],
-    ids=["infinite-time", "negative-time", "status", "first-bad-row"],
+    ids=["infinite-time", "negative-time", "status", "first-bad-row", "decode-before-rule"],
 )
 def test_survival_value_errors_name_their_row(bad_rows, line, message):
     rows = ["1, 5, 1", "2, 7, 0", "4, 9, 1"]  # lines 6-8

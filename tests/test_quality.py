@@ -1,5 +1,6 @@
 """Quality measures: correlation, regression consistency, survival statistics."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from conftest import (
     random_survival,
     with_status,
 )
+from test_acceptance import SURVIVAL_SAMPLES
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +189,16 @@ def test_km_is_nonincreasing_random():
 def test_km_validation():
     with pytest.raises(ValueError, match="0 or 1"):
         km_estimate([(1, 2)])
+    with pytest.raises(ValueError, match="0 or 1"):
+        km_estimate([(1.0, 1.5)])
     with pytest.raises(ValueError, match="non-negative"):
         km_estimate([(-1, 1)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_km_rejects_non_finite_times(bad):
+    with pytest.raises(ValueError, match="finite"):
+        km_estimate([(bad, 1), (1.0, 1), (2.0, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +234,24 @@ def test_log_rank_accepts_array_form():
     assert log_rank(a, b) == pytest.approx(32 / 433, rel=1e-12)
     with pytest.raises(ValueError, match="length mismatch"):
         log_rank((np.array([1.0]), np.array([1, 0])), b)
+
+
+def test_log_rank_reads_a_tuple_of_pairs_as_pairs():
+    b = [(1.0, 1), (1.0, 1), (3.0, 1)]
+    assert log_rank(((1.0, 1), (2.0, 0)), b) == log_rank([(1.0, 1), (2.0, 0)], b)
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [((1.0, 2), "0 or 1"), ((-1.0, 1), "non-negative"), ((np.nan, 1), "finite")],
+    ids=["status-2", "negative-time", "nan-time"],
+)
+def test_log_rank_applies_the_dataset_rules(pair, message):
+    good = [(1.0, 1), (2.0, 0), (3.0, 1)]
+    with pytest.raises(ValueError, match=message):
+        log_rank(good + [pair], good)
+    with pytest.raises(ValueError, match=message):
+        log_rank(good, good + [pair])
 
 
 @st.composite
@@ -352,6 +380,51 @@ def test_survival_consistency_requires_survival_columns():
     ds = _reg_ds([1, 2], [1, 2], [0, 1])
     with pytest.raises(ValueError, match="no survival columns"):
         survival_consistency(np.ones(2, dtype=bool), ds, ds.group_mask("g1"))
+
+
+# ---------------------------------------------------------------------------
+# bit pins: sha256 of the repr of every survival value below
+
+def _pin_samples():
+    """KM_CASES, the criterion-2 samples and 200 seeded random samples with
+    integer, rounded and continuous times, as (time, status) pairs."""
+    samples = [obs for obs, *_ in KM_CASES] + list(SURVIVAL_SAMPLES)
+    rng = np.random.default_rng(20221)
+    for i in range(200):
+        n = int(rng.integers(1, 40))
+        times = (rng.integers(0, 15, n).astype(np.float64), np.round(rng.exponential(5.0, n), 1),
+                 rng.exponential(5.0, n))[i % 3]
+        status = (rng.random(n) < 0.6).astype(np.int64)
+        samples.append(list(zip(times.tolist(), status.tolist())))
+    return samples
+
+
+def _sha(values):
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_km_and_log_rank_values_are_pinned():
+    samples = _pin_samples()
+    assert _sha([km_estimate(s) for s in samples]) == (
+        "a4be11de12534cd54e7b0eb68b3135a3b6a64837e94b51ae25b09d0616e7f5e3"
+    )
+    assert _sha([log_rank(a, b) for a in samples for b in samples]) == (
+        "d2a727db9f26e1b696b20ebc007a67f9fd7faffd16fec49690bece81a5f27416"
+    )
+
+
+def test_survival_consistency_values_are_pinned():
+    values = []
+    for seed in range(20):
+        ds = random_survival(seed)
+        rng = np.random.default_rng(seed)
+        for group in ds.groups:
+            pos = ds.group_mask(group)
+            for cov in (rng.random(ds.n_examples) < 0.5, pos, ~pos):
+                values.append(survival_consistency(cov, ds, pos))
+    assert _sha(values) == (
+        "6ada4fa350408e0f114284caf55042534e99579ffc63f7de4f7a60677bfa382b"
+    )
 
 
 def test_measure_for_task():
