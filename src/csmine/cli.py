@@ -72,22 +72,15 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_float(cfg: dict, key: str, default: float) -> float:
+def _parse_number(cfg: dict, key: str, default, kind=float):
+    """``cfg[key]`` as a ``kind`` (float or int), or ``default`` when absent."""
     if key not in cfg:
         return default
     try:
-        return float(cfg[key])
+        return kind(cfg[key])
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
-
-
-def _parse_int(cfg: dict, key: str, default: int) -> int:
-    if key not in cfg:
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {cfg[key]!r}") from None
 
 
 def params_from_config(cfg: dict[str, str]) -> MiningParams:
@@ -104,11 +97,11 @@ def params_from_config(cfg: dict[str, str]) -> MiningParams:
     try:
         return MiningParams(
             minsupps=minsupps,
-            minsupp_new=_parse_float(cfg, "minsupp_new", defaults.minsupp_new),
-            max_neg2pos=_parse_float(cfg, "max_neg2pos", defaults.max_neg2pos),
-            max_passes=_parse_int(cfg, "max_passes", defaults.max_passes),
-            penalty_strength=_parse_float(cfg, "penalty_strength", defaults.penalty_strength),
-            reward_saturation=_parse_float(cfg, "reward_saturation", defaults.reward_saturation),
+            minsupp_new=_parse_number(cfg, "minsupp_new", defaults.minsupp_new),
+            max_neg2pos=_parse_number(cfg, "max_neg2pos", defaults.max_neg2pos),
+            max_passes=_parse_number(cfg, "max_passes", defaults.max_passes, int),
+            penalty_strength=_parse_number(cfg, "penalty_strength", defaults.penalty_strength),
+            reward_saturation=_parse_number(cfg, "reward_saturation", defaults.reward_saturation),
             mode=cfg.get("mode", defaults.mode),
             negative_group=cfg.get("negative_group") or None,
             measure=measure,
@@ -124,7 +117,7 @@ def load_dataset(cfg: dict[str, str], input_path: str | None = None):
     if cfg.get("synthetic"):
         if cfg["synthetic"] != "default":
             raise ConfigError(f"synthetic must be 'default', got {cfg['synthetic']!r}")
-        return generate_synthetic(default_spec(), seed=_parse_int(cfg, "seed", 0))
+        return generate_synthetic(default_spec(), seed=_parse_number(cfg, "seed", 0, int))
     path = input_path if input_path is not None else cfg.get("input")
     if not path:
         raise ConfigError("config needs either input or synthetic")
@@ -191,7 +184,7 @@ def run_mine(args, out=None) -> int:
         raise ConfigError(str(exc)) from None
     threshold = None
     if "redundancy_threshold" in cfg and cfg["redundancy_threshold"]:
-        threshold = _parse_float(cfg, "redundancy_threshold", 0.0)
+        threshold = _parse_number(cfg, "redundancy_threshold", 0.0)
     inputs: list[str | None]
     if cfg.get("synthetic"):
         inputs = [None]

@@ -249,8 +249,16 @@ _NE_RE = re.compile(r"^(?P<name>.+?) != (?P<value>.+)$")
 _EQ_RE = re.compile(r"^(?P<name>.+?) = (?P<value>.+)$")
 
 
+def _attr_index(ds: DataSet, name: str) -> int:
+    try:
+        return ds.attr_index(name)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+
+
 def parse_conditions(text: str, group: str, ds: DataSet) -> ContrastSet:
-    """Inverse of :func:`render_conditions` for report round-trips."""
+    """Inverse of :func:`render_conditions`; raises ``ValueError`` naming a
+    part, attribute or value it cannot read."""
     conditions: list[Condition] = []
     text = text.strip()
     if text:
@@ -258,24 +266,22 @@ def parse_conditions(text: str, group: str, ds: DataSet) -> ContrastSet:
             part = part.strip()
             m = _INTERVAL_RE.match(part)
             if m:
-                ai = ds.attr_index(m.group("name"))
+                ai = _attr_index(ds, m.group("name"))
                 lo, hi = m.group("a").strip(), m.group("b").strip()
                 if lo != "-inf":
                     conditions.append(Condition(ai, GE, float(lo)))
                 if hi != "inf":
                     conditions.append(Condition(ai, LT, float(hi)))
                 continue
-            m = _NE_RE.match(part)
-            if m:
-                ai = ds.attr_index(m.group("name"))
-                attr = ds.attributes[ai]
-                conditions.append(Condition(ai, NE, attr.domain.index(m.group("value"))))
-                continue
-            m = _EQ_RE.match(part)
-            if m:
-                ai = ds.attr_index(m.group("name"))
-                attr = ds.attributes[ai]
-                conditions.append(Condition(ai, EQ, attr.domain.index(m.group("value"))))
-                continue
-            raise ValueError(f"cannot parse condition {part!r}")
+            op, m = NE, _NE_RE.match(part)
+            if not m:
+                op, m = EQ, _EQ_RE.match(part)
+            if not m:
+                raise ValueError(f"cannot parse condition {part!r}")
+            name, value = m.group("name", "value")
+            ai = _attr_index(ds, name)
+            domain = ds.attributes[ai].domain
+            if value not in domain:
+                raise ValueError(f"attribute {name!r} has no value {value!r}")
+            conditions.append(Condition(ai, op, domain.index(value)))
     return ContrastSet(tuple(conditions), group)

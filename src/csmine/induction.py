@@ -29,10 +29,11 @@ from .contrast import (
     ContrastSet,
     canonicalize,
     condition_mask,
+    cover,
 )
 from .data import DataSet, _check_mask
 from .diversity import PenaltyState, _apply_multiplier, _max_similarity, _reward_factor
-from .quality import MEASURES, _LogRankScorer, correlation, measure_for_task
+from .quality import MEASURES, _correlation, _LogRankScorer, correlation, measure_for_task
 
 __all__ = [
     "MiningParams",
@@ -320,14 +321,7 @@ def _score_candidates(ctx: _Context, cand: _Candidates) -> np.ndarray:
     others get -inf.
     """
     if ctx.measure == "correlation":
-        p = cand.p.astype(np.float64)
-        n = cand.n.astype(np.float64)
-        P, N = float(ctx.P), float(ctx.N)
-        den_sq = P * N * (p + n) * (P - p + N - n)
-        num = p * N - P * n
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q = np.where(den_sq > 0, num / np.sqrt(den_sq), 0.0)
-        return q
+        return _correlation(cand.p, cand.n, ctx.P, ctx.N)
     if ctx.measure == "regression":
         assert ctx.labels is not None
         sums = cand.side_sums(ctx.labels[cand.rows])
@@ -351,8 +345,9 @@ def _score_candidates(ctx: _Context, cand: _Candidates) -> np.ndarray:
 
 @dataclass
 class _Grown:
+    """A premise: its conditions and the rows all of them cover."""
+
     conditions: list[Condition]
-    masks: list[np.ndarray]
     cov: np.ndarray
 
 
@@ -371,7 +366,6 @@ def _grow(ctx: _Context) -> _Grown | None:
         return None
     cov = np.ones(ctx.ds.n_examples, dtype=bool)
     conditions: list[Condition] = []
-    masks: list[np.ndarray] = []
     attr_set: set[int] = set()
     while True:
         cov_idx = np.flatnonzero(cov)
@@ -401,17 +395,15 @@ def _grow(ctx: _Context) -> _Grown | None:
                 break
             best -= values.size
         best_cond = _condition(ai, numeric, values[best], int(sides[best]))
-        mask = condition_mask(best_cond, ctx.ds)
-        cov = cov & mask
+        cov = cov & condition_mask(best_cond, ctx.ds)
         conditions.append(best_cond)
-        masks.append(mask)
         attr_set.add(best_cond.attr_index)
     if not conditions:
         return None
     cm = _counts(ctx, cov)
     if cm.neg2pos > params.max_neg2pos:
         return None
-    return _Grown(conditions, masks, cov)
+    return _Grown(conditions, cov)
 
 
 def _counts(ctx: _Context, cov: np.ndarray) -> ConfusionMatrix:
@@ -468,18 +460,18 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
     removing condition c adds the rows that fail only c, whose id sum is c,
     so one bincount over those rows gives every removal's counts. A removal
     that adds no rows keeps the premise's raw quality; the others are
-    scored afresh on their exact coverage.
+    scored afresh on their exact coverage. Condition masks are rebuilt when
+    needed, so no more than one is held at a time.
     """
     if len(grown.conditions) <= 1:
         return grown
     conditions = list(grown.conditions)
-    masks = list(grown.masks)
-    ids = np.arange(len(masks))
+    ids = np.arange(len(conditions))
     fails = np.zeros(ctx.ds.n_examples, dtype=np.int32)
     # wraps past 2**31 on long premises, but a row that fails once holds its id exactly
     id_sum = np.zeros(ctx.ds.n_examples, dtype=np.int32)
-    for c, msk in enumerate(masks):
-        miss = ~msk
+    for c, cond in enumerate(conditions):
+        miss = ~condition_mask(cond, ctx.ds)
         fails += miss
         id_sum += miss * np.int32(c)
     cov = grown.cov
@@ -494,20 +486,21 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         sid = id_sum[single]
         # one integer bincount over (id, in the group, in the reward baseline)
         key = sid * 4 + ctx.pos[single] * 2 + ctx.r_u[single]
-        per = np.bincount(key, minlength=4 * len(grown.masks)).reshape(-1, 2, 2)[ids]
+        per = np.bincount(key, minlength=4 * len(grown.conditions)).reshape(-1, 2, 2)[ids]
         added, add_p, add_rew = per.sum(axis=(1, 2)), per[:, 1].sum(axis=1), per[:, :, 1].sum(axis=1)
-        p = cm.p + add_p
+        p, n = cm.p + add_p, cm.n + (added - add_p)
         q_rm = np.full(ids.size, q)
         ok = np.full(ids.size, not cm.neg2pos > params.max_neg2pos)
-        for i in np.flatnonzero(added):
-            cm_i = ConfusionMatrix(int(p[i]), cm.n + int(added[i] - add_p[i]), ctx.P, ctx.N)
+        grew = np.flatnonzero(added)
+        for i in grew:
+            cm_i = ConfusionMatrix(int(p[i]), int(n[i]), ctx.P, ctx.N)
             ok[i] = not cm_i.neg2pos > params.max_neg2pos
-            if ok[i]:
-                cov_i = cov  # correlation reads only the counts
-                if ctx.measure != "correlation":
-                    cov_i = cov.copy()
-                    cov_i[single[sid == ids[i]]] = True
+            if ok[i] and ctx.measure != "correlation":
+                cov_i = cov.copy()
+                cov_i[single[sid == ids[i]]] = True
                 q_rm[i] = _raw_quality(ctx, cov_i, cm_i)
+        if ctx.measure == "correlation":  # reads only the counts
+            q_rm[grew] = _correlation(p[grew], n[grew], ctx.P, ctx.N)
         # a removal that is not its attribute's first use leaves the premise's
         # distinct attributes in their insertion order, so they share one set
         spi = np.full(ids.size, _spi(ctx, set(attrs)))
@@ -523,14 +516,13 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         if not reach.any():
             break
         remove = int(el[np.flatnonzero(reach & (qmod == qmod[reach].max()))[-1]])
-        miss = ~masks[remove]
+        miss = ~condition_mask(conditions[remove], ctx.ds)
         fails -= miss
         id_sum -= miss * np.int32(ids[remove])
         ids = np.delete(ids, remove)
         del conditions[remove]
-        del masks[remove]
         cov = fails == 0
-    return _Grown(conditions, masks, cov)
+    return _Grown(conditions, cov)
 
 
 def _resolve_measure(ds: DataSet, params: MiningParams) -> str:
@@ -602,11 +594,7 @@ def prune(
     ctx = _api_context(ds, cs.group, params, uncovered, penalty, reward_uncovered)
     if len(cs.conditions) <= 1:
         return cs
-    masks = [condition_mask(c, ds) for c in cs.conditions]
-    cov = np.ones(ds.n_examples, dtype=bool)
-    for msk in masks:
-        cov = cov & msk
-    pruned = _prune(ctx, _Grown(list(cs.conditions), masks, cov))
+    pruned = _prune(ctx, _Grown(list(cs.conditions), cover(cs, ds)))
     return ContrastSet(tuple(pruned.conditions), cs.group)
 
 

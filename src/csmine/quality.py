@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrast import ConfusionMatrix
-from .data import DataSet, _check_mask
+from .data import TASKS, DataSet, _check_mask
 
 __all__ = [
     "MEASURES",
@@ -37,11 +37,20 @@ def correlation(cm: ConfusionMatrix) -> float:
     (p*N - P*n) / sqrt(P*N*(p+n)*(P-p+N-n)); a degenerate denominator
     (nothing or everything covered, or an empty side) scores 0.
     """
-    p, n, P, N = cm.p, cm.n, cm.P, cm.N
+    return float(_correlation(cm.p, cm.n, cm.P, cm.N))
+
+
+def _correlation(p, n, P: int, N: int) -> np.ndarray:
+    """:func:`correlation` of each count pair in ``p`` and ``n``, in float64.
+
+    Products of counts are exact while they stay below 2**53, which holds
+    for P + N below 19,484; above that they round.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    n = np.asarray(n, dtype=np.float64)
+    P, N = float(P), float(N)
     den_sq = P * N * (p + n) * (P - p + N - n)
-    if den_sq == 0:
-        return 0.0
-    return (p * N - P * n) / math.sqrt(den_sq)
+    return np.divide(p * N - P * n, np.sqrt(den_sq), out=np.zeros(den_sq.shape), where=den_sq > 0)
 
 
 def regression_consistency(coverage: np.ndarray, ds: DataSet, positives: np.ndarray) -> float:
@@ -113,7 +122,7 @@ def km_estimate(observations) -> KMCurve:
     at t and leave afterwards. An all-censored sample yields a flat curve.
     """
     ds = _survival_sample(observations)
-    grid, rank = np.unique(ds.times, return_inverse=True)
+    grid, rank = np.unique(ds.times + 0.0, return_inverse=True)  # -0.0 reads as 0.0
     n, d = _counts(rank, ds.status, grid.shape)
     hit = d > 0
     n, d = n[hit], d[hit]
@@ -245,10 +254,6 @@ def survival_consistency(coverage: np.ndarray, ds: DataSet, positives: np.ndarra
 
 
 def measure_for_task(task: str) -> str:
-    if task == "classification":
-        return "correlation"
-    if task == "regression":
-        return "regression"
-    if task == "survival":
-        return "survival"
-    raise ValueError(f"unknown task {task!r}")
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    return MEASURES[TASKS.index(task)]  # MEASURES holds each task's own, in TASKS order

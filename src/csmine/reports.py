@@ -138,15 +138,23 @@ def _set_dict(a: AnnotatedContrastSet, ds: DataSet) -> dict:
     }
 
 
-def _read_set(rec, g: str, ds: DataSet, where: str = "") -> AnnotatedContrastSet:
+def _read_set(rec, g: str, ds: DataSet, where: str = "", sizes: dict | None = None) -> AnnotatedContrastSet:
     """The annotated set of one report record of group ``g``; the inverse of
     :func:`_set_dict`. Support and precision are derived, not read.
 
-    Raises ``ValueError`` naming the group, after ``where`` (the report
-    line of a CSV row), when the record is not a mapping of the fields
-    this reads or holds a value of the wrong kind.
+    A CSV row has no group sizes: its reader passes ``sizes``, a per-group
+    cache, and P and N come from the dataset. Raises ``ValueError`` naming
+    the group, after ``where`` (the report line of a CSV row), when the
+    dataset has no such group, or when the record is not a mapping of the
+    fields this reads or holds a value of the wrong kind.
     """
     at = f"{where}group {g!r}"
+    if g not in ds.groups:
+        raise ValueError(f"{at}: the dataset has no such group")
+    if sizes is not None:
+        if g not in sizes:
+            sizes[g] = int(np.count_nonzero(ds.group_mask(g)))
+        rec["P"], rec["N"] = sizes[g], ds.n_examples - sizes[g]
     if not isinstance(rec, dict):
         raise ValueError(f"{at}: a set must be an object of fields, got {rec!r}")
     missing = [k for k in _RECORD_FIELDS if k not in rec]
@@ -215,10 +223,7 @@ def read_csv_report(source, ds: DataSet) -> dict[str, list[AnnotatedContrastSet]
             raise ValueError(f"line {reader.line_num}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
         rec = dict(zip(CSV_COLUMNS, row))
         g = rec["group"]
-        if g not in sizes:
-            sizes[g] = int(np.count_nonzero(ds.group_mask(g)))
-        rec["P"], rec["N"] = sizes[g], ds.n_examples - sizes[g]
-        results.setdefault(g, []).append(_read_set(rec, g, ds, f"line {reader.line_num}, "))
+        results.setdefault(g, []).append(_read_set(rec, g, ds, f"line {reader.line_num}, ", sizes))
     return results
 
 

@@ -399,16 +399,26 @@ _SET = {"conditions": "a3 != 3", "pass": 1, "minsupp_all": 0.8, "p": 150, "n": 6
         ("report.csv", _CSV_HEADER + '"red","' + "x" * 200_000 + '"\n', "line 2: field larger"),
         ("report.csv", _CSV_HEADER + '"red","a3 != 3",1,0.8,150,60,150,0.5,0.0\n'
          + '"red","a3 != 3",1,0.8,b,60,150,0.5,0.0\n', "line 3: could not convert string to float"),
+        ("report.json", json.dumps({"groups": {"red": [_SET], "nope": [_SET] * 3}}),
+         "group 'nope': the dataset has no such group"),
+        ("report.csv", _CSV_HEADER + '"nope","a3 != 3",1,0.8,150,60,150,0.5,0.0\n',
+         "line 2, group 'nope': the dataset has no such group"),
+        ("report.csv", _CSV_HEADER + '"red","zz = 3",1,0.8,150,60,150,0.5,0.0\n',
+         "line 2, group 'red': no attribute named 'zz'"),
+        ("report.csv", _CSV_HEADER + '"red","a3 = 9",1,0.8,150,60,150,0.5,0.0\n',
+         "line 2, group 'red': attribute 'a3' has no value '9'"),
     ],
     ids=["json-list", "json-group-not-list", "json-no-p", "json-numeric-conditions",
          "json-null-count", "csv-short-row", "csv-numeric-conditions", "csv-huge-field",
-         "csv-bare-text"],
+         "csv-bare-text", "json-unknown-group", "csv-unknown-group", "csv-unknown-attribute",
+         "csv-unknown-value"],
 )
 def test_main_summarize_malformed_report_exits_1(tmp_path, capsys, name, text, needle):
     report = tmp_path / name
     report.write_text(text, encoding="utf-8")
     assert main(["summarize", str(report), "synthetic"]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.count("error:") == 1 and err.startswith("error: ")
     assert needle in err
     assert "Traceback" not in err

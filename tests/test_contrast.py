@@ -281,6 +281,8 @@ def test_parse_conditions_rejects_garbage():
     ds = render_ds()
     with pytest.raises(ValueError, match="cannot parse"):
         parse_conditions("a near 5", "g", ds)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="no attribute named 'zzz'"):
         parse_conditions("zzz = yes", "g", ds)
+    with pytest.raises(ValueError, match="attribute 'b' has no value 'maybe'"):
+        parse_conditions("b != maybe", "g", ds)
     assert parse_conditions("  ", "g", ds).conditions == ()

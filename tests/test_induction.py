@@ -404,8 +404,8 @@ def test_grow_breaks_ties_across_attributes(first_rows, second_rows, winner):
 
 
 def test_prune_memory_does_not_grow_with_premise_length():
-    # conditions that each drop a few rows; prune is handed their masks, so
-    # what it allocates on top must not scale with their number
+    # conditions that each drop a few rows; prune is handed their coverage,
+    # so what it allocates on top must not scale with their number
     ds = continuous(1, 20_000, 12)
     ctx = induction._Context.build(ds, "A", MiningParams(max_neg2pos=1.0), "correlation")
     rng = np.random.default_rng(0)
@@ -415,9 +415,7 @@ def test_prune_memory_does_not_grow_with_premise_length():
             Condition(int(ai), GE, float(np.quantile(ds.column(int(ai)), q)))
             for ai, q in zip(rng.integers(0, 12, k), rng.uniform(0.0, 0.02, k))
         ]
-        masks = [condition_mask(c, ds) for c in conds]
-        cov = np.logical_and.reduce(masks)
-        grown = induction._Grown(conds, masks, cov)
+        grown = induction._Grown(conds, cover(ContrastSet(tuple(conds), "A"), ds))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -428,6 +426,22 @@ def test_prune_memory_does_not_grow_with_premise_length():
 
     short, long = prune_peak(15), prune_peak(150)
     assert long < 2 * short
+
+
+def test_grown_premise_holds_no_mask_per_condition():
+    # the first grow at level 0.1 runs to hundreds of conditions; what it
+    # leaves allocated is its conditions and one coverage mask
+    ds = continuous(2204, 2000, 12)
+    ctx = induction._Context.build(ds, "A", MiningParams(), "correlation", minsupp_all=0.1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grown = induction._grow(ctx)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(grown.conditions) >= 300
+    assert held < len(grown.conditions) * ds.n_examples / 4
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,17 @@ def test_correlation_grid_matches_scalar_function():
         assert correlation(ConfusionMatrix(p, n, P, N)) == grid[p, n]
 
 
+def test_correlation_rounds_like_the_sweep_above_exact_products():
+    # past 19,484 rows, P*N*(p+n)*(P-p+N-n) can exceed 2**53; the reported
+    # quality then rounds the same float64 products as the candidate sweep
+    cm = ConfusionMatrix(p=135883, n=278254, P=185454, N=278869)
+    p, n, P, N = (float(x) for x in (cm.p, cm.n, cm.P, cm.N))
+    want = (p * N - P * n) / math.sqrt(P * N * (p + n) * (P - p + N - n))
+    assert want == -0.4181656486759722
+    assert correlation(cm) == want
+    assert quality._correlation(np.array([cm.p]), np.array([cm.n]), cm.P, cm.N)[0] == want
+
+
 # ---------------------------------------------------------------------------
 # regression consistency
 
@@ -184,6 +195,13 @@ def test_km_is_nonincreasing_random():
         probs = np.asarray(curve.probabilities)
         assert (np.diff(probs) <= 1e-15).all()
         assert ((probs >= -1e-15) & (probs <= 1 + 1e-15)).all()
+
+
+@pytest.mark.parametrize("first", [-0.0, 0.0], ids=["negative-first", "positive-first"])
+def test_km_reports_positive_zero_in_any_order(first):
+    curve = km_estimate([(first, 1), (-first, 1), (1.0, 1)])
+    assert curve.times == (0.0, 1.0)
+    assert math.copysign(1.0, curve.times[0]) == 1.0
 
 
 def test_km_validation():
