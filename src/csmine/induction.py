@@ -153,6 +153,11 @@ class _Context:
     labels: np.ndarray | None = None
     pos_label_mean: float = 0.0
     survival_scorer: _LogRankScorer | None = None
+    # the presorted numeric block: its attributes, and per attribute its rows
+    # stable-sorted by value with missing cells last, and the values in that order
+    numeric: tuple[int, ...] = ()
+    order: np.ndarray | None = None          # (k, n) int32
+    sorted_values: np.ndarray | None = None  # (k, n) float64
 
     @classmethod
     def build(
@@ -198,28 +203,46 @@ class _Context:
             ctx.pos_label_mean = float(np.mean(ds.labels[pos]))
         elif measure == "survival":
             ctx.survival_scorer = _LogRankScorer(ds, pos)
+        ctx.numeric = tuple(ai for ai, a in enumerate(ds.attributes) if a.is_numeric)
+        if ctx.numeric:
+            cols = np.stack([ds.column(ai) for ai in ctx.numeric])
+            order = np.argsort(cols, axis=1, kind="stable")
+            ctx.sorted_values = np.take_along_axis(cols, order, axis=1)
+            ctx.order = order.astype(np.int32)
         return ctx
+
+    @property
+    def blocks(self) -> list[tuple[int, ...]]:
+        """What one sweep covers: the numeric block, then each nominal attribute."""
+        nominal = [(ai,) for ai, a in enumerate(self.ds.attributes) if not a.is_numeric]
+        return ([self.numeric] if self.numeric else []) + nominal
 
 
 @dataclass
 class _Candidates:
-    """Gated, scored candidates of one attribute over its split layout.
+    """Gated, scored candidates of one block over its split layout.
 
-    Split order sorts the covered rows with a known value by value
-    (numeric) or by category (nominal). Split j's first side ends at position
-    ``last[j]`` of that order: it is the whole prefix (``< values[j]``) or
-    the run of category ``values[j]`` (``= values[j]``); its second side is
-    the rest. Numeric ``rows`` are stored in split order. Nominal ``rows``
-    stay in row order, because per-category bincounts need no sort; a
-    stable sort by ``codes`` gives their split order. Split j yields
-    candidates 2j and 2j + 1, one per side. ``valid`` marks the candidates
-    that pass both support gates and shrink the coverage; survival scores
-    only those, and the rest hold -inf.
+    A block is every numeric attribute at once, or one nominal attribute.
+    Numeric ``rows`` has one row per attribute: the covered rows in value
+    order with missing cells last, the first ``known`` of them with a value.
+    Nominal ``rows`` are the covered rows with a known category, in row
+    order, because per-category bincounts need no sort; a stable sort by
+    ``codes`` gives their split order. Splits run in (attribute, split)
+    order. Split j cuts row ``row[j]`` of that layout (always 0 for a
+    nominal block): its first side ends at flat position ``last[j]`` of
+    the numeric ``rows``, or at position ``last[j]`` of the nominal split
+    order, and is the whole prefix (``< values[j]``) or the run of category
+    ``values[j]`` (``= values[j]``); its second side is the rest of the
+    known rows. Split j yields candidates 2j and 2j + 1, one per side.
+    ``valid`` marks the candidates that pass both support gates and shrink
+    the coverage; survival scores only those, and the rest hold -inf.
     """
 
-    attr_index: int
     numeric: bool
     rows: np.ndarray
+    known: np.ndarray         # per row of the layout: rows with a known value
+    row: np.ndarray           # per split: its row of the layout
+    attrs: np.ndarray         # attribute index, one per split
     last: np.ndarray
     values: np.ndarray        # threshold or category code, one per split
     codes: np.ndarray | None  # nominal: category of each of ``rows``
@@ -235,20 +258,23 @@ class _Candidates:
     def side_sums(self, x: np.ndarray) -> np.ndarray:
         """Interleaved first-side/second-side sums of ``x``, one value per ``rows`` entry.
 
-        A numeric first side reads a running cumsum at its cut, a nominal one
-        a per-category bincount; the total is the cumsum's last element or the
+        A numeric first side reads its row's running sum at its cut, and the
+        total is that running sum at the row's last known value; a nominal
+        first side reads a per-category bincount, and the total is the
         bincount's sum. Label sums are not exact, so these forms also fix the
         order in which their floats are added.
         """
         if self.numeric:
-            run = x.cumsum()
-            return _sides(run[self.last], run[-1])
+            m = x.shape[1]
+            run = x.cumsum(axis=1).ravel()
+            ends = np.arange(self.known.size) * m + self.known - 1
+            return _sides(run[self.last], run[ends][self.row])
         per = np.bincount(self.codes, weights=x, minlength=self.domain)
         return _sides(per[self.values], per.sum())
 
     def condition(self, i: int) -> Condition:
         j, side = divmod(i, 2)
-        return _condition(self.attr_index, self.numeric, self.values[j], side)
+        return _condition(int(self.attrs[j]), self.numeric, self.values[j], side)
 
 
 def _sides(first: np.ndarray, total) -> np.ndarray:
@@ -266,42 +292,56 @@ def _condition(attr_index: int, numeric: bool, value, side: int) -> Condition:
     return Condition(attr_index, (EQ, NE)[side], int(value))
 
 
-def _sweep_attribute(ctx: _Context, ai: int, cov_idx: np.ndarray) -> _Candidates | None:
-    """Gated, scored candidates for one attribute over the covered region."""
-    col = ctx.ds.column(ai)[cov_idx]
-    numeric = ctx.ds.attributes[ai].is_numeric
-    domain = len(ctx.ds.attributes[ai].domain)
-    known = np.flatnonzero(~np.isnan(col) if numeric else col >= 0)
-    if known.size == 0:
-        return None
-    codes = None
-    if numeric:
-        known = known[np.argsort(col[known], kind="stable")]
-        key = col[known]
-        # position of the last row of every run of equal values but the final one
-        bnd = np.flatnonzero(key[1:] != key[:-1])
-        mids = (key[bnd] + key[bnd + 1]) / 2.0
-        # a midpoint that rounds down onto the lower value separates nothing
-        keep = mids > key[bnd]
-        last, values = bnd[keep], mids[keep]
-        if last.size == 0:
+def _sweep_attribute(
+    ctx: _Context, block: tuple[int, ...], cov: np.ndarray, cov_idx: np.ndarray
+) -> _Candidates | None:
+    """Gated, scored candidates of one of ``ctx.blocks`` over the covered region.
+
+    The numeric block narrows the presorted order to the covered rows in one
+    call: a stable sort of the covered rows is the presorted order with the
+    other rows left out, ties included.
+    """
+    if ctx.ds.attributes[block[0]].is_numeric:
+        k, m = len(block), cov_idx.size
+        if m < 2:  # no split, and each row below has m - 1 split positions
             return None
-        first = last + 1
+        # index arrays gather faster than the boolean mask itself
+        at = np.flatnonzero(cov[ctx.order])
+        rows = ctx.order.take(at).reshape(k, m)
+        key = ctx.sorted_values.take(at).reshape(k, m)
+        known = m - np.count_nonzero(np.isnan(key), axis=1)
+        lo, hi = key[:, :-1], key[:, 1:]
+        mids = (lo + hi) / 2.0
+        # a split lies between two different values, unless its midpoint rounds
+        # down onto the lower one; next to a missing cell the midpoint is NaN
+        split = np.flatnonzero((hi != lo) & (mids > lo))
+        if split.size == 0:
+            return None
+        row, cut = np.divmod(split, m - 1)
+        cand = _Candidates(True, rows, known, row, np.asarray(block)[row], row * m + cut,
+                           mids.ravel()[split], None, 0)
+        first, total = cut + 1, known[row]
     else:
-        codes = col[known].astype(np.intp)
+        ai = block[0]
+        col = ctx.ds.column(ai)[cov_idx]
+        have = np.flatnonzero(col >= 0)
+        if have.size == 0:
+            return None
+        domain = len(ctx.ds.attributes[ai].domain)
+        codes = col[have].astype(np.intp)
         # each observed category is one run of the category order; counting finds where it ends
         size = np.bincount(codes, minlength=domain)
         values = np.flatnonzero(size)
-        first = size[values]
-        last = np.cumsum(first) - 1
-    cand = _Candidates(ai, numeric, cov_idx[known], last, values, codes, domain)
+        first, total = size[values], have.size
+        cand = _Candidates(False, cov_idx[have], np.array([total]), np.zeros(values.size, dtype=np.intp),
+                           np.full(values.size, ai), np.cumsum(first) - 1, values, codes, domain)
     rows = cand.rows
     # counts are whole numbers, exact in any float or integer form
     cand.p, cand.p_new_pass, cand.p_new_reward = (
         cand.side_sums(x).astype(np.int64, copy=False)
         for x in (ctx.pos[rows], ctx.d_u[rows], ctx.r_u[rows])
     )
-    cand.covc = _sides(first.astype(np.int64, copy=False), rows.size)
+    cand.covc = _sides(first.astype(np.int64, copy=False), total)
     cand.n = cand.covc - cand.p  # every row is in the group or in its contrast
     # same division forms as the pool gate in _grow, so boundaries agree
     cand.valid = (
@@ -317,8 +357,8 @@ def _score_candidates(ctx: _Context, cand: _Candidates) -> np.ndarray:
     """Raw task-measure score per candidate.
 
     Correlation and regression score every candidate at once. Survival
-    scores only ``cand.valid`` candidates, a block of splits at a time; the
-    others get -inf.
+    scores only ``cand.valid`` candidates, one attribute and a block of its
+    splits at a time; the others get -inf.
     """
     if ctx.measure == "correlation":
         return _correlation(cand.p, cand.n, ctx.P, ctx.N)
@@ -331,15 +371,26 @@ def _score_candidates(ctx: _Context, cand: _Candidates) -> np.ndarray:
         return -np.abs(means - ctx.pos_label_mean)
     assert ctx.survival_scorer is not None
     q = np.full(cand.p.size, -np.inf)
-    if not cand.valid.any():
-        return q
     want = cand.valid.reshape(-1, 2)  # (first side, second side) per split
-    # an unneeded numeric prefix folds into the next needed one; nominal runs
-    # are disjoint, so every run stays a segment of its own
-    need = np.flatnonzero(want.any(axis=1)) if cand.numeric else np.arange(want.shape[0])
-    rows = cand.rows if cand.numeric else cand.rows[np.argsort(cand.codes, kind="stable")]
-    seg = np.searchsorted(cand.last[need], np.arange(rows.size))
-    q[cand.valid] = -ctx.survival_scorer.split_scores(rows, seg, want[need], cumulative=cand.numeric)
+    # each row of the layout holds one attribute's splits, a run of the split order
+    bounds = np.searchsorted(cand.row, np.arange(cand.known.size + 1))
+    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        w = want[lo:hi]
+        if not w.any():
+            continue
+        # an unneeded numeric prefix folds into the next needed one; nominal
+        # runs are disjoint, so every run stays a segment of its own
+        if cand.numeric:
+            need = np.flatnonzero(w.any(axis=1))
+            rows = cand.rows[r, : cand.known[r]]
+            ends = cand.last[lo:hi][need] - r * cand.rows.shape[1]
+        else:
+            need = np.arange(hi - lo)
+            rows = cand.rows[np.argsort(cand.codes, kind="stable")]
+            ends = cand.last
+        seg = np.searchsorted(ends, np.arange(rows.size))
+        scores = ctx.survival_scorer.split_scores(rows, seg, w[need], cumulative=cand.numeric)
+        q[2 * lo : 2 * hi][w.ravel()] = -scores
     return q
 
 
@@ -364,33 +415,38 @@ def _grow(ctx: _Context) -> _Grown | None:
     # same division form as the candidate gate in _sweep_attribute
     if np.count_nonzero(ctx.d_u) / ctx.P < params.minsupp_new:
         return None
+    blocks = ctx.blocks
     cov = np.ones(ctx.ds.n_examples, dtype=bool)
     conditions: list[Condition] = []
     attr_set: set[int] = set()
     while True:
         cov_idx = np.flatnonzero(cov)
-        # the valid candidates of every attribute, in enumeration order: their
-        # scoring inputs, and what _condition needs; the sweeps' rows are dropped
+        # the valid candidates of every block: their scoring inputs, and what
+        # _condition needs; the sweeps' rows are dropped
         parts: list[tuple] = []
         picks: list[tuple] = []
-        for ai in range(len(ctx.ds.attributes)):
-            cand = _sweep_attribute(ctx, ai, cov_idx)
+        for block in blocks:
+            cand = _sweep_attribute(ctx, block, cov, cov_idx)
             if cand is None or not cand.valid.any():
                 continue
             vidx = np.flatnonzero(cand.valid)
-            parts.append((cand.q[vidx], cand.p[vidx], cand.p_new_reward[vidx], cand.covc[vidx],
-                          np.full(vidx.size, _spi(ctx, attr_set | {ai}))))
-            picks.append((ai, cand.numeric, cand.values[vidx // 2], vidx % 2))
+            j = vidx // 2
+            parts.append((cand.q[vidx], cand.p[vidx], cand.p_new_reward[vidx], cand.covc[vidx], cand.attrs[j]))
+            picks.append((cand.numeric, cand.values[j], vidx % 2))
         if not parts:
             break
-        q, p, rew, covc, spi = (np.concatenate(x) for x in zip(*parts))
-        qv = _modified(ctx, q, p, rew, spi)
+        q, p, rew, covc, attrs = (np.concatenate(x) for x in zip(*parts))
+        qv = _modified(ctx, q, p, rew, _extension_spi(ctx, attr_set, attrs))
         top = np.fmax.reduce(qv)  # a NaN score never wins; NaN only when all are
         if np.isnan(top):
             break
         at_top = np.flatnonzero(qv == top)
-        best = int(at_top[np.argmax(covc[at_top])])  # argmax: the first of the largest
-        for ai, numeric, values, sides in picks:
+        widest = at_top[covc[at_top] == covc[at_top].max()]
+        # a block holds each of its attributes' candidates in order, so the first
+        # of the lowest attribute is the earliest in (attribute, split, side) order
+        best = int(widest[np.argmin(attrs[widest])])
+        ai = int(attrs[best])
+        for numeric, values, sides in picks:
             if best < values.size:
                 break
             best -= values.size
@@ -434,6 +490,27 @@ def _spi(ctx: _Context, attrs: Iterable[int]) -> float:
     float depends on the order its distinct attributes were first inserted.
     """
     return ctx.params.penalty_strength * ctx.penalty.premise_penalty(attrs)
+
+
+def _extension_spi(ctx: _Context, attr_set: set[int], attrs: np.ndarray) -> np.ndarray:
+    """s * pi of ``attr_set | {a}`` for each attribute ``a`` of ``attrs``.
+
+    For every ``a`` already in ``attr_set`` that set is a copy of
+    ``attr_set`` with nothing inserted, so all of them iterate in the same
+    order and give the same float: it is computed once.
+    """
+    spi = np.empty(len(ctx.ds.attributes))
+    present = np.zeros(spi.size, dtype=bool)
+    present[attrs] = True
+    inside = None
+    for a in np.flatnonzero(present).tolist():
+        if a not in attr_set:
+            spi[a] = _spi(ctx, attr_set | {a})
+        elif inside is None:
+            spi[a] = inside = _spi(ctx, attr_set | {a})
+        else:
+            spi[a] = inside
+    return spi[attrs]
 
 
 def _modified(ctx: _Context, q, p, p_new_reward, spi) -> np.ndarray:

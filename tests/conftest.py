@@ -191,6 +191,57 @@ def possible_conditions(covered: np.ndarray, ds: DataSet) -> Iterator[Condition]
                 yield Condition(ai, NE, int(v))
 
 
+def numeric_sweep_reference(ctx, ai: int, cov_idx: np.ndarray) -> dict | None:
+    """One numeric attribute's candidate arrays, swept on its own.
+
+    This is the per-attribute sweep that the engine's presorted block
+    replaced, kept literal: argsort the covered rows that have a value, cut
+    between runs of equal values, drop midpoints that round onto the lower
+    value, and read 1-D running sums at the cuts. None when the attribute
+    has no split. Otherwise per-split ``attrs`` and ``values``, and the
+    per-candidate counts, ``valid`` and (with labels) label ``sums``, each
+    interleaved as (first side, second side) per split.
+    """
+    col = ctx.ds.column(ai)[cov_idx]
+    known = np.flatnonzero(~np.isnan(col))
+    if known.size == 0:
+        return None
+    known = known[np.argsort(col[known], kind="stable")]
+    key = col[known]
+    bnd = np.flatnonzero(key[1:] != key[:-1])
+    mids = (key[bnd] + key[bnd + 1]) / 2.0
+    keep = mids > key[bnd]
+    last, values = bnd[keep], mids[keep]
+    if last.size == 0:
+        return None
+    rows = cov_idx[known]
+
+    def sides(first, total):
+        out = np.empty(2 * first.size, dtype=first.dtype)
+        out[0::2] = first
+        out[1::2] = total - first
+        return out
+
+    def side_sums(x):
+        run = x.cumsum()
+        return sides(run[last], run[-1])
+
+    out = {"attrs": np.full(last.size, ai), "values": values}
+    out["p"], out["p_new_pass"], out["p_new_reward"] = (
+        side_sums(x).astype(np.int64) for x in (ctx.pos[rows], ctx.d_u[rows], ctx.r_u[rows])
+    )
+    out["covc"] = sides((last + 1).astype(np.int64), rows.size)
+    out["n"] = out["covc"] - out["p"]
+    out["valid"] = (
+        (out["p"] / ctx.P >= ctx.minsupp_all)
+        & (out["p_new_pass"] / ctx.P >= ctx.params.minsupp_new)
+        & (out["covc"] < cov_idx.size)
+    )
+    if ctx.labels is not None:
+        out["sums"] = side_sums(ctx.labels[rows])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # dataset generators
 

@@ -6,6 +6,7 @@ per-candidate reference in conftest produces, across measures, penalty
 histories, and gate settings.
 """
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -13,8 +14,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csmine.contrast import (
+    EQ,
     GE,
     LT,
     Condition,
@@ -36,6 +40,7 @@ from csmine.induction import (
 )
 from csmine import induction, quality
 from csmine.quality import correlation
+from csmine.reports import write_csv_report
 from csmine.synthetic import generate_synthetic
 
 from conftest import (
@@ -45,6 +50,7 @@ from conftest import (
     naive_grow,
     naive_prune,
     numeric_split_points,
+    numeric_sweep_reference,
     possible_conditions,
     random_classification,
     random_regression,
@@ -266,10 +272,10 @@ def test_sweep_scores_exactly_the_gated_candidates(monkeypatch, measure, make):
             scorer = quality._LogRankScorer(ds, pos) if measure == "survival" else None
             cov = rng.random(ds.n_examples) < 0.8
             listed = list(possible_conditions(cov, ds))
-            for ai in range(len(ds.attributes)):
+            for block in ctx.blocks:
                 kernel_rows.clear()
-                cand = induction._sweep_attribute(ctx, ai, np.flatnonzero(cov))
-                expected = [c for c in listed if c.attr_index == ai]
+                cand = induction._sweep_attribute(ctx, block, cov, np.flatnonzero(cov))
+                expected = [c for c in listed if c.attr_index in block]
                 if cand is None:
                     assert expected == []
                     continue
@@ -307,6 +313,103 @@ def test_sweep_scores_exactly_the_gated_candidates(monkeypatch, measure, make):
                 gated_out += int((~cand.valid).sum())
                 scored += int(cand.valid.sum())
     assert gated_out >= 40 and scored >= 40
+
+
+# cells that tie, signed zeros, neighbours one ulp apart, a subnormal
+_CELLS = (np.nan, -0.0, 0.0, 0.5, 1.0, 1.0 + 2.0**-52, -3.25, 5e-324, 1e300)
+
+
+@st.composite
+def numeric_sweep_cases(draw):
+    """A regression DataSet of 1-5 numeric columns, a coverage mask, and the
+    pass and reward pools. A column is drawn from a small pool of cells
+    (ties, NaN, signed zeros), from any finite float, or is constant or
+    all missing; the coverage may be a single row."""
+    n = draw(st.integers(2, 24))
+    cols = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["cells", "floats", "constant", "missing"]))
+        if kind == "constant":
+            col = [draw(st.sampled_from(_CELLS[1:]))] * n
+        elif kind == "missing":
+            col = [np.nan] * n
+        else:
+            cells = st.sampled_from(_CELLS) if kind == "cells" else st.floats(-1e300, 1e300)
+            col = draw(st.lists(cells, min_size=n, max_size=n))
+        cols.append(np.array(col, dtype=np.float64))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    codes = np.array([0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2)),
+                     dtype=np.int32)
+    labels = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    ds = DataSet([Attribute(f"x{i}", "numeric") for i in range(len(cols))], cols, relation="sweep",
+                 task="regression", group_names=("g", "rest"), group_codes=codes,
+                 labels=np.array(labels))
+    if draw(st.booleans()):
+        cov = np.array(draw(bits))
+    else:
+        cov = np.arange(n) == draw(st.integers(0, n - 1))
+    pos = codes == 0
+    d_u, r_u = pos & np.array(draw(bits)), pos & np.array(draw(bits))
+    gates = (draw(st.sampled_from([0.05, 0.3, 1.0])), draw(st.sampled_from([0.05, 0.5])))
+    return ds, cov, d_u, r_u, gates
+
+
+@settings(max_examples=400, deadline=None)
+@given(numeric_sweep_cases())
+def test_numeric_block_sweep_equals_per_attribute_reference(case):
+    ds, cov, d_u, r_u, (minsupp_all, minsupp_new) = case
+    ctx = induction._Context.build(ds, "g", MiningParams(minsupp_new=minsupp_new), "regression",
+                                   d_u=d_u, r_u=r_u, minsupp_all=minsupp_all)
+    cov_idx = np.flatnonzero(cov)
+    cand = induction._sweep_attribute(ctx, ctx.numeric, cov, cov_idx)
+    refs = {ai: numeric_sweep_reference(ctx, ai, cov_idx) for ai in ctx.numeric}
+    listed = [r for r in refs.values() if r is not None]
+    if not listed:
+        assert cand is None
+        return
+    got = {
+        "attrs": cand.attrs, "values": cand.values, "p": cand.p, "n": cand.n,
+        "p_new_pass": cand.p_new_pass, "p_new_reward": cand.p_new_reward, "covc": cand.covc,
+        "valid": cand.valid, "sums": cand.side_sums(ctx.labels[cand.rows]),
+    }
+    for name, value in got.items():
+        want = np.concatenate([r[name] for r in listed])
+        assert value.dtype == want.dtype and value.tobytes() == want.tobytes(), name
+    # both sides of every split, in (attribute, split, side) order
+    conds = [cand.condition(i) for i in range(cand.p.size)]
+    assert conds == [
+        Condition(int(a), op, float(v))
+        for r in listed for a, v in zip(r["attrs"], r["values"]) for op in (LT, GE)
+    ]
+    # each attribute's row of the layout is the reference's sorted known rows
+    for r, ai in enumerate(ctx.numeric):
+        if refs[ai] is not None:
+            order = cov_idx[np.argsort(ds.column(ai)[cov_idx], kind="stable")]
+            np.testing.assert_array_equal(cand.rows[r, : cand.known[r]], order[: cand.known[r]])
+            assert np.isnan(ds.column(ai)[cand.rows[r, cand.known[r]:]]).all()
+
+
+def test_extension_spi_equals_one_set_per_attribute_on_long_premises():
+    # s*pi of attr_set | {a} for every attribute, bit for bit, at every step
+    # of long premises: grown ones, and random attribute sequences, some of
+    # whose sets iterate in another order once copied and resized
+    ds = continuous(5, 400, 12)
+    rng = np.random.default_rng(1)
+    base = MiningParams(minsupps=(0.05,), max_neg2pos=1.0)
+    premises = [[c.attr_index for c in grow(ds, g, ds.group_mask(g), base, minsupp_all=0.05).conditions]
+                for g in ds.groups]
+    assert min(map(len, premises)) >= 40
+    premises += [rng.integers(0, 12, 60).tolist() for _ in range(200)]
+    attrs = rng.permutation(np.repeat(np.arange(12), 2))
+    for premise in premises:
+        params = replace(base, penalty_strength=float(rng.choice([0.5, 1.0])))
+        ctx = induction._Context.build(ds, "A", params, "correlation", penalty=_random_penalty(rng, 12))
+        attr_set: set[int] = set()
+        for a in premise:
+            got = induction._extension_spi(ctx, attr_set, attrs)
+            want = np.array([induction._spi(ctx, attr_set | {int(b)}) for b in attrs])
+            assert got.tobytes() == want.tobytes()
+            attr_set.add(a)
 
 
 @pytest.mark.parametrize("task", ["classification", "regression", "survival"])
@@ -401,6 +504,64 @@ def test_grow_breaks_ties_across_attributes(first_rows, second_rows, winner):
     want = naive_grow(ds, "g", params, pos)
     assert condition_tuples(got.conditions) == condition_tuples(want)
     assert got.conditions[0] == Condition(winner, LT, 0.5)
+
+
+def _mixed_tie_dataset(numeric_at, nominal_at):
+    """20 rows, rows 0-9 in group "g"; attributes alternate numeric, nominal,
+    numeric, nominal. The numeric one at ``numeric_at`` is 0 on rows 0-5 and
+    10, else 1; the nominal one at ``nominal_at`` is category 0 on rows 4-9
+    and 19, else 1. The other two are constant, so they offer no candidate.
+    """
+    cols = []
+    for ai in range(4):
+        numeric = ai % 2 == 0
+        col = np.ones(20) if numeric else np.ones(20, dtype=np.int32)
+        if ai == numeric_at:
+            col[[0, 1, 2, 3, 4, 5, 10]] = 0.0
+        elif ai == nominal_at:
+            col[[4, 5, 6, 7, 8, 9, 19]] = 0
+        cols.append(col)
+    attrs = [Attribute(f"a{ai}", "numeric") if ai % 2 == 0 else Attribute(f"a{ai}", "nominal", ("u", "v"))
+             for ai in range(4)]
+    return DataSet(attrs, cols, relation="mixed ties", task="classification",
+                   group_names=("g", "rest"), group_codes=(np.arange(20) >= 10).astype(np.int32))
+
+
+@pytest.mark.parametrize(
+    "numeric_at, nominal_at, winner",
+    # 6 positives and 1 negative on either side 0: equal quality and coverage
+    [(0, 1, Condition(0, LT, 0.5)), (2, 1, Condition(1, EQ, 0))],
+    ids=["numeric-first", "nominal-first"],
+)
+def test_grow_breaks_ties_across_attribute_kinds(numeric_at, nominal_at, winner):
+    ds = _mixed_tie_dataset(numeric_at, nominal_at)
+    params = MiningParams(minsupps=(0.5,), max_neg2pos=1.0, penalty_strength=0.0)
+    pos = ds.group_mask("g")
+    got = grow(ds, "g", pos, params)
+    want = naive_grow(ds, "g", params, pos)
+    assert condition_tuples(got.conditions) == condition_tuples(want)
+    assert got.conditions[0] == winner
+
+
+# sha256 of the CSV report of one mine_group at the single level 0.1, whose
+# first premise grows past 100 conditions before prune cuts it
+_LONG_PREMISE_CSV_SHA256 = "d71318341db6551e13fce3b936db245aa6f5c5c22e6c004794fa80218eb69d0f"
+
+
+def test_long_premise_report_is_pinned(monkeypatch):
+    lengths = []
+    grow_ = induction._grow
+
+    def recording(ctx):
+        grown = grow_(ctx)
+        lengths.append(0 if grown is None else len(grown.conditions))
+        return grown
+
+    monkeypatch.setattr(induction, "_grow", recording)
+    ds = continuous(2204, 500, 12)
+    text = write_csv_report({"A": mine_group(ds, "A", MiningParams(minsupps=(0.1,)))}, ds)
+    assert lengths[0] >= 100
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _LONG_PREMISE_CSV_SHA256
 
 
 def test_prune_memory_does_not_grow_with_premise_length():
