@@ -158,6 +158,12 @@ class _Context:
     numeric: tuple[int, ...] = ()
     order: np.ndarray | None = None          # (k, n) int32
     sorted_values: np.ndarray | None = None  # (k, n) float64
+    # the nominal block: its attributes, and per attribute each row's bin, its
+    # category code plus the attribute's first bin; each attribute's last bin
+    # holds its missing cells
+    nominal: tuple[int, ...] = ()
+    keys: np.ndarray | None = None     # (k, n) int32
+    offsets: np.ndarray | None = None  # (k + 1,) first bin of each attribute, then the bin count
 
     @classmethod
     def build(
@@ -209,33 +215,65 @@ class _Context:
             order = np.argsort(cols, axis=1, kind="stable")
             ctx.sorted_values = np.take_along_axis(cols, order, axis=1)
             ctx.order = order.astype(np.int32)
+        ctx.nominal = tuple(ai for ai, a in enumerate(ds.attributes) if not a.is_numeric)
+        if ctx.nominal:
+            bins = [len(ds.attributes[ai].domain) + 1 for ai in ctx.nominal]
+            ctx.offsets = np.cumsum([0] + bins)
+            cols = [ds.column(ai) for ai in ctx.nominal]
+            ctx.keys = np.stack([np.where(c < 0, hi - 1, c + lo).astype(np.int32)
+                                 for c, lo, hi in zip(cols, ctx.offsets[:-1], ctx.offsets[1:])])
         return ctx
 
     @property
     def blocks(self) -> list[tuple[int, ...]]:
-        """What one sweep covers: the numeric block, then each nominal attribute."""
-        nominal = [(ai,) for ai, a in enumerate(self.ds.attributes) if not a.is_numeric]
-        return ([self.numeric] if self.numeric else []) + nominal
+        """What one sweep covers: the numeric block, then the nominal block."""
+        return [block for block in (self.numeric, self.nominal) if block]
+
+
+def _pack_counters(ctx: _Context) -> list[np.ndarray]:
+    """``pos``, ``d_u`` and ``r_u`` as fields of ``w = n.bit_length()`` bits in float64 columns.
+
+    A column holds ``53 // w`` fields: one column below 2**17 rows, two below
+    2**26, three above. No count of rows needs more than ``w`` bits, so every
+    sum of packed values is an integer below 2**53, exact in float64, and one
+    sum of a column gives all of its fields' sums.
+    """
+    w = ctx.ds.n_examples.bit_length()
+    per = 53 // w
+    masks = (ctx.pos, ctx.d_u, ctx.r_u)
+    return [
+        sum(mask * 2.0 ** (w * f) for f, mask in enumerate(masks[c : c + per]))
+        for c in range(0, len(masks), per)
+    ]
+
+
+def _unpack_counters(n: int, sums: list[np.ndarray]) -> list[np.ndarray]:
+    """The three int64 counts from sums of ``_pack_counters`` columns over ``n`` rows."""
+    w = n.bit_length()
+    per = 53 // w
+    ints = [s.astype(np.int64) for s in sums]
+    return [(ints[i // per] >> (w * (i % per))) & ((1 << w) - 1) for i in range(3)]
 
 
 @dataclass
 class _Candidates:
     """Gated, scored candidates of one block over its split layout.
 
-    A block is every numeric attribute at once, or one nominal attribute.
-    Numeric ``rows`` has one row per attribute: the covered rows in value
-    order with missing cells last, the first ``known`` of them with a value.
-    Nominal ``rows`` are the covered rows with a known category, in row
-    order, because per-category bincounts need no sort; a stable sort by
-    ``codes`` gives their split order. Splits run in (attribute, split)
-    order. Split j cuts row ``row[j]`` of that layout (always 0 for a
-    nominal block): its first side ends at flat position ``last[j]`` of
-    the numeric ``rows``, or at position ``last[j]`` of the nominal split
-    order, and is the whole prefix (``< values[j]``) or the run of category
-    ``values[j]`` (``= values[j]``); its second side is the rest of the
-    known rows. Split j yields candidates 2j and 2j + 1, one per side.
-    ``valid`` marks the candidates that pass both support gates and shrink
-    the coverage; survival scores only those, and the rest hold -inf.
+    A block is every numeric attribute at once, or every nominal attribute
+    at once. Its layout has one row per attribute: the covered rows in
+    value order (numeric) or stable category order (nominal), missing cells
+    last, the first ``known`` of them with a value. A numeric block holds
+    that layout as ``rows`` and its values as ``keys``. A nominal block
+    needs no sort to count: ``rows`` are the covered rows in row order and
+    ``keys`` their (k, m) bins, so one bincount gives every category's sums;
+    survival sorts the keys for the layout. Splits run in (attribute, split)
+    order. Split j cuts row ``row[j]`` of the layout: its first side ends at
+    flat position ``last[j]`` and is the whole prefix (``< values[j]``) or
+    the run of category ``values[j]`` (``= values[j]``); its second side is
+    the rest of the known rows. Split j yields candidates 2j and 2j + 1, one
+    per side. ``valid`` marks the candidates that pass both support gates
+    and shrink the coverage; survival scores only those, and the rest hold
+    -inf.
     """
 
     numeric: bool
@@ -245,8 +283,9 @@ class _Candidates:
     attrs: np.ndarray         # attribute index, one per split
     last: np.ndarray
     values: np.ndarray        # threshold or category code, one per split
-    codes: np.ndarray | None  # nominal: category of each of ``rows``
-    domain: int               # nominal: number of declared categories
+    keys: np.ndarray          # numeric: the layout's values; nominal: each covered row's bins
+    bins: np.ndarray | None = None     # nominal: the bin of each split's category
+    offsets: np.ndarray | None = None  # nominal: _Context.offsets
     p: np.ndarray = field(init=False)
     n: np.ndarray = field(init=False)
     p_new_pass: np.ndarray = field(init=False)
@@ -259,18 +298,34 @@ class _Candidates:
         """Interleaved first-side/second-side sums of ``x``, one value per ``rows`` entry.
 
         A numeric first side reads its row's running sum at its cut, and the
-        total is that running sum at the row's last known value; a nominal
-        first side reads a per-category bincount, and the total is the
-        bincount's sum. Label sums are not exact, so these forms also fix the
-        order in which their floats are added.
+        total is that running sum at the row's last known value. A nominal
+        first side reads a bincount over the block's bins, and each
+        attribute's total is the sum of its own per-category array, as if it
+        were swept alone. Label sums are not exact, so these forms also fix
+        the order in which their floats are added. Where a first side and
+        its total overflow to the same infinity, the second side is summed
+        from its own rows instead of being NaN.
         """
         if self.numeric:
             m = x.shape[1]
             run = x.cumsum(axis=1).ravel()
-            ends = np.arange(self.known.size) * m + self.known - 1
-            return _sides(run[self.last], run[ends][self.row])
-        per = np.bincount(self.codes, weights=x, minlength=self.domain)
-        return _sides(per[self.values], per.sum())
+            first, total = run[self.last], run[np.arange(self.known.size) * m + self.known - 1]
+        else:
+            weights = x[None].repeat(self.known.size, axis=0).ravel()
+            per = np.bincount(self.keys.ravel(), weights=weights, minlength=self.offsets[-1])
+            # the last bin of each attribute holds its missing cells
+            spans = zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+            first, total = per[self.bins], np.array([per[lo : hi - 1].sum() for lo, hi in spans])
+        out = _sides(first, total[self.row])
+        if np.isinf(total).any():
+            for j in np.flatnonzero(np.isinf(first) & (total[self.row] == first)):
+                r = self.row[j]
+                if self.numeric:
+                    rest = x[r, self.last[j] - r * x.shape[1] + 1 : self.known[r]]
+                else:
+                    rest = x[(self.keys[r] != self.bins[j]) & (self.keys[r] != self.offsets[r + 1] - 1)]
+                out[2 * j + 1] = rest.sum()
+        return out
 
     def condition(self, i: int) -> Condition:
         j, side = divmod(i, 2)
@@ -293,25 +348,38 @@ def _condition(attr_index: int, numeric: bool, value, side: int) -> Condition:
 
 
 def _sweep_attribute(
-    ctx: _Context, block: tuple[int, ...], cov: np.ndarray, cov_idx: np.ndarray
+    ctx: _Context, block: tuple[int, ...], cov: np.ndarray, cov_idx: np.ndarray,
+    counters: list[np.ndarray] | None = None, layout: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> _Candidates | None:
     """Gated, scored candidates of one of ``ctx.blocks`` over the covered region.
 
-    The numeric block narrows the presorted order to the covered rows in one
-    call: a stable sort of the covered rows is the presorted order with the
-    other rows left out, ties included.
+    ``counters`` are ``_pack_counters(ctx)``, computed here when not given.
+    The numeric block narrows ``layout`` to the covered rows in one call:
+    the (rows, values) of any earlier step's numeric block, or by default
+    the full presort. A stable sort of the covered rows is a presorted
+    order with the other rows left out, ties included. The nominal block
+    counts every attribute's categories with one bincount of its bins.
     """
+    m = cov_idx.size
     if ctx.ds.attributes[block[0]].is_numeric:
-        k, m = len(block), cov_idx.size
+        k = len(block)
         if m < 2:  # no split, and each row below has m - 1 split positions
             return None
+        order, values = layout if layout is not None else (ctx.order, ctx.sorted_values)
         # index arrays gather faster than the boolean mask itself
-        at = np.flatnonzero(cov[ctx.order])
-        rows = ctx.order.take(at).reshape(k, m)
-        key = ctx.sorted_values.take(at).reshape(k, m)
+        at = np.flatnonzero(cov[order])
+        rows = order.take(at).reshape(k, m)
+        key = values.take(at).reshape(k, m)
         known = m - np.count_nonzero(np.isnan(key), axis=1)
         lo, hi = key[:, :-1], key[:, 1:]
-        mids = (lo + hi) / 2.0
+        with np.errstate(over="ignore"):
+            mids = (lo + hi) / 2.0
+        # halving first keeps a midpoint of two finite values finite; elsewhere
+        # the sum's form is kept, which also keeps the bits of subnormal pairs
+        over = np.isinf(mids)
+        if over.any():
+            over &= np.isfinite(lo) & np.isfinite(hi)
+            mids[over] = lo[over] / 2.0 + hi[over] / 2.0
         # a split lies between two different values, unless its midpoint rounds
         # down onto the lower one; next to a missing cell the midpoint is NaN
         split = np.flatnonzero((hi != lo) & (mids > lo))
@@ -319,35 +387,37 @@ def _sweep_attribute(
             return None
         row, cut = np.divmod(split, m - 1)
         cand = _Candidates(True, rows, known, row, np.asarray(block)[row], row * m + cut,
-                           mids.ravel()[split], None, 0)
-        first, total = cut + 1, known[row]
+                           mids.ravel()[split], key)
+        first = cut + 1
     else:
-        ai = block[0]
-        col = ctx.ds.column(ai)[cov_idx]
-        have = np.flatnonzero(col >= 0)
-        if have.size == 0:
+        keys = ctx.keys.take(cov_idx, axis=1).astype(np.intp)
+        size = np.bincount(keys.ravel(), minlength=ctx.offsets[-1])
+        missing = ctx.offsets[1:] - 1
+        known = m - size[missing]
+        # each attribute's bins count its m rows, missing bin last, so the running
+        # count at a category ends its run in the block's (k, m) category order
+        last = np.cumsum(size) - 1
+        size[missing] = 0
+        bins = np.flatnonzero(size)
+        if bins.size == 0:
             return None
-        domain = len(ctx.ds.attributes[ai].domain)
-        codes = col[have].astype(np.intp)
-        # each observed category is one run of the category order; counting finds where it ends
-        size = np.bincount(codes, minlength=domain)
-        values = np.flatnonzero(size)
-        first, total = size[values], have.size
-        cand = _Candidates(False, cov_idx[have], np.array([total]), np.zeros(values.size, dtype=np.intp),
-                           np.full(values.size, ai), np.cumsum(first) - 1, values, codes, domain)
+        row = np.searchsorted(ctx.offsets, bins, side="right") - 1
+        cand = _Candidates(False, cov_idx, known, row, np.asarray(block)[row], last[bins],
+                           bins - ctx.offsets[row], keys, bins, ctx.offsets)
+        first = size[bins]
+    counters = counters if counters is not None else _pack_counters(ctx)
     rows = cand.rows
     # counts are whole numbers, exact in any float or integer form
-    cand.p, cand.p_new_pass, cand.p_new_reward = (
-        cand.side_sums(x).astype(np.int64, copy=False)
-        for x in (ctx.pos[rows], ctx.d_u[rows], ctx.r_u[rows])
+    cand.p, cand.p_new_pass, cand.p_new_reward = _unpack_counters(
+        ctx.ds.n_examples, [cand.side_sums(col[rows]) for col in counters]
     )
-    cand.covc = _sides(first.astype(np.int64, copy=False), total)
+    cand.covc = _sides(first.astype(np.int64, copy=False), known[cand.row])
     cand.n = cand.covc - cand.p  # every row is in the group or in its contrast
     # same division forms as the pool gate in _grow, so boundaries agree
     cand.valid = (
         (cand.p / ctx.P >= ctx.minsupp_all)
         & (cand.p_new_pass / ctx.P >= ctx.params.minsupp_new)
-        & (cand.covc < cov_idx.size)
+        & (cand.covc < m)
     )
     cand.q = _score_candidates(ctx, cand)
     return cand
@@ -372,22 +442,18 @@ def _score_candidates(ctx: _Context, cand: _Candidates) -> np.ndarray:
     assert ctx.survival_scorer is not None
     q = np.full(cand.p.size, -np.inf)
     want = cand.valid.reshape(-1, 2)  # (first side, second side) per split
+    layout = cand.rows if cand.numeric else cand.rows[np.argsort(cand.keys, axis=1, kind="stable")]
     # each row of the layout holds one attribute's splits, a run of the split order
     bounds = np.searchsorted(cand.row, np.arange(cand.known.size + 1))
     for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         w = want[lo:hi]
         if not w.any():
             continue
-        # an unneeded numeric prefix folds into the next needed one; nominal
+        # an unneeded numeric prefix folds into the next needed one; category
         # runs are disjoint, so every run stays a segment of its own
-        if cand.numeric:
-            need = np.flatnonzero(w.any(axis=1))
-            rows = cand.rows[r, : cand.known[r]]
-            ends = cand.last[lo:hi][need] - r * cand.rows.shape[1]
-        else:
-            need = np.arange(hi - lo)
-            rows = cand.rows[np.argsort(cand.codes, kind="stable")]
-            ends = cand.last
+        need = np.flatnonzero(w.any(axis=1)) if cand.numeric else np.arange(hi - lo)
+        rows = layout[r, : cand.known[r]]
+        ends = cand.last[lo:hi][need] - r * layout.shape[1]
         seg = np.searchsorted(ends, np.arange(rows.size))
         scores = ctx.survival_scorer.split_scores(rows, seg, w[need], cumulative=cand.numeric)
         q[2 * lo : 2 * hi][w.ravel()] = -scores
@@ -416,18 +482,24 @@ def _grow(ctx: _Context) -> _Grown | None:
     if np.count_nonzero(ctx.d_u) / ctx.P < params.minsupp_new:
         return None
     blocks = ctx.blocks
+    counters = _pack_counters(ctx)  # d_u and r_u stay fixed for the whole call
+    layout = None  # the last numeric sweep's layout, which covers every later step's rows
     cov = np.ones(ctx.ds.n_examples, dtype=bool)
     conditions: list[Condition] = []
     attr_set: set[int] = set()
     while True:
         cov_idx = np.flatnonzero(cov)
         # the valid candidates of every block: their scoring inputs, and what
-        # _condition needs; the sweeps' rows are dropped
+        # _condition needs; of the sweeps' rows only the numeric layout is kept
         parts: list[tuple] = []
         picks: list[tuple] = []
         for block in blocks:
-            cand = _sweep_attribute(ctx, block, cov, cov_idx)
-            if cand is None or not cand.valid.any():
+            cand = _sweep_attribute(ctx, block, cov, cov_idx, counters, layout)
+            if cand is None:
+                continue
+            if cand.numeric:
+                layout = (cand.rows, cand.keys)
+            if not cand.valid.any():
                 continue
             vidx = np.flatnonzero(cand.valid)
             j = vidx // 2
@@ -445,13 +517,21 @@ def _grow(ctx: _Context) -> _Grown | None:
         # a block holds each of its attributes' candidates in order, so the first
         # of the lowest attribute is the earliest in (attribute, split, side) order
         best = int(widest[np.argmin(attrs[widest])])
-        ai = int(attrs[best])
+        ai, counted = int(attrs[best]), int(covc[best])
         for numeric, values, sides in picks:
             if best < values.size:
                 break
             best -= values.size
         best_cond = _condition(ai, numeric, values[best], int(sides[best]))
         cov = cov & condition_mask(best_cond, ctx.ds)
+        # every step must shrink the coverage to what the sweep counted, so
+        # growing cannot repeat a step forever
+        applied = int(np.count_nonzero(cov))
+        if applied != counted:
+            raise ValueError(
+                f"a grow step on attribute {ctx.ds.attributes[ai].name!r} covers {applied} rows "
+                f"where its sweep counted {counted}"
+            )
         conditions.append(best_cond)
         attr_set.add(best_cond.attr_index)
     if not conditions:

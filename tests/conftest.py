@@ -164,8 +164,17 @@ def numeric_split_points(values: np.ndarray) -> np.ndarray:
     vals = np.unique(vals[~np.isnan(vals)])
     if vals.size < 2:
         return np.empty(0, dtype=np.float64)
-    mids = (vals[:-1] + vals[1:]) / 2.0
+    mids = midpoints(vals[:-1], vals[1:])
     return mids[mids > vals[:-1]]
+
+
+def midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(lo + hi) / 2, or lo / 2 + hi / 2 where two finite values' sum overflows."""
+    with np.errstate(over="ignore"):
+        mids = (lo + hi) / 2.0
+    over = np.isinf(mids) & np.isfinite(lo) & np.isfinite(hi)
+    mids[over] = lo[over] / 2.0 + hi[over] / 2.0
+    return mids
 
 
 def possible_conditions(covered: np.ndarray, ds: DataSet) -> Iterator[Condition]:
@@ -191,6 +200,30 @@ def possible_conditions(covered: np.ndarray, ds: DataSet) -> Iterator[Condition]
                 yield Condition(ai, NE, int(v))
 
 
+def _sides(first, total):
+    out = np.empty(2 * first.size, dtype=first.dtype)
+    out[0::2] = first
+    out[1::2] = total - first
+    return out
+
+
+def _reference_counts(ctx, cov_idx, out, rows, side_sums, first, total):
+    """Fill ``out`` with the per-candidate counts, ``valid`` and label ``sums``."""
+    out["p"], out["p_new_pass"], out["p_new_reward"] = (
+        side_sums(x).astype(np.int64) for x in (ctx.pos[rows], ctx.d_u[rows], ctx.r_u[rows])
+    )
+    out["covc"] = _sides(first.astype(np.int64), total)
+    out["n"] = out["covc"] - out["p"]
+    out["valid"] = (
+        (out["p"] / ctx.P >= ctx.minsupp_all)
+        & (out["p_new_pass"] / ctx.P >= ctx.params.minsupp_new)
+        & (out["covc"] < cov_idx.size)
+    )
+    if ctx.labels is not None:
+        out["sums"] = side_sums(ctx.labels[rows])
+    return out
+
+
 def numeric_sweep_reference(ctx, ai: int, cov_idx: np.ndarray) -> dict | None:
     """One numeric attribute's candidate arrays, swept on its own.
 
@@ -209,37 +242,45 @@ def numeric_sweep_reference(ctx, ai: int, cov_idx: np.ndarray) -> dict | None:
     known = known[np.argsort(col[known], kind="stable")]
     key = col[known]
     bnd = np.flatnonzero(key[1:] != key[:-1])
-    mids = (key[bnd] + key[bnd + 1]) / 2.0
+    mids = midpoints(key[bnd], key[bnd + 1])
     keep = mids > key[bnd]
     last, values = bnd[keep], mids[keep]
     if last.size == 0:
         return None
-    rows = cov_idx[known]
-
-    def sides(first, total):
-        out = np.empty(2 * first.size, dtype=first.dtype)
-        out[0::2] = first
-        out[1::2] = total - first
-        return out
 
     def side_sums(x):
         run = x.cumsum()
-        return sides(run[last], run[-1])
+        return _sides(run[last], run[-1])
 
     out = {"attrs": np.full(last.size, ai), "values": values}
-    out["p"], out["p_new_pass"], out["p_new_reward"] = (
-        side_sums(x).astype(np.int64) for x in (ctx.pos[rows], ctx.d_u[rows], ctx.r_u[rows])
-    )
-    out["covc"] = sides((last + 1).astype(np.int64), rows.size)
-    out["n"] = out["covc"] - out["p"]
-    out["valid"] = (
-        (out["p"] / ctx.P >= ctx.minsupp_all)
-        & (out["p_new_pass"] / ctx.P >= ctx.params.minsupp_new)
-        & (out["covc"] < cov_idx.size)
-    )
-    if ctx.labels is not None:
-        out["sums"] = side_sums(ctx.labels[rows])
-    return out
+    return _reference_counts(ctx, cov_idx, out, cov_idx[known], side_sums, last + 1, known.size)
+
+
+def nominal_sweep_reference(ctx, ai: int, cov_idx: np.ndarray) -> dict | None:
+    """One nominal attribute's candidate arrays, swept on its own.
+
+    This is the per-attribute sweep that the engine's stacked nominal block
+    replaced, kept literal: drop the covered rows with a missing cell, then
+    one per-category bincount per counter; a first side is its category's
+    bin and a total is the bincount's sum. None when no covered row has a
+    value. Otherwise the same arrays as ``numeric_sweep_reference``, with
+    category codes as ``values``.
+    """
+    col = ctx.ds.column(ai)[cov_idx]
+    have = np.flatnonzero(col >= 0)
+    if have.size == 0:
+        return None
+    domain = len(ctx.ds.attributes[ai].domain)
+    codes = col[have].astype(np.intp)
+    size = np.bincount(codes, minlength=domain)
+    values = np.flatnonzero(size)
+
+    def side_sums(x):
+        per = np.bincount(codes, weights=x, minlength=domain)
+        return _sides(per[values], per.sum())
+
+    out = {"attrs": np.full(values.size, ai), "values": values}
+    return _reference_counts(ctx, cov_idx, out, cov_idx[have], side_sums, size[values], have.size)
 
 
 # ---------------------------------------------------------------------------

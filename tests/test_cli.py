@@ -1,13 +1,18 @@
 """Config parsing, dataset resolution and the csmine entry point."""
 
+import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_regression
 
+import csmine
 from csmine import cli
 from csmine.cli import (
     CONFIG_KEYS,
@@ -369,6 +374,24 @@ def test_main_mine_non_finite_label_exit_code(tmp_path, capsys):
     assert main(["mine", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "reg.arff: line 22: regression labels must be finite" in err
+
+
+def test_mine_near_the_float_maximum_finishes(tmp_path):
+    # (1e308 + 1.7e308) / 2 overflows to inf; a cut at inf counted the four
+    # lower rows but its condition covered all eight, so growing repeated it
+    # forever. The run goes to its own process so that a hang fails the test.
+    xs = ("1e308", "1e308", "1.7e308", "1.7e308", "1.7e308", "1e308", "1.7e308", "1e308")
+    arff = tmp_path / "max.arff"
+    arff.write_text("@relation m\n@attribute x numeric\n@attribute g {A,B}\n@data\n"
+                    + "".join(f"{x},{g}\n" for x, g in zip(xs, "AABBBABA")), encoding="utf-8")
+    report = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, input=arff, group_column="g", minsupps="0.5", output_csv=report)
+    env = dict(os.environ, PYTHONPATH=str(Path(csmine.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "csmine.cli", "mine", str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = list(csv.reader(report.read_text(encoding="utf-8").splitlines()))[1:]
+    assert [r[:2] for r in rows] == [["A", "x in (-inf, 1.35e+308)"], ["B", "x in [1.35e+308, inf)"]]
 
 
 def test_main_bad_report_exit_code(tmp_path, capsys):

@@ -21,6 +21,7 @@ from csmine.contrast import (
     EQ,
     GE,
     LT,
+    NE,
     Condition,
     ConfusionMatrix,
     ContrastSet,
@@ -50,6 +51,7 @@ from conftest import (
     naive_grow,
     naive_prune,
     numeric_split_points,
+    nominal_sweep_reference,
     numeric_sweep_reference,
     possible_conditions,
     random_classification,
@@ -210,6 +212,46 @@ def test_grow_prune_match_reference_survival():
     assert grown_any >= 5
 
 
+def test_grow_matches_reference_where_label_sums_overflow():
+    # a first side holding two 1e308 labels and its total both overflow to
+    # inf; the second side, total - first, was NaN where its own sum is inf,
+    # and grow returned None where the reference grew a premise
+    base = random_regression(1)
+    labels = np.ones(base.n_examples)
+    labels[::3] = 1e308
+    ds = DataSet(base.attributes, [base.column(i) for i in range(len(base.attributes))],
+                 relation=base.relation, task="regression", group_names=base.group_names,
+                 group_codes=base.group_codes, labels=labels)
+    grown = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in range(10):
+            for params, group, unc, rew, pen, level in _grow_cases(ds, np.random.default_rng(seed)):
+                if group != "g1":
+                    continue
+                got = grow(ds, group, unc, params, penalty=pen, reward_uncovered=rew, minsupp_all=level)
+                want = naive_grow(ds, group, params, unc, rew, pen, level)
+                assert (got and condition_tuples(got.conditions)) == (want and condition_tuples(want))
+                grown += want is not None
+    assert grown >= 9
+
+
+def test_grow_step_that_covers_other_than_counted_raises(monkeypatch):
+    # growing must shrink the coverage to what the sweep counted at every
+    # step; a condition that keeps every row would repeat forever
+    ds = generate_synthetic()
+    steps = []
+
+    def keeps_every_row(cond, ds):
+        steps.append(cond)
+        assert len(steps) < 100, "growing repeats a step that keeps every row"
+        return np.ones(ds.n_examples, dtype=bool)
+
+    monkeypatch.setattr(induction, "condition_mask", keeps_every_row)
+    with pytest.raises(ValueError, match=r"covers 420 rows where its sweep counted \d+"):
+        grow(ds, "red", ds.group_mask("red"), MiningParams())
+    assert len(steps) == 1
+
+
 def test_survival_group_without_events():
     emitted = grown_any = 0
     for seed in range(3):
@@ -315,8 +357,9 @@ def test_sweep_scores_exactly_the_gated_candidates(monkeypatch, measure, make):
     assert gated_out >= 40 and scored >= 40
 
 
-# cells that tie, signed zeros, neighbours one ulp apart, a subnormal
-_CELLS = (np.nan, -0.0, 0.0, 0.5, 1.0, 1.0 + 2.0**-52, -3.25, 5e-324, 1e300)
+# cells that tie, signed zeros, neighbours one ulp apart, a subnormal, and
+# neighbours near the float maximum whose sum overflows
+_CELLS = (np.nan, -0.0, 0.0, 0.5, 1.0, 1.0 + 2.0**-52, -3.25, 5e-324, 1e300, 1e308, 1.7e308, -1.7e308)
 
 
 @st.composite
@@ -387,6 +430,99 @@ def test_numeric_block_sweep_equals_per_attribute_reference(case):
             order = cov_idx[np.argsort(ds.column(ai)[cov_idx], kind="stable")]
             np.testing.assert_array_equal(cand.rows[r, : cand.known[r]], order[: cand.known[r]])
             assert np.isnan(ds.column(ai)[cand.rows[r, cand.known[r]:]]).all()
+
+
+@st.composite
+def nominal_sweep_cases(draw):
+    """A regression DataSet of 1-4 nominal columns, maybe between numeric
+    ones, a coverage mask, and the pass and reward pools. Domains run from
+    one category to twelve; a column may have missing cells, be all
+    missing or constant; the coverage may be a single row; labels are any
+    finite floats of moderate size."""
+    n = draw(st.integers(2, 30))
+    attrs, cols = [], []
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            attrs.append(Attribute(f"x{i}", "numeric"))
+            cols.append(np.array(draw(st.lists(st.sampled_from((0.0, 1.0, np.nan)), min_size=n, max_size=n))))
+        domain = draw(st.sampled_from([1, 2, 3, 8, 9, 12]))
+        kind = draw(st.sampled_from(["codes", "codes", "missing", "constant"]))
+        if kind == "missing":
+            col = [-1] * n
+        elif kind == "constant":
+            col = [draw(st.integers(0, domain - 1))] * n
+        else:
+            col = draw(st.lists(st.integers(-1, domain - 1), min_size=n, max_size=n))
+        attrs.append(Attribute(f"c{i}", "nominal", tuple(f"v{v}" for v in range(domain))))
+        cols.append(np.array(col, dtype=np.int32))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    codes = np.array([0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2)),
+                     dtype=np.int32)
+    labels = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    ds = DataSet(attrs, cols, relation="sweep", task="regression", group_names=("g", "rest"),
+                 group_codes=codes, labels=np.array(labels))
+    if draw(st.booleans()):
+        cov = np.array(draw(bits))
+    else:
+        cov = np.arange(n) == draw(st.integers(0, n - 1))
+    pos = codes == 0
+    d_u, r_u = pos & np.array(draw(bits)), pos & np.array(draw(bits))
+    gates = (draw(st.sampled_from([0.05, 0.3, 1.0])), draw(st.sampled_from([0.05, 0.5])))
+    return ds, cov, d_u, r_u, gates
+
+
+@settings(max_examples=400, deadline=None)
+@given(nominal_sweep_cases())
+def test_nominal_block_sweep_equals_per_attribute_reference(case):
+    ds, cov, d_u, r_u, (minsupp_all, minsupp_new) = case
+    ctx = induction._Context.build(ds, "g", MiningParams(minsupp_new=minsupp_new), "regression",
+                                   d_u=d_u, r_u=r_u, minsupp_all=minsupp_all)
+    cov_idx = np.flatnonzero(cov)
+    cand = induction._sweep_attribute(ctx, ctx.nominal, cov, cov_idx)
+    listed = [r for r in (nominal_sweep_reference(ctx, ai, cov_idx) for ai in ctx.nominal) if r is not None]
+    if not listed:
+        assert cand is None
+        return
+    got = {
+        "attrs": cand.attrs, "values": cand.values, "p": cand.p, "n": cand.n,
+        "p_new_pass": cand.p_new_pass, "p_new_reward": cand.p_new_reward, "covc": cand.covc,
+        "valid": cand.valid, "sums": cand.side_sums(ctx.labels[cand.rows]),
+    }
+    for name, value in got.items():
+        want = np.concatenate([r[name] for r in listed])
+        assert value.dtype == want.dtype and value.tobytes() == want.tobytes(), name
+    # both sides of every split, in (attribute, category, side) order
+    conds = [cand.condition(i) for i in range(cand.p.size)]
+    assert conds == [
+        Condition(int(a), op, int(v))
+        for r in listed for a, v in zip(r["attrs"], r["values"]) for op in (EQ, NE)
+    ]
+
+
+@pytest.mark.parametrize("n, columns", [(2**17 - 1, 1), (2**17, 2)])
+def test_packed_counts_are_exact_where_the_column_count_changes(n, columns):
+    # the packed fields are n.bit_length() bits wide; at 2**17 rows a field
+    # needs 18 bits, and three no longer fit one column
+    rng = np.random.default_rng(n)
+    codes = (rng.random(n) < 0.02).astype(np.int32)
+    ds = DataSet([Attribute("x", "numeric"), Attribute("c", "nominal", ("a", "b", "c"))],
+                 [rng.integers(0, 4, n).astype(np.float64), rng.integers(-1, 3, n).astype(np.int32)],
+                 relation="packed", task="classification", group_names=("g", "rest"), group_codes=codes)
+    pos = codes == 0
+    d_u, r_u = pos & (rng.random(n) < 0.99), pos.copy()
+    ctx = induction._Context.build(ds, "g", MiningParams(minsupp_new=0.05), "correlation",
+                                   d_u=d_u, r_u=r_u, minsupp_all=0.05)
+    assert len(induction._pack_counters(ctx)) == columns
+    cov = rng.random(n) < 0.99
+    checked = 0
+    for block in ctx.blocks:
+        cand = induction._sweep_attribute(ctx, block, cov, np.flatnonzero(cov))
+        for i in range(cand.p.size):
+            side = cov & condition_mask(cand.condition(i), ds)
+            want = [int(np.count_nonzero(side & m)) for m in (pos, d_u, r_u, np.True_)]
+            assert [cand.p[i], cand.p_new_pass[i], cand.p_new_reward[i], cand.covc[i]] == want
+            checked += 1
+    assert checked == 12
 
 
 def test_extension_spi_equals_one_set_per_attribute_on_long_premises():
