@@ -372,7 +372,7 @@ def _sweep_attribute(
         key = values.take(at).reshape(k, m)
         known = m - np.count_nonzero(np.isnan(key), axis=1)
         lo, hi = key[:, :-1], key[:, 1:]
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             mids = (lo + hi) / 2.0
         # halving first keeps a midpoint of two finite values finite; elsewhere
         # the sum's form is kept, which also keeps the bits of subnormal pairs
@@ -380,6 +380,9 @@ def _sweep_attribute(
         if over.any():
             over &= np.isfinite(lo) & np.isfinite(hi)
             mids[over] = lo[over] / 2.0 + hi[over] / 2.0
+        # -inf next to +inf splits at 0.0; a row holds -inf only at its start
+        if (key[:, 0] == -np.inf).any():
+            mids[(lo == -np.inf) & (hi == np.inf)] = 0.0
         # a split lies between two different values, unless its midpoint rounds
         # down onto the lower one; next to a missing cell the midpoint is NaN
         split = np.flatnonzero((hi != lo) & (mids > lo))

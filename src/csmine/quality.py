@@ -163,27 +163,38 @@ def _log_rank_rows(n1: np.ndarray, d1: np.ndarray, n2: np.ndarray, d2: np.ndarra
     use = (d > 0) & (nj > 0)
     var_use = use & (nj > 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        expected = (n1 * d / nj)[use]
-        variance = (n1 * n2 * d * (nj - d) / (nj * nj * (nj - 1.0)))[var_use]
+        terms = np.concatenate((n1 * d / nj, n1 * n2 * d * (nj - d) / (nj * nj * (nj - 1.0))))
+    # k rows of expected terms, then k rows of variance terms: one call sums both
+    expected, variance = _row_sums(terms, np.concatenate((use, var_use))).reshape(2, -1)
     # event counts are whole numbers, so their sum is exact in any order
-    observed = np.where(use, d1, 0.0).sum(axis=1)
-    e_end = np.cumsum(np.count_nonzero(use, axis=1))
-    v_end = np.cumsum(np.count_nonzero(var_use, axis=1))
-    stats = np.zeros(n1.shape[0], dtype=np.float64)
-    e0 = v0 = 0
-    for i, (e1, v1) in enumerate(zip(e_end.tolist(), v_end.tolist())):
-        var = float(variance[v0:v1].sum())
-        if var > 0.0:
-            diff = float(observed[i]) - float(expected[e0:e1].sum())
-            stats[i] = (diff * diff) / var
-        e0, v0 = e1, v1
-    return stats
+    diff = np.where(use, d1, 0.0).sum(axis=1) - expected
+    return np.divide(diff * diff, variance, out=np.zeros(variance.shape), where=variance > 0.0)
+
+
+def _row_sums(terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``terms[i][mask[i]].sum()`` of each row i, bit for bit, in one call.
+
+    The masked terms of every row are laid out one row after another, each
+    row behind a +0.0. ``add.reduceat`` starts a segment from its first
+    element and adds numpy's pairwise sum of the rest, so a row sums to
+    0.0 + pairwise(terms), which is what ``.sum()`` computes. The leading
+    zero changes nothing else because every term here is >= 0, and an
+    empty row sums to 0.0 either way.
+    """
+    lens = np.count_nonzero(mask, axis=1) + 1
+    starts = np.cumsum(lens) - lens
+    at_term = np.ones(lens.sum(), dtype=bool)
+    at_term[starts] = False
+    lead = np.zeros(at_term.size)
+    lead[at_term] = terms[mask]
+    return np.add.reduceat(lead, starts)
 
 
 # Ceiling on splits x grid times per block of split_scores. A block's count
-# and kernel arrays then hold at most 2 x max(this, grid size) elements,
-# whatever the number of splits or rows.
-_BLOCK_ELEMENTS = 1 << 10
+# and kernel arrays then hold at most 2 x max(this, grid size) elements
+# (1 MB of float64 here), whatever the number of splits or rows. On a grid
+# of g times a block takes 2**16 // g splits, 704 at g = 93.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class _LogRankScorer:

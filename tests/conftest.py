@@ -169,11 +169,13 @@ def numeric_split_points(values: np.ndarray) -> np.ndarray:
 
 
 def midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(lo + hi) / 2, or lo / 2 + hi / 2 where two finite values' sum overflows."""
-    with np.errstate(over="ignore"):
+    """(lo + hi) / 2, or lo / 2 + hi / 2 where two finite values' sum overflows,
+    or 0.0 between -inf and +inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
         mids = (lo + hi) / 2.0
     over = np.isinf(mids) & np.isfinite(lo) & np.isfinite(hi)
     mids[over] = lo[over] / 2.0 + hi[over] / 2.0
+    mids[(lo == -np.inf) & (hi == np.inf)] = 0.0
     return mids
 
 
@@ -511,6 +513,30 @@ def log_rank_float_reference(a_times, a_status, b_times, b_status, grid):
         return 0.0
     diff = observed - expected
     return (diff * diff) / variance
+
+
+def log_rank_rows_reference(n1, d1, n2, d2):
+    """``quality._log_rank_rows`` one row at a time.
+
+    This is the per-row loop the engine's one-``reduceat`` kernel replaced,
+    kept literal: each row's expected and variance terms are summed by
+    their own 1-D ``.sum()``, so the kernel must equal it bit for bit.
+    """
+    nj = n1 + n2
+    d = d1 + d2
+    use = (d > 0) & (nj > 0)
+    var_use = use & (nj > 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = n1 * d / nj
+        variance = n1 * n2 * d * (nj - d) / (nj * nj * (nj - 1.0))
+    observed = np.where(use, d1, 0.0).sum(axis=1)
+    stats = np.zeros(n1.shape[0], dtype=np.float64)
+    for i in range(n1.shape[0]):
+        var = float(variance[i][var_use[i]].sum())
+        if var > 0.0:
+            diff = float(observed[i]) - float(expected[i][use[i]].sum())
+            stats[i] = (diff * diff) / var
+    return stats
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -252,6 +253,19 @@ def test_grow_step_that_covers_other_than_counted_raises(monkeypatch):
     assert len(steps) == 1
 
 
+def test_infinite_cells_of_both_signs_split_at_zero():
+    # -inf + inf is NaN, so the pair had no midpoint and no split: mining
+    # warned and found nothing, though the attribute separates the groups
+    ds = DataSet([Attribute("x", "numeric")], [np.array([-np.inf, np.inf] * 3)], relation="inf",
+                 group_names=("A", "B"), group_codes=np.array([0, 1] * 3, dtype=np.int32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mined = mine_all(ds, MiningParams(), workers=1)
+    got = {g: [condition_tuples(s.contrast_set.conditions) for s in sets] for g, sets in mined.items()}
+    assert got == {"A": [[(0, LT, 0.0)]], "B": [[(0, GE, 0.0)]]}
+    assert [s.p for sets in mined.values() for s in sets] == [3, 3]
+
+
 def test_survival_group_without_events():
     emitted = grown_any = 0
     for seed in range(3):
@@ -357,28 +371,33 @@ def test_sweep_scores_exactly_the_gated_candidates(monkeypatch, measure, make):
     assert gated_out >= 40 and scored >= 40
 
 
-# cells that tie, signed zeros, neighbours one ulp apart, a subnormal, and
-# neighbours near the float maximum whose sum overflows
-_CELLS = (np.nan, -0.0, 0.0, 0.5, 1.0, 1.0 + 2.0**-52, -3.25, 5e-324, 1e300, 1e308, 1.7e308, -1.7e308)
+# cells that tie, signed zeros, neighbours one ulp apart, a subnormal,
+# neighbours near the float maximum whose sum overflows, and infinities
+_CELLS = (np.nan, -0.0, 0.0, 0.5, 1.0, 1.0 + 2.0**-52, -3.25, 5e-324, 1e300, 1e308, 1.7e308, -1.7e308,
+          -np.inf, np.inf)
+# the extremes alone, so that -inf and +inf often end up next to each other
+_EXTREMES = (np.nan, -1.7e308, 1.7e308, -np.inf, np.inf)
 
 
 @st.composite
 def numeric_sweep_cases(draw):
     """A regression DataSet of 1-5 numeric columns, a coverage mask, and the
     pass and reward pools. A column is drawn from a small pool of cells
-    (ties, NaN, signed zeros), from any finite float, or is constant or
-    all missing; the coverage may be a single row."""
+    (ties, NaN, signed zeros, infinities), from the extremes of that pool,
+    from any finite float, or is constant or all missing; the coverage may
+    be a single row."""
     n = draw(st.integers(2, 24))
     cols = []
+    pools = {"cells": st.sampled_from(_CELLS), "extremes": st.sampled_from(_EXTREMES),
+             "floats": st.floats(-1e300, 1e300)}
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["cells", "floats", "constant", "missing"]))
+        kind = draw(st.sampled_from(["cells", "extremes", "floats", "constant", "missing"]))
         if kind == "constant":
             col = [draw(st.sampled_from(_CELLS[1:]))] * n
         elif kind == "missing":
             col = [np.nan] * n
         else:
-            cells = st.sampled_from(_CELLS) if kind == "cells" else st.floats(-1e300, 1e300)
-            col = draw(st.lists(cells, min_size=n, max_size=n))
+            col = draw(st.lists(pools[kind], min_size=n, max_size=n))
         cols.append(np.array(col, dtype=np.float64))
     bits = st.lists(st.booleans(), min_size=n, max_size=n)
     codes = np.array([0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2)),
@@ -1103,3 +1122,57 @@ def test_duplicating_rows_doubles_counts_and_keeps_premises(make):
             assert doubled[group] == want
             emitted += len(sets)
     assert emitted >= 30
+
+
+def _exponent_range(ds):
+    """Lowest and highest j for which scaling by 2**j is exact on ``ds``: no
+    numeric cell, half-sum of two cells of a column or survival time
+    overflows, and none that is nonzero becomes subnormal. Sums of two cells
+    may overflow; the sweep halves before adding there. The 1.0 keeps 2**j
+    itself normal."""
+    parts = [np.ones(1)] if ds.times is None else [np.ones(1), ds.times]
+    for ai, attr in enumerate(ds.attributes):
+        if attr.is_numeric:
+            col = ds.column(ai)[~np.isnan(ds.column(ai))]
+            parts += [col, ((col[:, None] + col[None, :]) / 2.0).ravel()]
+    values = np.abs(np.concatenate(parts))
+    _, exp = np.frexp(values[values > 0.0])  # value = m * 2**exp, 0.5 <= m < 1
+    return -1021 - int(exp.min()), 1024 - int(exp.max())
+
+
+def _scaled(ds, j):
+    """``ds`` with every numeric column, and survival times, scaled by 2**j."""
+    cols = [np.ldexp(ds.column(ai), j) if attr.is_numeric else ds.column(ai)
+            for ai, attr in enumerate(ds.attributes)]
+    return ds._replace(columns=cols, times=None if ds.times is None else np.ldexp(ds.times, j))
+
+
+def _scaled_sets(mined, ds, j):
+    """Mined sets with every numeric threshold scaled by 2**j, and quality and
+    redundancy as their bits."""
+    out = {}
+    for group, sets in mined.items():
+        out[group] = [
+            (tuple((c.attr_index, c.op, float(np.ldexp(c.value, j))
+                    if ds.attributes[c.attr_index].is_numeric else c.value)
+                   for c in s.contrast_set.conditions),
+             replace(s, contrast_set=None, quality=s.quality.hex(), redundancy=s.redundancy.hex()))
+            for s in sets
+        ]
+    return out
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from([random_classification, random_regression, random_survival]),
+       st.integers(0, 39), st.data())
+def test_scaling_by_a_power_of_two_scales_only_the_thresholds(make, seed, data):
+    # 2**j scaling is exact and keeps the order of every cell and time, so
+    # the same conditions must be mined at scaled thresholds, with the same
+    # counts, qualities and redundancies bit for bit
+    ds = make(seed + 1300, n_min=40, n_max=120)
+    lo, hi = _exponent_range(ds)
+    j = data.draw(st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi)), label="j")
+    base = mine_all(ds, _MINE_PARAMS, workers=1)
+    assert _scaled_sets(mine_all(_scaled(ds, j), _MINE_PARAMS, workers=1), ds, 0) == (
+        _scaled_sets(base, ds, j)
+    )

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csmine.contrast import ConfusionMatrix
-from csmine.data import Attribute, DataSet
+from csmine.data import Attribute, DataSet, derive_groups_survival
 from csmine.quality import (
     _LogRankScorer,
     correlation,
@@ -28,6 +29,7 @@ from conftest import (
     km_oracle,
     log_rank_float_reference,
     log_rank_oracle,
+    log_rank_rows_reference,
     random_survival,
     with_status,
 )
@@ -311,6 +313,83 @@ def test_scorer_matches_log_rank():
         assert scorer.score(np.array([], dtype=np.intp)) == 0.0
 
 
+# ---------------------------------------------------------------------------
+# the log-rank kernel against per-row numpy sums
+
+def _assert_kernel_matches_reference(n1, d1, n2, d2):
+    got = quality._log_rank_rows(n1, d1, n2, d2)
+    want = log_rank_rows_reference(n1, d1, n2, d2)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+@st.composite
+def count_tables(draw):
+    """(n1, d1, n2, d2) as split_scores builds them: k samples and one
+    reference sample on a grid of g times, where at-risk counts the rows at
+    or after each time and events at a time are at most its rows. Small
+    row counts give rows with no usable time and zero-variance rows."""
+    k = draw(st.integers(1, 6))
+    g = draw(st.integers(1, 40))
+    top = draw(st.integers(1, 4))
+    rows = draw(arrays(np.int64, (k + 1, g), elements=st.integers(0, top)))
+    events = draw(arrays(np.int64, (k + 1, g), elements=st.integers(0, top)))
+    n = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
+    d = np.minimum(events, rows).astype(np.float64)
+    return n[:-1], d[:-1], n[-1], d[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_tables())
+def test_log_rank_kernel_equals_per_row_sums(tables):
+    _assert_kernel_matches_reference(*tables)
+
+
+def test_log_rank_kernel_edge_rows():
+    one = np.ones((1, 1), dtype=np.int64)
+    # k = 1 and g = 1: one usable time with variance
+    assert _assert_kernel_matches_reference(one, np.ones((1, 1)), np.ones(1, dtype=np.int64),
+                                            np.zeros(1))[0] > 0.0
+    # no usable time: no events anywhere, or events where nobody is at risk
+    n1 = np.array([[3, 2, 0], [0, 0, 0]])
+    got = _assert_kernel_matches_reference(n1, np.zeros((2, 3)), np.array([2, 1, 0]), np.zeros(3))
+    assert got.tolist() == [0.0, 0.0]
+    # zero variance: every usable time has n_j <= 1
+    n1 = np.array([[1, 1, 0], [0, 1, 1]])
+    d1 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    got = _assert_kernel_matches_reference(n1, d1, np.zeros(3, dtype=np.int64), np.zeros(3))
+    assert got.tolist() == [0.0, 0.0]
+    # no rows at all, as a block with no wanted side gives
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert _assert_kernel_matches_reference(empty, empty.astype(np.float64),
+                                            np.ones(3, dtype=np.int64), np.ones(3)).size == 0
+
+
+def test_log_rank_kernel_long_rows():
+    # numpy's pairwise sum adds fewer than 8 terms in order, up to 128 in
+    # eight strided accumulators, and splits longer runs in halves; 8,192 is
+    # its ufunc buffer size. Rows of usable lengths on both sides of each
+    # pin every regime, alone and in one block with rows of other lengths.
+    rng = np.random.default_rng(17)
+    lengths = (0, 1, 7, 8, 9, 127, 128, 129, 1000, 8191, 8192, 8193, 20000)
+    g = 20011
+    n1 = rng.integers(1, 60, (len(lengths), g))
+    n2 = rng.integers(0, 60, g)
+    d1 = np.zeros((len(lengths), g))
+    for i, length in enumerate(lengths):
+        at = rng.choice(g, size=length, replace=False)
+        d1[i, at] = rng.integers(1, n1[i, at] + 1)
+    d2 = np.zeros(g)
+    use = (d1 + d2 > 0) & (n1 + n2 > 0)
+    assert np.count_nonzero(use, axis=1).tolist() == list(lengths)
+    block = _assert_kernel_matches_reference(n1, d1, n2, d2)
+    for i in range(len(lengths)):
+        alone = _assert_kernel_matches_reference(n1[i:i + 1], d1[i:i + 1], n2, d2)
+        assert alone.tobytes() == block[i:i + 1].tobytes()
+    assert (block[1:] > 0.0).all()
+
+
 def _block_datasets():
     for seed in range(3):
         ds = random_survival(seed, n_min=40, n_max=120)
@@ -319,6 +398,18 @@ def _block_datasets():
         col = ds.column(0).astype(np.float64)
         yield with_status(ds, np.where(col <= np.nanmedian(col), 0, ds.status))
     yield bimodal_survival(seed=3, n=200)
+    # distinct times: sides of the first splits have more than 128 usable
+    # times, so their sums take more than one pairwise block
+    rng = np.random.default_rng(11)
+    n = 300
+    x = np.round(rng.normal(size=n), 2)
+    stage = rng.integers(0, 3, n).astype(np.int32)
+    times = rng.exponential(np.where(x > 0.0, 4.0, 12.0))
+    yield derive_groups_survival(DataSet(
+        (Attribute("x", "numeric"), Attribute("stage", "nominal", ("I", "II", "III"))), [x, stage],
+        relation="distinct", task="survival", times=times,
+        status=(rng.random(n) < 0.8).astype(np.int8),
+    ))
 
 
 def _splits(ds, cov, ai, rng):
@@ -351,17 +442,21 @@ def _splits(ds, cov, ai, rng):
     return rows, seg, want, cumulative, sides
 
 
-@pytest.mark.parametrize("block_elements", [None, 1])
+@pytest.mark.parametrize("block_elements", [None, 1, "three-splits"])
 def test_block_scan_matches_score_exactly(monkeypatch, block_elements):
-    if block_elements is not None:
-        # one split per block: every block boundary and carry is exercised
-        monkeypatch.setattr(quality, "_BLOCK_ELEMENTS", block_elements)
+    # at the default ceiling (None) an attribute's splits take one block,
+    # or two on the distinct-time data's full coverage; 1 puts one split in
+    # each block, and three-splits carries counts between blocks of three
+    if block_elements == 1:
+        monkeypatch.setattr(quality, "_BLOCK_ELEMENTS", 1)
     rng = np.random.default_rng(5)
-    seen = {"numeric": 0, "nominal": 0, "empty": 0, "censored": 0}
+    seen = {"numeric": 0, "nominal": 0, "empty": 0, "censored": 0, "long": 0}
     for ds in _block_datasets():
         for group in ds.groups:
             pos = ds.group_mask(group)
             scorer = _LogRankScorer(ds, pos)
+            if block_elements == "three-splits":
+                monkeypatch.setattr(quality, "_BLOCK_ELEMENTS", 3 * scorer.grid.size)
             for cov in (np.ones(ds.n_examples, dtype=bool), rng.random(ds.n_examples) < 0.6):
                 for ai, attr in enumerate(ds.attributes):
                     rows, seg, want, cumulative, sides = _splits(ds, cov, ai, rng)
@@ -378,7 +473,14 @@ def test_block_scan_matches_score_exactly(monkeypatch, block_elements):
                     seen["numeric" if attr.is_numeric else "nominal"] += len(wanted)
                     seen["empty"] += sum(s.size == 0 for s in wanted)
                     seen["censored"] += sum(s.size > 0 and not ds.status[s].any() for s in wanted)
+                    seen["long"] += sum(_usable_times(ds, s, pos) > 128 for s in wanted)
     assert min(seen.values()) >= 20, seen
+
+
+def _usable_times(ds, side, pos):
+    """Grid times with an event in ``side`` or ``pos`` and someone at risk."""
+    events = np.concatenate((ds.times[side][ds.status[side] == 1], ds.times[pos][ds.status[pos] == 1]))
+    return np.unique(events).size
 
 
 def test_survival_consistency_is_negated_log_rank():
