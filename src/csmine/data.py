@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -282,7 +282,17 @@ class ArffError(ValueError):
 # A field is a run of unquoted characters other than a comma and of quoted
 # runs, which may hold commas and the other quote character; unrolled as
 # normal* (quoted normal*)*, so a failed match backtracks in linear time.
-_FIELDS = re.compile(r"""([^,'"]*(?:(?:'[^']*'|"[^"]*")[^,'"]*)*),""")
+_FIELD = r"""[^,'"]*(?:(?:'[^']*'|"[^"]*")[^,'"]*)*"""
+_FIELDS = re.compile(f"({_FIELD}),")
+# A token of the @data section: a field kept on its line (a newline joins
+# every excluded class) and what ends it, a comma, a newline or the end of
+# the text. With no group, findall returns the tokens whole.
+_TOKENS = re.compile(_FIELD.replace("]", r"\n]") + r"(?:,|\n|\Z)")
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")  # one line and its newline
+# A @data line that holds no row (blank, whitespace only or a % comment), or
+# a sparse row (group 1). \s is str.strip's whitespace. Anchored on the
+# newline before the line, which sre finds faster than a MULTILINE ^.
+_ODD_LINE = re.compile(r"\n[^\S\n]*(?:(\{)|(?:%[^\n]*)?(?=\n|\Z))")
 _QUOTED_RUN = re.compile(r"""'([^']*)'|"([^"]*)\"""")
 _QUOTED_SPAN = re.compile(r"""['"].*['"]""", re.S)  # first quote to last
 
@@ -308,24 +318,89 @@ def _field_text(raw: str) -> str:
     return raw[:lo].lstrip() + _QUOTED_RUN.sub(r"\1\2", raw[lo:hi]) + raw[hi:].rstrip()
 
 
+def _data_tokens(text: str, start: int, first: int, k: int) -> tuple[list[str], Sequence[int]]:
+    """The tokens of the ``@data`` section that starts at ``text[start]``, on
+    line ``first``, and the line of each row: row after row, ``k`` tokens a
+    row, each a raw field plus one separator character, a comma or, at the
+    end of a row, a newline.
+
+    Blank, whitespace-only and ``%`` lines are skipped. The section is read
+    in one scan with no loop per row; only a malformed section is walked
+    line by line, to raise the error of its first bad line.
+    """
+    odd = list(_ODD_LINE.finditer(text, start - 1))
+    if odd and odd[-1].start() == len(text) - 1:
+        odd.pop()  # the empty text after a final newline
+    if any(m.group(1) for m in odd):
+        _raise_first_bad_row(text, start, first, k)
+    data, pos, lines = text, start, None
+    if odd:
+        # join the stretches of rows between the skipped lines, and number them
+        pieces, lines, line = [], [], first
+        for m in odd:
+            skip = m.start() + 1  # the skipped line's first character
+            rows = text.count("\n", pos, skip)
+            pieces.append(text[pos:skip])
+            lines.extend(range(line, line + rows))
+            pos, line = m.end() + 1, line + rows + 1
+        pieces.append(text[pos:])
+        data, pos = "".join(pieces), 0
+    tokens = _TOKENS.findall(data, pos)
+    # findall steps over an unterminated quote, so its tokens then fall short
+    # of covering the section
+    if sum(map(len, tokens)) != len(data) - pos:
+        _raise_first_bad_row(text, start, first, k)
+    # the scan ends in an empty match at the end of the text, a last empty
+    # field only after a comma; a last line without a newline gets one
+    if len(tokens) < 2 or tokens[-2][-1] != ",":
+        tokens.pop()
+    if tokens and tokens[-1][-1:] != "\n":
+        tokens[-1] += "\n"
+    n = data.count("\n", pos) + (len(data) > pos and data[-1] != "\n")
+    # each token holds at most one newline, at its end, so n rows of k fields
+    # are n * k tokens with a newline ending every k-th one
+    if len(tokens) != n * k or any(t[-1] != "\n" for t in dict.fromkeys(tokens[k - 1 :: k])):
+        _raise_first_bad_row(text, start, first, k)
+    if lines is None:
+        return tokens, range(first, first + n)
+    lines.extend(range(line, line + n - len(lines)))
+    return tokens, lines
+
+
+def _raise_first_bad_row(text: str, start: int, first: int, k: int) -> NoReturn:
+    """Raise the error of the first malformed row of the ``@data`` section
+    that starts at ``text[start]``, on line ``first``, walking it line by line."""
+    for line_no, raw in enumerate(text[start:].split("\n"), start=first):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        if line.startswith("{"):
+            raise ArffError(line_no, "sparse data rows are not supported")
+        fields = _raw_fields(line, line_no)
+        if len(fields) != k:
+            raise ArffError(line_no, f"expected {k} values, found {len(fields)}")
+    raise AssertionError("the @data scan failed on a section whose every row is well formed")
+
+
 def _decode_column(
-    fields: Sequence[str],
+    tokens: Sequence[str],
     lines: Sequence[int],
     name: str,
     lookup: dict[str, int] | None,
     missing: str | None,
 ) -> np.ndarray:
-    """The raw ``fields`` of column ``name`` as codes into ``lookup`` or,
-    without one, as numbers.
+    """The ``tokens`` of column ``name`` (raw fields, each followed by its
+    separator) as codes into ``lookup`` or, without one, as numbers.
 
     Only a bare ``?`` is a missing cell, read as -1 or NaN; a quoted ``'?'``
     is the text ``?``. Where ``missing`` is given, a missing cell (or a
-    ``nan``) raises it instead. Each distinct raw field is decoded once, in
+    ``nan``) raises it instead. Each distinct token is decoded once, in
     order of first appearance, so a bad one raises ArffError at the first
     line that holds it.
     """
 
-    def decode(raw: str) -> float:
+    def decode(token: str) -> float:
+        raw = token[:-1]
         text = None if raw.strip() == "?" else _field_text(raw)
         if lookup is not None:
             if text is not None and text not in lookup:
@@ -341,13 +416,13 @@ def _decode_column(
         return value
 
     table = {}
-    for raw in dict.fromkeys(fields):
+    for token in dict.fromkeys(tokens):
         try:
-            table[raw] = decode(raw)
+            table[token] = decode(token)
         except ValueError as exc:
-            raise ArffError(lines[fields.index(raw)], str(exc)) from None
+            raise ArffError(lines[tokens.index(token)], str(exc)) from None
     dtype = np.float64 if lookup is None else np.int32
-    return np.fromiter(map(table.__getitem__, fields), dtype, len(fields))
+    return np.fromiter(map(table.__getitem__, tokens), dtype, len(tokens))
 
 
 def _parse_attribute_line(rest: str, line_no: int) -> Attribute:
@@ -407,41 +482,29 @@ def parse_arff(
         text = source
     relation = "data"
     attributes: list[Attribute] = []
-    rows: list[list[str]] = []  # raw fields
-    row_lines: list[int] = []
-    in_data = False
-    for line_no, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.strip()
+    # the header's lines, read in place: a StringIO would copy the whole text
+    for line_no, match in enumerate(_LINE.finditer(text), start=1):
+        line = match.group().strip()
         if not line or line.startswith("%"):
             continue
-        if not in_data:
-            lower = line.lower()
-            if lower.startswith("@relation"):
-                rest = line[len("@relation") :].strip()
-                if rest[:1] in "'\"" and rest[-1:] == rest[:1] and len(rest) >= 2:
-                    rest = rest[1:-1]
-                relation = rest or relation
-            elif lower.startswith("@attribute"):
-                attributes.append(_parse_attribute_line(line[len("@attribute") :], line_no))
-            elif lower.startswith("@data"):
-                if not attributes:
-                    raise ArffError(line_no, "@data before any @attribute")
-                in_data = True
-            else:
-                raise ArffError(line_no, f"unrecognized header line {line.split()[0]!r}")
+        lower = line.lower()
+        if lower.startswith("@relation"):
+            rest = line[len("@relation") :].strip()
+            if rest[:1] in "'\"" and rest[-1:] == rest[:1] and len(rest) >= 2:
+                rest = rest[1:-1]
+            relation = rest or relation
+        elif lower.startswith("@attribute"):
+            attributes.append(_parse_attribute_line(line[len("@attribute") :], line_no))
+        elif lower.startswith("@data"):
+            if not attributes:
+                raise ArffError(line_no, "@data before any @attribute")
+            break
         else:
-            if line.startswith("{"):
-                raise ArffError(line_no, "sparse data rows are not supported")
-            fields = _raw_fields(line, line_no)
-            if len(fields) != len(attributes):
-                raise ArffError(
-                    line_no,
-                    f"expected {len(attributes)} values, found {len(fields)}",
-                )
-            rows.append(fields)
-            row_lines.append(line_no)
-    if not in_data:
+            raise ArffError(line_no, f"unrecognized header line {line.split()[0]!r}")
+    else:
         raise ArffError(1, "missing @data section")
+    k = len(attributes)
+    tokens, row_lines = _data_tokens(text, match.end(), line_no + 1, k)
 
     all_names = [a.name for a in attributes]
     if len(set(all_names)) != len(all_names):
@@ -474,7 +537,7 @@ def parse_arff(
     cond_idx = [i for i in range(len(attributes)) if i not in roles]
     columns: dict[int, np.ndarray] = {}
     # conditional columns first, then the bound ones in role order; one
-    # column of raw fields at a time, so peak memory stays that of the rows
+    # column of tokens at a time, so peak memory stays that of the tokens
     for i in cond_idx + list(special.values()):
         attr, role = attributes[i], roles.get(i)
         if role == "group" and attr.is_numeric:
@@ -488,8 +551,8 @@ def parse_arff(
             "status": "missing survival status value",
         }.get(role)
         columns[i] = _decode_column(
-            list(map(itemgetter(i), rows)), row_lines, attr.name,
-            {v: k for k, v in enumerate(attr.domain)} if codes else None, missing,
+            tokens[i::k], row_lines, attr.name,
+            {v: c for c, v in enumerate(attr.domain)} if codes else None, missing,
         )
         # the values DataSet refuses, found here so the error names their line
         error = _rule_error(role, columns[i], task)

@@ -380,9 +380,12 @@ def _sweep_attribute(
         if over.any():
             over &= np.isfinite(lo) & np.isfinite(hi)
             mids[over] = lo[over] / 2.0 + hi[over] / 2.0
-        # -inf next to +inf splits at 0.0; a row holds -inf only at its start
+        # -inf next to +inf splits at 0.0, and next to a finite value at -DBL_MAX,
+        # below which only -inf lies; a row holds -inf only at its start
         if (key[:, 0] == -np.inf).any():
-            mids[(lo == -np.inf) & (hi == np.inf)] = 0.0
+            neg = lo == -np.inf
+            mids[neg & (hi == np.inf)] = 0.0
+            mids[neg & np.isfinite(hi)] = np.finfo(np.float64).min
         # a split lies between two different values, unless its midpoint rounds
         # down onto the lower one; next to a missing cell the midpoint is NaN
         split = np.flatnonzero((hi != lo) & (mids > lo))

@@ -5,22 +5,35 @@ example at a time through a row view and tested condition by condition,
 growing enumerates every candidate condition one by one, pruning
 re-evaluates every removal from scratch, redundancy compares Python sets of
 row indices one pair at a time, ARFF fields are split one character at a
-time, and the survival statistics are redone in exact Fraction arithmetic.
+time and ARFF data one line at a time, and the survival statistics are
+redone in exact Fraction arithmetic.
 Production code must agree with them bitwise for classification, exactly
 for integer-label regression, and to 1e-9 for survival scores.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from csmine.contrast import EQ, GE, LT, NE, Condition, ConfusionMatrix, condition_mask
-from csmine.data import ArffError, Attribute, DataSet, derive_groups_survival
+from csmine.data import (
+    ArffError,
+    Attribute,
+    DataSet,
+    _field_text,
+    _observed_groups,
+    _parse_attribute_line,
+    _raw_fields,
+    _rule_error,
+    derive_groups_survival,
+)
 from csmine.diversity import MULTIPLIER_FLOOR, PenaltyState
 from csmine.quality import _LogRankScorer, measure_for_task
 
@@ -152,6 +165,192 @@ def split_csv_reference(text: str, line_no: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# ARFF parsing one @data line at a time
+
+# This is the parser that the one-scan @data reader replaced, kept literal:
+# each @data line is stripped, skipped when blank or a comment, split with
+# its own _FIELDS.findall, and its raw fields kept as a row. Columns are
+# gathered from the rows and decoded whole field by whole field.
+
+def decode_column_reference(
+    fields: Sequence[str],
+    lines: Sequence[int],
+    name: str,
+    lookup: dict[str, int] | None,
+    missing: str | None,
+) -> np.ndarray:
+    """The raw ``fields`` of column ``name`` as codes into ``lookup`` or,
+    without one, as numbers.
+
+    Only a bare ``?`` is a missing cell, read as -1 or NaN; a quoted ``'?'``
+    is the text ``?``. Where ``missing`` is given, a missing cell (or a
+    ``nan``) raises it instead. Each distinct raw field is decoded once, in
+    order of first appearance, so a bad one raises ArffError at the first
+    line that holds it.
+    """
+
+    def decode(raw: str) -> float:
+        text = None if raw.strip() == "?" else _field_text(raw)
+        if lookup is not None:
+            if text is not None and text not in lookup:
+                raise ValueError(f"value {text!r} not in declared domain of {name!r}")
+            value = -1 if text is None else lookup[text]
+        else:
+            try:
+                value = np.nan if text is None else float(text)
+            except ValueError:
+                raise ValueError(f"non-numeric value {text!r} in column {name!r}") from None
+        if missing and (text is None or value != value):
+            raise ValueError(missing)
+        return value
+
+    table = {}
+    for raw in dict.fromkeys(fields):
+        try:
+            table[raw] = decode(raw)
+        except ValueError as exc:
+            raise ArffError(lines[fields.index(raw)], str(exc)) from None
+    dtype = np.float64 if lookup is None else np.int32
+    return np.fromiter(map(table.__getitem__, fields), dtype, len(fields))
+
+
+def parse_arff_reference(
+    source,
+    *,
+    group: str | None = None,
+    label: str | None = None,
+    time: str | None = None,
+    status: str | None = None,
+    task: str | None = None,
+) -> DataSet:
+    """Parse an ARFF character stream into a DataSet.
+
+    Recognizes ``@relation``, ``@attribute name numeric|real|integer`` or an
+    explicit nominal domain, and dense ``@data`` rows with a bare ``?`` for
+    missing cells. ``%`` lines are comments. The named columns are pulled out of the
+    conditional attribute list and bound as group / label / time / status.
+    Malformed input raises :class:`ArffError` with the offending line number.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        text = source
+    relation = "data"
+    attributes: list[Attribute] = []
+    rows: list[list[str]] = []  # raw fields
+    row_lines: list[int] = []
+    in_data = False
+    for line_no, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        if not in_data:
+            lower = line.lower()
+            if lower.startswith("@relation"):
+                rest = line[len("@relation") :].strip()
+                if rest[:1] in "'\"" and rest[-1:] == rest[:1] and len(rest) >= 2:
+                    rest = rest[1:-1]
+                relation = rest or relation
+            elif lower.startswith("@attribute"):
+                attributes.append(_parse_attribute_line(line[len("@attribute") :], line_no))
+            elif lower.startswith("@data"):
+                if not attributes:
+                    raise ArffError(line_no, "@data before any @attribute")
+                in_data = True
+            else:
+                raise ArffError(line_no, f"unrecognized header line {line.split()[0]!r}")
+        else:
+            if line.startswith("{"):
+                raise ArffError(line_no, "sparse data rows are not supported")
+            fields = _raw_fields(line, line_no)
+            if len(fields) != len(attributes):
+                raise ArffError(
+                    line_no,
+                    f"expected {len(attributes)} values, found {len(fields)}",
+                )
+            rows.append(fields)
+            row_lines.append(line_no)
+    if not in_data:
+        raise ArffError(1, "missing @data section")
+
+    all_names = [a.name for a in attributes]
+    if len(set(all_names)) != len(all_names):
+        dupe = next(n for n in all_names if all_names.count(n) > 1)
+        raise ArffError(1, f"duplicate attribute name {dupe!r}")
+
+    special = {}
+    for role, name in (("group", group), ("label", label), ("time", time), ("status", status)):
+        if name is None:
+            continue
+        if name not in all_names:
+            raise ArffError(1, f"{role} column {name!r} not declared")
+        special[role] = all_names.index(name)
+    if len(set(special.values())) != len(special):
+        raise ArffError(1, "group/label/time/status columns must be distinct")
+
+    if task is None:
+        if time is not None or status is not None:
+            task = "survival"
+        elif label is not None:
+            task = "regression"
+        else:
+            task = "classification"
+    if task == "survival" and ("time" not in special or "status" not in special):
+        raise ArffError(1, "survival task needs both time and status columns")
+    if task == "regression" and "label" not in special:
+        raise ArffError(1, "regression task needs a label column")
+
+    roles = {i: role for role, i in special.items()}
+    cond_idx = [i for i in range(len(attributes)) if i not in roles]
+    columns: dict[int, np.ndarray] = {}
+    # conditional columns first, then the bound ones in role order; one
+    # column of raw fields at a time, so peak memory stays that of the rows
+    for i in cond_idx + list(special.values()):
+        attr, role = attributes[i], roles.get(i)
+        if role == "group" and attr.is_numeric:
+            raise ArffError(1, f"group column {attr.name!r} must be nominal")
+        # nominal-declared label, time and status columns are read as numbers
+        codes = role == "group" or (role is None and not attr.is_numeric)
+        missing = {
+            "group": f"missing group value in column {attr.name!r}",
+            "label": "missing label value" if task == "regression" else None,
+            "time": "missing survival time value" if task == "survival" else None,
+            "status": "missing survival status value",
+        }.get(role)
+        columns[i] = decode_column_reference(
+            list(map(itemgetter(i), rows)), row_lines, attr.name,
+            {v: k for k, v in enumerate(attr.domain)} if codes else None, missing,
+        )
+        # the values DataSet refuses, found here so the error names their line
+        error = _rule_error(role, columns[i], task)
+        if error:
+            raise ArffError(row_lines[error[0]], error[1])
+
+    group_names, group_codes = (), None
+    if "group" in special:
+        gi = special["group"]
+        group_names, group_codes = _observed_groups(attributes[gi].domain, columns[gi])
+    try:
+        return DataSet(
+            [attributes[i] for i in cond_idx],
+            [columns[i] for i in cond_idx],
+            relation=relation,
+            task=task,
+            group_names=group_names,
+            group_codes=group_codes,
+            labels=columns.get(special.get("label")),
+            times=columns.get(special.get("time")),
+            status=columns.get(special.get("status")),
+            group_attr=group,
+            label_attr=label,
+            time_attr=time,
+            status_attr=status,
+        )
+    except ValueError as exc:
+        raise ArffError(1, str(exc)) from None
+
+
+# ---------------------------------------------------------------------------
 # candidate enumeration, independent of the engine's sweep
 
 def numeric_split_points(values: np.ndarray) -> np.ndarray:
@@ -170,12 +369,13 @@ def numeric_split_points(values: np.ndarray) -> np.ndarray:
 
 def midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """(lo + hi) / 2, or lo / 2 + hi / 2 where two finite values' sum overflows,
-    or 0.0 between -inf and +inf."""
+    0.0 between -inf and +inf, or -DBL_MAX between -inf and a finite value."""
     with np.errstate(over="ignore", invalid="ignore"):
         mids = (lo + hi) / 2.0
     over = np.isinf(mids) & np.isfinite(lo) & np.isfinite(hi)
     mids[over] = lo[over] / 2.0 + hi[over] / 2.0
     mids[(lo == -np.inf) & (hi == np.inf)] = 0.0
+    mids[(lo == -np.inf) & np.isfinite(hi)] = np.finfo(np.float64).min
     return mids
 
 

@@ -1,10 +1,13 @@
 """Dataset container, coverage masks, ARFF I/O, group derivation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from csmine import data
 from csmine.contrast import GE, NE, Condition, ContrastSet
 from csmine.data import (
     TASKS,
@@ -28,6 +31,7 @@ from conftest import (
     example,
     examples,
     group_of,
+    parse_arff_reference,
     random_classification,
     random_regression,
     random_survival,
@@ -375,6 +379,206 @@ def test_raw_fields_match_reference_splitter(text):
             _raw_fields(text, 1)
         return
     assert [_field_text(f) for f in _raw_fields(text, 1)] == want
+
+
+# ---------------------------------------------------------------------------
+# the one-scan @data reader against the per-line reference
+
+def _parse_outcome(parse, text, bindings):
+    """What ``parse`` makes of ``text``: a DataSet, or an ArffError's message and line."""
+    try:
+        return parse(text, **bindings)
+    except ArffError as exc:
+        return str(exc), exc.line
+
+
+def _assert_same_outcome(text, **bindings):
+    """parse_arff and the per-line reference return equal DataSets, every
+    array the same dtype and bytes, or raise the same ArffError."""
+    got = _parse_outcome(parse_arff, text, bindings)
+    want = _parse_outcome(parse_arff_reference, text, bindings)
+    assert isinstance(got, DataSet) == isinstance(want, DataSet), (got, want)
+    if not isinstance(want, DataSet):
+        assert got == want
+        return
+    for name in ("relation", "task", "attributes", "group_names", "group_attr", "label_attr",
+                 "time_attr", "status_attr", "n_examples"):
+        assert getattr(got, name) == getattr(want, name), name
+    arrays = [(got.column(i), want.column(i)) for i in range(len(want.attributes))]
+    arrays += [(getattr(got, name), getattr(want, name))
+               for name in ("group_codes", "labels", "times", "status")]
+    for a, b in arrays:
+        assert (a is None) == (b is None)
+        if b is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Domain values: a comma and the other quote inside either quote kind, and
+# values that read bare as a comment, a sparse row or a number.
+_DOMAIN = ("a", "b c", "x,'y", 'p,"q', "?", "%c", "{s}", "1.5", "it's")
+_PADS = ("", " ", "\t", "\r", "\x0c", "\x85", " \x85 ")
+_NUMBERS = ("1", "-2.5", "1e3", "0", "inf", "nan", " 7 ")
+# lines that hold no row: blank, whitespace only, comments
+_NO_ROW = ("", "   ", "\t\r", "\x85", "% a comment, with 'a quote", "  %x,y")
+
+
+def _quoted(pick, value):
+    if "'" in value:
+        return f'"{value}"'
+    if '"' in value:
+        return f"'{value}'"
+    quote = pick("'\"")
+    return f"{quote}{value}{quote}"
+
+
+def _cell(pick, domain):
+    """A padded cell of a numeric (``domain`` None) or nominal column."""
+    if pick(range(10)) == 0:
+        text = "?"  # a missing cell
+    else:
+        text = pick(domain or _NUMBERS)
+        # quotes are needed around a comma, a quote or the text ?; optional elsewhere
+        if any(c in text for c in ",'\"") or text == "?" or pick((True, False)):
+            text = _quoted(pick, text)
+    return pick(_PADS) + text + pick(_PADS)
+
+
+@st.composite
+def arff_texts(draw):
+    """An ARFF text of 1-40 numeric and nominal attributes and 0-8 rows, with
+    padded and quoted cells, lines without rows anywhere in @data, LF or
+    CRLF endings and a last line with or without a newline, and bindings.
+    About a third are malformed: an unterminated quote, a field too many (an
+    empty one after a last comma, too) or too few (or both, in two rows), a
+    sparse row, or a value outside the domain. The cells come
+    from a drawn seed, which keeps 500 examples of 40 columns fast."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    k = draw(st.integers(1, 40))
+    domains = [None if draw(st.booleans()) else
+               tuple(draw(st.lists(st.sampled_from(_DOMAIN), min_size=1, max_size=5, unique=True)))
+               for _ in range(k)]
+    header = ["@relation r"]
+    for i, domain in enumerate(domains):
+        kind = "numeric" if domain is None else "{" + ",".join(_quoted(pick, v) for v in domain) + "}"
+        header.append(f"@attribute a{i} {kind}")
+    rows = [[_cell(pick, domain) for domain in domains] for _ in range(pick(range(9)))]
+    if pick(range(3)) == 0:
+        if not rows:
+            rows.append([_cell(pick, domain) for domain in domains])
+        row, at = pick(rows), pick(range(k))
+        fault = pick(("quote", "more", "comma", "fewer", "shift", "sparse", "domain"))
+        if fault == "quote":
+            row[at] += pick("'\"")
+        elif fault == "more":
+            row.insert(pick(range(k + 1)), "1")
+        elif fault == "comma":  # an empty last field: the text may end in a comma
+            rows[-1].append("")
+        elif fault == "fewer":
+            del row[at]
+        elif fault == "shift":  # one row's last field opens the next, so n * k fields in all
+            rows.append([_cell(pick, domain) for domain in domains])
+            i = pick(range(len(rows) - 1))
+            rows[i + 1].insert(0, rows[i].pop())
+        elif fault == "sparse":
+            row[0] = pick(_PADS) + "{" + row[0]
+        else:
+            row[at] = "zzz"
+    lines = [",".join(row) for row in rows]
+    for _ in range(pick(range(5))):
+        lines.insert(pick(range(len(lines) + 1)), pick(_NO_ROW))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(header + ["@data"] + lines) + draw(st.sampled_from([end, ""]))
+    names = [f"a{i}" for i, domain in enumerate(domains) if domain is not None]
+    numbers = [f"a{i}" for i, domain in enumerate(domains) if domain is None]
+    bindings = draw(st.sampled_from(
+        [{}] + [{"group": name} for name in names[:2]] + [{"label": name} for name in numbers[:2]]
+    ))
+    return text, bindings
+
+
+@settings(max_examples=500, deadline=None)
+@given(arff_texts())
+def test_parse_matches_the_per_line_reference(case):
+    text, bindings = case
+    _assert_same_outcome(text, **bindings)
+
+
+_EDIT_VALUES = ("'x,1'", '"y\'2"', "plain", "'?'", "?")
+# 30 rows with quoted commas, comment and blank lines between rows
+_EDIT_BASE = (
+    "@relation edits\n"
+    "@attribute n numeric\n"
+    "@attribute s {'x,1', \"y'2\", plain, '?'}\n"
+    "@attribute g {A, B}\n"
+    "@data\n"
+    "% rows follow, 'quoted, commented'\n"
+    + "".join(
+        f"{i / 4}, {_EDIT_VALUES[i % 5]}, {'AB'[i % 2]}\n"
+        + ("% every seventh row, then a blank line\n\n" if i % 7 == 6 else "")
+        for i in range(30)
+    )
+)
+
+
+def test_single_character_edits_parse_as_the_reference():
+    # no single-character edit of a valid file makes the scan disagree with
+    # the per-line reader, or raise anything but ArffError
+    rng = np.random.default_rng(0)
+    for _ in range(1500):
+        at = int(rng.integers(0, len(_EDIT_BASE) + 1))
+        char = str(rng.choice(list(",'\"\n\r?%{} a1")))
+        edit = int(rng.integers(0, 3))  # insert, delete, replace
+        text = _EDIT_BASE[:at] + ("" if edit == 1 else char) + _EDIT_BASE[at + (edit > 0):]
+        _assert_same_outcome(text, group="g")
+
+
+def test_a_wide_file_parses_as_the_reference():
+    # 5,000 attributes: the scan's cost is linear in the fields of a row
+    rng = np.random.default_rng(1)
+    attrs = [Attribute(f"f{i}", "nominal", ("u", "v w", "x,y")) for i in range(5000)]
+    ds = DataSet(attrs, list(rng.integers(-1, 3, (5000, 200), dtype=np.int32)), relation="wide",
+                 group_names=("A", "B"), group_codes=rng.integers(0, 2, 200, dtype=np.int32))
+    _assert_same_outcome(write_arff(ds), group="group")
+
+
+def test_valid_data_is_read_without_walking_its_lines(monkeypatch):
+    # _raw_fields splits one line; on valid input only the nominal domains use it
+    calls = []
+    monkeypatch.setattr(data, "_raw_fields", lambda *args: calls.append(args) or _raw_fields(*args))
+    text = write_arff(random_classification(3, n_min=500, n_max=500))
+    parse_arff(text + "% a comment\n\n" + text[text.index("@data\n") + 6 :], group="group")
+    assert len(calls) == text.count("{")
+
+
+def _nominal_arff(seed, n, k):
+    """n x k nominal attributes whose labels ARFF must quote, plus a group."""
+    rng = np.random.default_rng(seed)
+    forms = ("grade {}", "n,{}", "o'{}", "level{}")
+    attrs = [Attribute(f"f{i}", "nominal", tuple(forms[i % 4].format(j) for j in range(3 + i % 4)))
+             for i in range(k)]
+    cols = [rng.integers(-1, len(a.domain), n, dtype=np.int32) for a in attrs]
+    return write_arff(DataSet(attrs, cols, relation="memory", group_names=("neg", "pos"),
+                              group_codes=rng.integers(0, 2, n, dtype=np.int32),
+                              group_attr="class"))
+
+
+def _traced_peak(parse, text):
+    tracemalloc.start()
+    try:
+        parse(text, group="class")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_holds_no_more_memory_than_the_per_line_reference():
+    # a copy of the @data section, or a text kept alive, shows here
+    text = _nominal_arff(0, 20_000, 12)
+    assert _traced_peak(parse_arff, text) <= _traced_peak(parse_arff_reference, text)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,21 @@ def test_infinite_cells_of_both_signs_split_at_zero():
     assert [s.p for sets in mined.values() for s in sets] == [3, 3]
 
 
+@pytest.mark.parametrize("finite", [1.0, np.finfo(np.float64).min], ids=["one", "minus-dbl-max"])
+def test_minus_infinity_splits_from_a_finite_value_at_minus_dbl_max(finite):
+    # -inf + finite is -inf, which is not above -inf, so the pair had no split
+    # and mining found nothing, though (finite, inf) split at inf
+    below = np.finfo(np.float64).min
+    ds = DataSet([Attribute("x", "numeric")], [np.array([-np.inf, finite] * 3)], relation="inf",
+                 group_names=("A", "B"), group_codes=np.array([0, 1] * 3, dtype=np.int32))
+    mined = mine_all(ds, MiningParams(), workers=1)
+    got = {g: [condition_tuples(s.contrast_set.conditions) for s in sets] for g, sets in mined.items()}
+    assert got == {"A": [[(0, LT, below)]], "B": [[(0, GE, below)]]}
+    assert [s.p for sets in mined.values() for s in sets] == [3, 3]
+    # only the -inf cells lie below -DBL_MAX
+    np.testing.assert_array_equal(condition_mask(Condition(0, LT, below), ds), ds.group_mask("A"))
+
+
 def test_survival_group_without_events():
     emitted = grown_any = 0
     for seed in range(3):
@@ -377,6 +392,8 @@ _CELLS = (np.nan, -0.0, 0.0, 0.5, 1.0, 1.0 + 2.0**-52, -3.25, 5e-324, 1e300, 1e3
           -np.inf, np.inf)
 # the extremes alone, so that -inf and +inf often end up next to each other
 _EXTREMES = (np.nan, -1.7e308, 1.7e308, -np.inf, np.inf)
+# finite cells to pair with -inf, -DBL_MAX among them
+_BESIDE_MINUS_INF = (np.finfo(np.float64).min,) + tuple(c for c in _CELLS if np.isfinite(c))
 
 
 @st.composite
@@ -384,15 +401,19 @@ def numeric_sweep_cases(draw):
     """A regression DataSet of 1-5 numeric columns, a coverage mask, and the
     pass and reward pools. A column is drawn from a small pool of cells
     (ties, NaN, signed zeros, infinities), from the extremes of that pool,
-    from any finite float, or is constant or all missing; the coverage may
-    be a single row."""
+    from any finite float, from -inf and one finite cell, or is constant or
+    all missing; the coverage may be a single row."""
     n = draw(st.integers(2, 24))
     cols = []
     pools = {"cells": st.sampled_from(_CELLS), "extremes": st.sampled_from(_EXTREMES),
              "floats": st.floats(-1e300, 1e300)}
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["cells", "extremes", "floats", "constant", "missing"]))
-        if kind == "constant":
+        kind = draw(st.sampled_from(["cells", "extremes", "floats", "-inf pair", "constant",
+                                     "missing"]))
+        if kind == "-inf pair":
+            pair = (-np.inf, draw(st.sampled_from(_BESIDE_MINUS_INF)))
+            col = draw(st.lists(st.sampled_from(pair), min_size=n, max_size=n))
+        elif kind == "constant":
             col = [draw(st.sampled_from(_CELLS[1:]))] * n
         elif kind == "missing":
             col = [np.nan] * n
