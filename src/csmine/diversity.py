@@ -71,7 +71,11 @@ class PenaltyState:
         return self.counts[attr_index] / self.total
 
     def premise_penalty(self, attribute_indices: Iterable[int]) -> float:
-        return sum(self.attribute_penalty(ai) for ai in set(attribute_indices))
+        """Sum of count / total over ``set(attribute_indices)``, in that set's order."""
+        if self.total == 0:
+            return 0.0
+        counts, total = self.counts, self.total
+        return sum([counts[ai] / total for ai in set(attribute_indices)])
 
 
 def attribute_penalty(state: PenaltyState, attr_index: int) -> float:
@@ -103,7 +107,7 @@ def reward(p_new: int, p: int, s: float, pi: float, b: float) -> float:
         raise ValueError("saturation b must be in (0, 1]")
     if s * pi >= 1:
         raise ValueError("reward undefined for s*pi >= 1")
-    return float(_reward_factor(p_new, p, s * pi, b))
+    return float(_reward_factor(p_new, p, 1.0 - s * pi, b))
 
 
 def modified_quality(q: float, s: float, pi: float, phi: float) -> float:
@@ -114,33 +118,34 @@ def modified_quality(q: float, s: float, pi: float, phi: float) -> float:
     penalty still worsens them. When s*pi >= 1 the multiplier is floored at
     MULTIPLIER_FLOOR instead of vanishing.
     """
-    return float(_apply_multiplier(q, s * pi, phi))
+    return float(_apply_multiplier(q, 1.0 - s * pi, phi))
 
 
-def _reward_factor(p_new, p, spi, b: float) -> np.ndarray:
-    """phi per candidate from its new and total positive counts and its s*pi.
+def _reward_factor(p_new, p, keep, b: float) -> np.ndarray:
+    """phi per candidate from its new and total positive counts and ``keep = 1 - s*pi``.
 
-    ``spi`` is one value or one per candidate. A candidate with p = 0 has
-    x = 0. Where s*pi >= 1 phi is 1: the multiplier is floored there
-    whatever phi is.
+    ``keep`` is one value or one per candidate. A candidate with p = 0 has
+    x = 0. Where s*pi >= 1 (keep <= 0) phi is 1: the multiplier is floored
+    there whatever phi is. Only when some p is 0, some keep <= 0 or b = 1
+    does the formula need a masked divide and silenced float errors;
+    otherwise the slope is finite, and x <= b makes phi exactly 1.
     """
     p = np.asarray(p, dtype=np.float64)
-    spi = np.asarray(spi, dtype=np.float64)
-    x = np.divide(np.asarray(p_new, dtype=np.float64), p, out=np.zeros(p.shape), where=p > 0)
+    if b < 1.0 and np.count_nonzero(p) == p.size and np.count_nonzero(keep > 0.0) == np.size(keep):
+        return 1.0 + (np.maximum(p_new / p - b, 0.0) / (1.0 - b)) * (1.0 / keep - 1.0)
+    x = np.divide(p_new, p, out=np.zeros(p.shape), where=p > 0)
+    keep = np.asarray(keep, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = 1.0 / (1.0 - spi) - 1.0
-        grown = 1.0 + ((x - b) / (1.0 - b)) * slope
-    return np.where((spi >= 1.0) | (x <= b), 1.0, grown)
+        grown = 1.0 + ((x - b) / (1.0 - b)) * (1.0 / keep - 1.0)
+    return np.where((keep <= 0.0) | (x <= b), 1.0, grown)
 
 
-def _apply_multiplier(q, spi, phi) -> np.ndarray:
-    """q times m = max((1 - s*pi) * phi, MULTIPLIER_FLOOR), or q / m for q < 0.
+def _apply_multiplier(q, keep, phi) -> np.ndarray:
+    """q times m = max(keep * phi, MULTIPLIER_FLOOR), or q / m for q < 0.
 
-    ``spi`` is one value or one per quality.
+    ``keep`` is 1 - s*pi, one value or one per quality.
     """
-    m = np.maximum((1.0 - np.asarray(spi, dtype=np.float64)) * np.asarray(phi, dtype=np.float64),
-                   MULTIPLIER_FLOOR)
-    q = np.asarray(q, dtype=np.float64)
+    m = np.maximum(keep * phi, MULTIPLIER_FLOOR)
     return np.where(q >= 0, q * m, q / m)
 
 

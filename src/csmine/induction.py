@@ -176,11 +176,14 @@ class _Context:
         r_u: np.ndarray | None = None,
         penalty: PenaltyState | None = None,
         minsupp_all: float | None = None,
+        sweep: bool = True,
     ) -> "_Context":
         """Context for ``group``; ``measure`` comes from _resolve_measure.
 
         The uncovered pool defaults to the whole group, the reward baseline
         to the uncovered pool, and the support floor to the first level.
+        Without ``sweep`` the blocks are listed but not presorted or
+        stacked, which only prune may use.
         """
         pos = ds.group_mask(group)
         neg = ~pos
@@ -210,12 +213,14 @@ class _Context:
         elif measure == "survival":
             ctx.survival_scorer = _LogRankScorer(ds, pos)
         ctx.numeric = tuple(ai for ai, a in enumerate(ds.attributes) if a.is_numeric)
+        ctx.nominal = tuple(ai for ai, a in enumerate(ds.attributes) if not a.is_numeric)
+        if not sweep:
+            return ctx
         if ctx.numeric:
             cols = np.stack([ds.column(ai) for ai in ctx.numeric])
             order = np.argsort(cols, axis=1, kind="stable")
             ctx.sorted_values = np.take_along_axis(cols, order, axis=1)
             ctx.order = order.astype(np.int32)
-        ctx.nominal = tuple(ai for ai, a in enumerate(ds.attributes) if not a.is_numeric)
         if ctx.nominal:
             bins = [len(ds.attributes[ai].domain) + 1 for ai in ctx.nominal]
             ctx.offsets = np.cumsum([0] + bins)
@@ -601,12 +606,18 @@ def _extension_spi(ctx: _Context, attr_set: set[int], attrs: np.ndarray) -> np.n
 
 def _modified(ctx: _Context, q, p, p_new_reward, spi) -> np.ndarray:
     """Raw qualities times the diversity multiplier of s*pi ``spi`` (one or one each)."""
-    return _apply_multiplier(q, spi, _reward_factor(p_new_reward, p, spi, ctx.params.reward_saturation))
+    keep = 1.0 - spi
+    return _apply_multiplier(q, keep, _reward_factor(p_new_reward, p, keep, ctx.params.reward_saturation))
 
 
 def _modified_quality_of(ctx: _Context, q: float, p: int, p_new_reward: int, attrs: Iterable[int]) -> float:
     """Modified quality of one premise from its raw quality and counts."""
     return float(_modified(ctx, q, p, p_new_reward, _spi(ctx, attrs)))
+
+
+# (added rows, added positives, added reward rows) from a removal's counts
+# of its rows' codes 0-3, code = in the group * 2 + in the reward baseline
+_ADDED = np.array([[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]])
 
 
 def _prune(ctx: _Context, grown: _Grown) -> _Grown:
@@ -621,10 +632,14 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
     Each row holds how many conditions it fails and the sum of their ids
     (positions in ``grown``). The premise covers the rows that fail none;
     removing condition c adds the rows that fail only c, whose id sum is c,
-    so one bincount over those rows gives every removal's counts. A removal
-    that adds no rows keeps the premise's raw quality; the others are
-    scored afresh on their exact coverage. Condition masks are rebuilt when
-    needed, so no more than one is held at a time.
+    so one bincount over those rows gives every removal's added rows,
+    positives and reward rows. The premise's counts and raw quality are
+    computed once; a round carries over the taken removal's. The ratio
+    gate, correlation and the multiplier each run once over all removals.
+    Regression and survival score each removal that adds rows afresh on its
+    exact coverage; correlation reads only the counts, so its coverage is
+    rebuilt only at the end. Condition masks are rebuilt when needed, so no
+    more than one is held at a time.
     """
     if len(grown.conditions) <= 1:
         return grown
@@ -637,53 +652,50 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         miss = ~condition_mask(cond, ctx.ds)
         fails += miss
         id_sum += miss * np.int32(c)
+    code = ctx.pos * 2 + ctx.r_u  # (in the group, in the reward baseline)
     cov = grown.cov
-    params = ctx.params
+    cm = _counts(ctx, cov)
+    p0, n0, rew0 = cm.p, cm.n, int(np.count_nonzero(cov & ctx.r_u))
+    q0 = _raw_quality(ctx, cov, cm)
+    P, N, ceiling = ctx.P, ctx.N, ctx.params.max_neg2pos
     while len(conditions) > 1:
         attrs = [c.attr_index for c in conditions]
-        cm = _counts(ctx, cov)
-        rew = int(np.count_nonzero(cov & ctx.r_u))
-        q = _raw_quality(ctx, cov, cm)
-        q_best = _modified_quality_of(ctx, q, cm.p, rew, attrs)
+        q_best = _modified_quality_of(ctx, q0, p0, rew0, attrs)
         single = np.flatnonzero(fails == 1)
         sid = id_sum[single]
-        # one integer bincount over (id, in the group, in the reward baseline)
-        key = sid * 4 + ctx.pos[single] * 2 + ctx.r_u[single]
-        per = np.bincount(key, minlength=4 * len(grown.conditions)).reshape(-1, 2, 2)[ids]
-        added, add_p, add_rew = per.sum(axis=(1, 2)), per[:, 1].sum(axis=1), per[:, :, 1].sum(axis=1)
-        p, n = cm.p + add_p, cm.n + (added - add_p)
-        q_rm = np.full(ids.size, q)
-        ok = np.full(ids.size, not cm.neg2pos > params.max_neg2pos)
-        grew = np.flatnonzero(added)
-        for i in grew:
-            cm_i = ConfusionMatrix(int(p[i]), int(n[i]), ctx.P, ctx.N)
-            ok[i] = not cm_i.neg2pos > params.max_neg2pos
-            if ok[i] and ctx.measure != "correlation":
+        per = np.bincount(sid * 4 + code[single], minlength=4 * len(grown.conditions)).reshape(-1, 4)[ids]
+        added, add_p, add_rew = (per @ _ADDED).T
+        p, n = p0 + add_p, n0 + (added - add_p)
+        # ConfusionMatrix.neg2pos: exact products, and p = 0 reads as inf
+        ok = np.divide(n * P, p * N, out=np.full(p.size, np.inf), where=p > 0) <= ceiling
+        if ctx.measure == "correlation":  # reads only the counts
+            q_rm = _correlation(p, n, P, N)
+        else:
+            q_rm = np.full(ids.size, q0)
+            for i in np.flatnonzero(ok & (added > 0)):
                 cov_i = cov.copy()
                 cov_i[single[sid == ids[i]]] = True
-                q_rm[i] = _raw_quality(ctx, cov_i, cm_i)
-        if ctx.measure == "correlation":  # reads only the counts
-            q_rm[grew] = _correlation(p[grew], n[grew], ctx.P, ctx.N)
+                q_rm[i] = _raw_quality(ctx, cov_i, ConfusionMatrix(int(p[i]), int(n[i]), P, N))
         # a removal that is not its attribute's first use leaves the premise's
         # distinct attributes in their insertion order, so they share one set
         spi = np.full(ids.size, _spi(ctx, set(attrs)))
-        first: dict[int, int] = {}
-        for i, a in enumerate(attrs):
-            first.setdefault(a, i)
-        for i in first.values():
+        for i in dict(zip(reversed(attrs), range(len(attrs) - 1, -1, -1))).values():
             if ok[i]:
-                spi[i] = _spi(ctx, set(a for j, a in enumerate(attrs) if j != i))
-        el = np.flatnonzero(ok)
-        qmod = _modified(ctx, q_rm[el], p[el], rew + add_rew[el], spi[el])
-        reach = qmod >= q_best
+                spi[i] = _spi(ctx, set(attrs[:i] + attrs[i + 1 :]))
+        qmod = _modified(ctx, q_rm, p, rew0 + add_rew, spi)
+        reach = ok & (qmod >= q_best)
         if not reach.any():
             break
-        remove = int(el[np.flatnonzero(reach & (qmod == qmod[reach].max()))[-1]])
+        remove = int(np.flatnonzero(reach & (qmod == qmod[reach].max()))[-1])
+        p0, n0, rew0, q0 = int(p[remove]), int(n[remove]), rew0 + int(add_rew[remove]), float(q_rm[remove])
         miss = ~condition_mask(conditions[remove], ctx.ds)
         fails -= miss
         id_sum -= miss * np.int32(ids[remove])
-        ids = np.delete(ids, remove)
+        ids = np.concatenate((ids[:remove], ids[remove + 1 :]))
         del conditions[remove]
+        if ctx.measure != "correlation":
+            cov = fails == 0
+    if len(conditions) < len(grown.conditions):
         cov = fails == 0
     return _Grown(conditions, cov)
 
@@ -705,6 +717,7 @@ def _api_context(
     penalty: PenaltyState | None,
     reward_uncovered: np.ndarray | None,
     minsupp_all: float | None = None,
+    sweep: bool = True,
 ) -> _Context:
     """Context for the public grow and prune calls, from coverage masks."""
     measure = _resolve_measure(ds, params)
@@ -721,6 +734,7 @@ def _api_context(
         r_u=uncovered if reward_uncovered is None else reward_uncovered,
         penalty=penalty,
         minsupp_all=minsupp_all,
+        sweep=sweep,
     )
 
 
@@ -754,7 +768,8 @@ def prune(
     reward_uncovered: np.ndarray | None = None,
 ) -> ContrastSet:
     """Prune a premise; single-condition input returns unchanged."""
-    ctx = _api_context(ds, cs.group, params, uncovered, penalty, reward_uncovered)
+    # prune never sweeps, so its context is not presorted
+    ctx = _api_context(ds, cs.group, params, uncovered, penalty, reward_uncovered, sweep=False)
     if len(cs.conditions) <= 1:
         return cs
     pruned = _prune(ctx, _Grown(list(cs.conditions), cover(cs, ds)))

@@ -35,7 +35,8 @@ from csmine.data import (
     derive_groups_survival,
 )
 from csmine.diversity import MULTIPLIER_FLOOR, PenaltyState
-from csmine.quality import _LogRankScorer, measure_for_task
+from csmine.induction import _counts, _Grown, _raw_quality
+from csmine.quality import _correlation, _LogRankScorer, measure_for_task
 
 
 # ---------------------------------------------------------------------------
@@ -927,6 +928,97 @@ def naive_prune(ds, group, conditions, params, uncovered=None, reward_uncovered=
         del conditions[remove]
         del masks[remove]
     return conditions
+
+
+def _spi_reference(ctx, attrs):
+    """s * pi as a generator sum of ``attribute_penalty`` over ``set(attrs)``,
+    the form that ``PenaltyState.premise_penalty`` replaced."""
+    penalty = ctx.penalty
+    return ctx.params.penalty_strength * sum(penalty.attribute_penalty(ai) for ai in set(attrs))
+
+
+def _modified_reference(ctx, q, p, p_new_reward, spi):
+    """The diversity multiplier as it was before its unguarded path: always
+    the masked divide, float errors silenced, and 1 - s*pi formed twice."""
+    b = ctx.params.reward_saturation
+    p = np.asarray(p, dtype=np.float64)
+    spi = np.asarray(spi, dtype=np.float64)
+    x = np.divide(np.asarray(p_new_reward, dtype=np.float64), p, out=np.zeros(p.shape), where=p > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = 1.0 / (1.0 - spi) - 1.0
+        grown = 1.0 + ((x - b) / (1.0 - b)) * slope
+    phi = np.where((spi >= 1.0) | (x <= b), 1.0, grown)
+    m = np.maximum((1.0 - spi) * phi, MULTIPLIER_FLOOR)
+    q = np.asarray(q, dtype=np.float64)
+    return np.where(q >= 0, q * m, q / m)
+
+
+def prune_rounds_reference(ctx, grown):
+    """Prune rounds that recount the premise every round.
+
+    This is the round that the engine's carried premise replaced, kept
+    literal: the premise's counts, reward rows and raw quality are counted
+    afresh each round, the ratio gate is one ``ConfusionMatrix`` per
+    removal that adds rows, correlation scores only those removals, the
+    first-use removals' attribute sets come from a generator, and the
+    coverage is rebuilt every round. Returns a ``_Grown``.
+    """
+    if len(grown.conditions) <= 1:
+        return grown
+    conditions = list(grown.conditions)
+    ids = np.arange(len(conditions))
+    fails = np.zeros(ctx.ds.n_examples, dtype=np.int32)
+    id_sum = np.zeros(ctx.ds.n_examples, dtype=np.int32)
+    for c, cond in enumerate(conditions):
+        miss = ~condition_mask(cond, ctx.ds)
+        fails += miss
+        id_sum += miss * np.int32(c)
+    cov = grown.cov
+    params = ctx.params
+    while len(conditions) > 1:
+        attrs = [c.attr_index for c in conditions]
+        cm = _counts(ctx, cov)
+        rew = int(np.count_nonzero(cov & ctx.r_u))
+        q = _raw_quality(ctx, cov, cm)
+        q_best = float(_modified_reference(ctx, q, cm.p, rew, _spi_reference(ctx, attrs)))
+        single = np.flatnonzero(fails == 1)
+        sid = id_sum[single]
+        key = sid * 4 + ctx.pos[single] * 2 + ctx.r_u[single]
+        per = np.bincount(key, minlength=4 * len(grown.conditions)).reshape(-1, 2, 2)[ids]
+        added, add_p, add_rew = per.sum(axis=(1, 2)), per[:, 1].sum(axis=1), per[:, :, 1].sum(axis=1)
+        p, n = cm.p + add_p, cm.n + (added - add_p)
+        q_rm = np.full(ids.size, q)
+        ok = np.full(ids.size, not cm.neg2pos > params.max_neg2pos)
+        grew = np.flatnonzero(added)
+        for i in grew:
+            cm_i = ConfusionMatrix(int(p[i]), int(n[i]), ctx.P, ctx.N)
+            ok[i] = not cm_i.neg2pos > params.max_neg2pos
+            if ok[i] and ctx.measure != "correlation":
+                cov_i = cov.copy()
+                cov_i[single[sid == ids[i]]] = True
+                q_rm[i] = _raw_quality(ctx, cov_i, cm_i)
+        if ctx.measure == "correlation":
+            q_rm[grew] = _correlation(p[grew], n[grew], ctx.P, ctx.N)
+        spi = np.full(ids.size, _spi_reference(ctx, set(attrs)))
+        first: dict[int, int] = {}
+        for i, a in enumerate(attrs):
+            first.setdefault(a, i)
+        for i in first.values():
+            if ok[i]:
+                spi[i] = _spi_reference(ctx, set(a for j, a in enumerate(attrs) if j != i))
+        el = np.flatnonzero(ok)
+        qmod = _modified_reference(ctx, q_rm[el], p[el], rew + add_rew[el], spi[el])
+        reach = qmod >= q_best
+        if not reach.any():
+            break
+        remove = int(el[np.flatnonzero(reach & (qmod == qmod[reach].max()))[-1]])
+        miss = ~condition_mask(conditions[remove], ctx.ds)
+        fails -= miss
+        id_sum -= miss * np.int32(ids[remove])
+        ids = np.delete(ids, remove)
+        del conditions[remove]
+        cov = fails == 0
+    return _Grown(conditions, cov)
 
 
 def condition_tuples(conditions):

@@ -167,12 +167,15 @@ def test_array_spi_kernels_match_scalar_calls():
     p_new = np.minimum(rng.integers(0, 12, spi.size), p)
     q = rng.uniform(-1.0, 1.0, spi.size)
     q[:3] = (0.0, -0.25, 0.5)
-    phi = _reward_factor(p_new, p, spi, b)
-    got = _apply_multiplier(q, spi, phi)
+    # the whole array takes the guarded path (some p = 0, some s*pi >= 1);
+    # a scalar call with p > 0 and s*pi < 1 takes the unguarded one
+    keep = 1.0 - spi
+    phi = _reward_factor(p_new, p, keep, b)
+    got = _apply_multiplier(q, keep, phi)
     for i in range(spi.size):
-        phi_i = _reward_factor(int(p_new[i]), int(p[i]), float(spi[i]), b)
+        phi_i = _reward_factor(int(p_new[i]), int(p[i]), float(keep[i]), b)
         assert phi[i].tobytes() == phi_i.tobytes()
-        want = _apply_multiplier(float(q[i]), float(spi[i]), phi_i)
+        want = _apply_multiplier(float(q[i]), float(keep[i]), phi_i)
         assert got[i].tobytes() == want.tobytes()
         m = _naive_modifier(1.0, b, float(spi[i]), int(p[i]), int(p_new[i]))
         assert got[i] == (q[i] * m if q[i] >= 0 else q[i] / m)

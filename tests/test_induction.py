@@ -55,6 +55,7 @@ from conftest import (
     nominal_sweep_reference,
     numeric_sweep_reference,
     possible_conditions,
+    prune_rounds_reference,
     random_classification,
     random_regression,
     random_survival,
@@ -648,6 +649,109 @@ def test_prune_first_use_penalty_follows_set_order():
         assert got.conditions == (x1, x8, x0)
 
 
+@st.composite
+def prune_cases(draw):
+    """A random premise of 2-60 conditions over 12-40 numeric attributes,
+    attributes repeated, with a random penalty history, pools and settings.
+
+    Each condition drops a few percent of the rows at one end of its
+    attribute, so long premises still cover rows and prune has choices.
+    Some conditions repeat an earlier one, so removing either copy keeps
+    the coverage and only s*pi tells the removals apart. Penalty sets of up
+    to 40 attribute indices resize and collide, so their iteration order,
+    and the last bit of s*pi, depends on how each set was built.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    measure = draw(st.sampled_from(["correlation", "regression", "survival"]))
+    k, length = draw(st.integers(12, 40)), draw(st.integers(2, 60))
+    n = int(rng.integers(40, 120 if measure == "survival" else 200))
+    codes = (rng.random(n) < 0.5).astype(np.int32)
+    cols = [np.round(rng.normal(0.0, 1.0, n) + 0.8 * (codes == 0) * (i % 4 == 0), 1) for i in range(k)]
+    extra = {}
+    if measure == "regression":
+        extra["labels"] = (rng.integers(0, 20, n) + 5 * (codes == 0)).astype(np.float64)
+    elif measure == "survival":
+        extra["times"] = np.ceil(rng.exponential(np.where(codes == 0, 10.0, 25.0)))
+        extra["status"] = (rng.random(n) < 0.7).astype(np.int8)
+    task = {"correlation": "classification"}.get(measure, measure)
+    ds = DataSet([Attribute(f"x{i}", "numeric") for i in range(k)], cols, relation="prune",
+                 task=task, group_names=("A", "B"), group_codes=codes, **extra)
+    # mostly a few distinct attributes, whose sets collide in small tables
+    pool = rng.choice(k, size=int(rng.integers(2, 9 if rng.random() < 0.7 else k + 1)), replace=False)
+    conds = []
+    for ai in rng.choice(pool, size=length).tolist():
+        col, cut = ds.column(ai), float(rng.uniform(0.0, 0.08))
+        if conds and rng.random() < 0.2:
+            conds.append(conds[int(rng.integers(len(conds)))])
+        elif rng.random() < 0.5:
+            conds.append(Condition(ai, GE, float(np.quantile(col, cut))))
+        else:
+            conds.append(Condition(ai, LT, float(np.quantile(col, 1.0 - cut)) + 0.05))
+    counts = (rng.integers(0, 60, k) * (rng.random(k) < 0.7)).tolist()
+    penalty = PenaltyState(k, counts=counts, total=sum(counts))
+    params = MiningParams(
+        max_neg2pos=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        penalty_strength=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        reward_saturation=draw(st.sampled_from([0.2, 1.0])),
+    )
+    pos = codes == 0
+    d_u, r_u = pos & (rng.random(n) < 0.75), pos & (rng.random(n) < 0.75)
+    ctx = induction._Context.build(ds, "A", params, measure, d_u=d_u, r_u=r_u, penalty=penalty, sweep=False)
+    return ctx, induction._Grown(conds, cover(ContrastSet(tuple(conds), "A"), ds))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prune_cases())
+def test_prune_equals_prune_rounds_reference(case):
+    ctx, grown = case
+    got = induction._prune(ctx, grown)
+    want = prune_rounds_reference(ctx, grown)
+    assert condition_tuples(got.conditions) == condition_tuples(want.conditions)
+    assert got.cov.tobytes() == want.cov.tobytes()
+
+
+def test_prune_allows_a_removal_exactly_at_the_ratio_ceiling():
+    # a < 0.5 alone covers 8 positives and 4 negatives: (4/10) / (8/10) is
+    # exactly the ceiling 0.5, and its correlation beats the premise's 2 + 0;
+    # b < 0.5 alone covers 2 positives and 6 negatives, far above it
+    ds = _tie_dataset([0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13], [0, 1, 14, 15, 16, 17, 18, 19])
+    x, y = Condition(0, LT, 0.5), Condition(1, LT, 0.5)
+    assert ConfusionMatrix(8, 4, 10, 10).neg2pos == 0.5
+    assert correlation(ConfusionMatrix(8, 4, 10, 10)) > correlation(ConfusionMatrix(2, 0, 10, 10))
+    params = MiningParams(max_neg2pos=0.5, penalty_strength=0.0)
+    cs = ContrastSet((x, y), "g")
+    assert prune(cs, ds, params).conditions == (x,)
+    assert naive_prune(ds, "g", cs.conditions, params) == [x]
+
+
+def test_prune_of_a_premise_without_positives_is_unchanged_and_silent():
+    # the premise and both removals cover negatives only, so p = 0 everywhere:
+    # the ratio reads inf and the multiplier takes its guarded path
+    ds = _tie_dataset(range(10, 16), range(12, 18))
+    cs = ContrastSet((Condition(0, LT, 0.5), Condition(1, LT, 0.5)), "g")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (0.0, 1.0):
+            assert prune(cs, ds, MiningParams(max_neg2pos=2.0, penalty_strength=s)).conditions == cs.conditions
+
+
+def test_public_prune_builds_no_presort():
+    # a presorted context of 20,000 x 12 numeric cells holds 2.9 MB of
+    # order and sorted values; prune never sweeps, so it builds neither
+    ds = continuous(1, 20_000, 12)
+    cs = ContrastSet((Condition(0, GE, -1.0), Condition(1, LT, 1.5)), "A")
+    params = MiningParams(max_neg2pos=1.0)
+    prune(cs, ds, params)  # warm up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prune(cs, ds, params)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def _tie_dataset(first_rows, second_rows):
     """20 rows, rows 0-9 in group "g"; attribute i is 0 on rows[i], else 1."""
     cols = []
@@ -738,6 +842,17 @@ def test_long_premise_report_is_pinned(monkeypatch):
     text = write_csv_report({"A": mine_group(ds, "A", MiningParams(minsupps=(0.1,)))}, ds)
     assert lengths[0] >= 100
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _LONG_PREMISE_CSV_SHA256
+
+
+# sha256 of the CSV report of mine_all on the 2,000 x 12 continuous case,
+# whose first premises run to hundreds of conditions
+_HEADLINE_2K_CSV_SHA256 = "b0ffefedb90d0715b45a40adf79829a67d99d1528df3b97ac680ee02628ccdca"
+
+
+def test_headline_2k_report_is_pinned():
+    ds = continuous(2204, 2000, 12)
+    text = write_csv_report(mine_all(ds, workers=1), ds)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _HEADLINE_2K_CSV_SHA256
 
 
 def test_prune_memory_does_not_grow_with_premise_length():
