@@ -154,7 +154,8 @@ class _Context:
     pos_label_mean: float = 0.0
     survival_scorer: _LogRankScorer | None = None
     # the presorted numeric block: its attributes, and per attribute its rows
-    # stable-sorted by value with missing cells last, and the values in that order
+    # stable-sorted by value with missing cells last, and the values in that
+    # order; the arrays of both blocks are built by presort() on the first sweep
     numeric: tuple[int, ...] = ()
     order: np.ndarray | None = None          # (k, n) int32
     sorted_values: np.ndarray | None = None  # (k, n) float64
@@ -176,14 +177,12 @@ class _Context:
         r_u: np.ndarray | None = None,
         penalty: PenaltyState | None = None,
         minsupp_all: float | None = None,
-        sweep: bool = True,
     ) -> "_Context":
         """Context for ``group``; ``measure`` comes from _resolve_measure.
 
         The uncovered pool defaults to the whole group, the reward baseline
         to the uncovered pool, and the support floor to the first level.
-        Without ``sweep`` the blocks are listed but not presorted or
-        stacked, which only prune may use.
+        The blocks are presorted and stacked by the first sweep.
         """
         pos = ds.group_mask(group)
         neg = ~pos
@@ -214,20 +213,24 @@ class _Context:
             ctx.survival_scorer = _LogRankScorer(ds, pos)
         ctx.numeric = tuple(ai for ai, a in enumerate(ds.attributes) if a.is_numeric)
         ctx.nominal = tuple(ai for ai, a in enumerate(ds.attributes) if not a.is_numeric)
-        if not sweep:
-            return ctx
-        if ctx.numeric:
-            cols = np.stack([ds.column(ai) for ai in ctx.numeric])
-            order = np.argsort(cols, axis=1, kind="stable")
-            ctx.sorted_values = np.take_along_axis(cols, order, axis=1)
-            ctx.order = order.astype(np.int32)
-        if ctx.nominal:
-            bins = [len(ds.attributes[ai].domain) + 1 for ai in ctx.nominal]
-            ctx.offsets = np.cumsum([0] + bins)
-            cols = [ds.column(ai) for ai in ctx.nominal]
-            ctx.keys = np.stack([np.where(c < 0, hi - 1, c + lo).astype(np.int32)
-                                 for c, lo, hi in zip(cols, ctx.offsets[:-1], ctx.offsets[1:])])
         return ctx
+
+    def presort(self) -> None:
+        """Presort the numeric block and stack the nominal block, once."""
+        if self.order is not None or self.keys is not None:
+            return
+        ds = self.ds
+        if self.numeric:
+            cols = np.stack([ds.column(ai) for ai in self.numeric])
+            order = np.argsort(cols, axis=1, kind="stable")
+            self.sorted_values = np.take_along_axis(cols, order, axis=1)
+            self.order = order.astype(np.int32)
+        if self.nominal:
+            bins = [len(ds.attributes[ai].domain) + 1 for ai in self.nominal]
+            self.offsets = np.cumsum([0] + bins)
+            cols = [ds.column(ai) for ai in self.nominal]
+            self.keys = np.stack([np.where(c < 0, hi - 1, c + lo).astype(np.int32)
+                                  for c, lo, hi in zip(cols, self.offsets[:-1], self.offsets[1:])])
 
     @property
     def blocks(self) -> list[tuple[int, ...]]:
@@ -365,6 +368,7 @@ def _sweep_attribute(
     order with the other rows left out, ties included. The nominal block
     counts every attribute's categories with one bincount of its bins.
     """
+    ctx.presort()
     m = cov_idx.size
     if ctx.ds.attributes[block[0]].is_numeric:
         k = len(block)
@@ -679,7 +683,10 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         # a removal that is not its attribute's first use leaves the premise's
         # distinct attributes in their insertion order, so they share one set
         spi = np.full(ids.size, _spi(ctx, set(attrs)))
-        for i in dict(zip(reversed(attrs), range(len(attrs) - 1, -1, -1))).values():
+        first: dict[int, int] = {}
+        for i, a in enumerate(attrs):
+            first.setdefault(a, i)
+        for i in first.values():
             if ok[i]:
                 spi[i] = _spi(ctx, set(attrs[:i] + attrs[i + 1 :]))
         qmod = _modified(ctx, q_rm, p, rew0 + add_rew, spi)
@@ -691,7 +698,7 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         miss = ~condition_mask(conditions[remove], ctx.ds)
         fails -= miss
         id_sum -= miss * np.int32(ids[remove])
-        ids = np.concatenate((ids[:remove], ids[remove + 1 :]))
+        ids = np.delete(ids, remove)
         del conditions[remove]
         if ctx.measure != "correlation":
             cov = fails == 0
@@ -717,7 +724,6 @@ def _api_context(
     penalty: PenaltyState | None,
     reward_uncovered: np.ndarray | None,
     minsupp_all: float | None = None,
-    sweep: bool = True,
 ) -> _Context:
     """Context for the public grow and prune calls, from coverage masks."""
     measure = _resolve_measure(ds, params)
@@ -734,7 +740,6 @@ def _api_context(
         r_u=uncovered if reward_uncovered is None else reward_uncovered,
         penalty=penalty,
         minsupp_all=minsupp_all,
-        sweep=sweep,
     )
 
 
@@ -768,8 +773,7 @@ def prune(
     reward_uncovered: np.ndarray | None = None,
 ) -> ContrastSet:
     """Prune a premise; single-condition input returns unchanged."""
-    # prune never sweeps, so its context is not presorted
-    ctx = _api_context(ds, cs.group, params, uncovered, penalty, reward_uncovered, sweep=False)
+    ctx = _api_context(ds, cs.group, params, uncovered, penalty, reward_uncovered)
     if len(cs.conditions) <= 1:
         return cs
     pruned = _prune(ctx, _Grown(list(cs.conditions), cover(cs, ds)))

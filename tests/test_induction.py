@@ -696,7 +696,7 @@ def prune_cases(draw):
     )
     pos = codes == 0
     d_u, r_u = pos & (rng.random(n) < 0.75), pos & (rng.random(n) < 0.75)
-    ctx = induction._Context.build(ds, "A", params, measure, d_u=d_u, r_u=r_u, penalty=penalty, sweep=False)
+    ctx = induction._Context.build(ds, "A", params, measure, d_u=d_u, r_u=r_u, penalty=penalty)
     return ctx, induction._Grown(conds, cover(ContrastSet(tuple(conds), "A"), ds))
 
 
@@ -885,6 +885,7 @@ def test_grown_premise_holds_no_mask_per_condition():
     # leaves allocated is its conditions and one coverage mask
     ds = continuous(2204, 2000, 12)
     ctx = induction._Context.build(ds, "A", MiningParams(), "correlation", minsupp_all=0.1)
+    ctx.presort()  # the context's own arrays, which the first sweep would build
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
