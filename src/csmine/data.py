@@ -315,7 +315,10 @@ def _field_text(raw: str) -> str:
     if span is None:
         return raw.strip()
     lo, hi = span.span()
-    return raw[:lo].lstrip() + _QUOTED_RUN.sub(r"\1\2", raw[lo:hi]) + raw[hi:].rstrip()
+    # split keeps the text between quoted runs and each run's groups; the
+    # group a run did not match is None, so filtering drops it and empty runs
+    inner = "".join(filter(None, _QUOTED_RUN.split(raw[lo:hi])))
+    return raw[:lo].lstrip() + inner + raw[hi:].rstrip()
 
 
 def _data_tokens(text: str, start: int, first: int, k: int) -> tuple[list[str], Sequence[int]]:

@@ -34,6 +34,7 @@ from .contrast import (
 from .data import DataSet, _check_mask
 from .diversity import PenaltyState, _apply_multiplier, _max_similarity, _reward_factor
 from .quality import MEASURES, _correlation, _LogRankScorer, correlation, measure_for_task
+from .quality import _counts as _survival_counts
 
 __all__ = [
     "MiningParams",
@@ -265,7 +266,7 @@ def _unpack_counters(n: int, sums: list[np.ndarray]) -> list[np.ndarray]:
 
 @dataclass
 class _Candidates:
-    """Gated, scored candidates of one block over its split layout.
+    """Gated candidates of one block over its split layout.
 
     A block is every numeric attribute at once, or every nominal attribute
     at once. Its layout has one row per attribute: the covered rows in
@@ -273,15 +274,14 @@ class _Candidates:
     last, the first ``known`` of them with a value. A numeric block holds
     that layout as ``rows`` and its values as ``keys``. A nominal block
     needs no sort to count: ``rows`` are the covered rows in row order and
-    ``keys`` their (k, m) bins, so one bincount gives every category's sums;
-    survival sorts the keys for the layout. Splits run in (attribute, split)
+    ``keys`` their (k, m) bins, so one bincount gives every category's sums.
+    Splits run in (attribute, split)
     order. Split j cuts row ``row[j]`` of the layout: its first side ends at
     flat position ``last[j]`` and is the whole prefix (``< values[j]``) or
     the run of category ``values[j]`` (``= values[j]``); its second side is
     the rest of the known rows. Split j yields candidates 2j and 2j + 1, one
     per side. ``valid`` marks the candidates that pass both support gates
-    and shrink the coverage; survival scores only those, and the rest hold
-    -inf.
+    and shrink the coverage; only those are scored.
     """
 
     numeric: bool
@@ -300,7 +300,6 @@ class _Candidates:
     p_new_reward: np.ndarray = field(init=False)
     covc: np.ndarray = field(init=False)
     valid: np.ndarray = field(init=False)
-    q: np.ndarray = field(init=False)
 
     def side_sums(self, x: np.ndarray) -> np.ndarray:
         """Interleaved first-side/second-side sums of ``x``, one value per ``rows`` entry.
@@ -336,8 +335,11 @@ class _Candidates:
         return out
 
     def condition(self, i: int) -> Condition:
+        """The condition of candidate ``i``: side ``i % 2`` of split ``i // 2``."""
         j, side = divmod(i, 2)
-        return _condition(int(self.attrs[j]), self.numeric, self.values[j], side)
+        if self.numeric:
+            return Condition(int(self.attrs[j]), (LT, GE)[side], float(self.values[j]))
+        return Condition(int(self.attrs[j]), (EQ, NE)[side], int(self.values[j]))
 
 
 def _sides(first: np.ndarray, total) -> np.ndarray:
@@ -348,18 +350,11 @@ def _sides(first: np.ndarray, total) -> np.ndarray:
     return out
 
 
-def _condition(attr_index: int, numeric: bool, value, side: int) -> Condition:
-    """The condition of one side of a split at ``value``."""
-    if numeric:
-        return Condition(attr_index, (LT, GE)[side], float(value))
-    return Condition(attr_index, (EQ, NE)[side], int(value))
-
-
 def _sweep_attribute(
     ctx: _Context, block: tuple[int, ...], cov: np.ndarray, cov_idx: np.ndarray,
     counters: list[np.ndarray] | None = None, layout: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> _Candidates | None:
-    """Gated, scored candidates of one of ``ctx.blocks`` over the covered region.
+    """Gated candidates of one of ``ctx.blocks`` over the covered region.
 
     ``counters`` are ``_pack_counters(ctx)``, computed here when not given.
     The numeric block narrows ``layout`` to the covered rows in one call:
@@ -434,53 +429,176 @@ def _sweep_attribute(
         & (cand.p_new_pass / ctx.P >= ctx.params.minsupp_new)
         & (cand.covc < m)
     )
-    cand.q = _score_candidates(ctx, cand)
     return cand
 
 
-def _score_candidates(ctx: _Context, cand: _Candidates) -> np.ndarray:
-    """Raw task-measure score per candidate.
+def _score_candidates(ctx: _Context, cands: list[_Candidates]) -> np.ndarray:
+    """Raw task-measure score of every valid candidate of ``cands``: the
+    valid ones of the first block in candidate order, then the next
+    block's.
 
-    Correlation and regression score every candidate at once. Survival
-    scores only ``cand.valid`` candidates, one attribute and a block of its
-    splits at a time; the others get -inf.
+    Correlation and regression score every candidate of a block at once.
+    Survival counts and scores only the valid ones, those of every block
+    in one kernel call as long as their sides fit one block of counts.
     """
-    if ctx.measure == "correlation":
-        return _correlation(cand.p, cand.n, ctx.P, ctx.N)
-    if ctx.measure == "regression":
-        assert ctx.labels is not None
-        sums = cand.side_sums(ctx.labels[cand.rows])
-        covc = cand.covc.astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            means = np.where(covc > 0, sums / covc, 0.0)
-        return -np.abs(means - ctx.pos_label_mean)
-    assert ctx.survival_scorer is not None
-    q = np.full(cand.p.size, -np.inf)
-    want = cand.valid.reshape(-1, 2)  # (first side, second side) per split
-    layout = cand.rows if cand.numeric else cand.rows[np.argsort(cand.keys, axis=1, kind="stable")]
-    # each row of the layout holds one attribute's splits, a run of the split order
-    bounds = np.searchsorted(cand.row, np.arange(cand.known.size + 1))
-    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        w = want[lo:hi]
-        if not w.any():
+    if ctx.measure == "survival":
+        return -_survival_scores(ctx.survival_scorer, cands)
+    out = []
+    for cand in cands:
+        if ctx.measure == "correlation":
+            q = _correlation(cand.p, cand.n, ctx.P, ctx.N)
+        else:
+            sums = cand.side_sums(ctx.labels[cand.rows])
+            covc = cand.covc.astype(np.float64)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                means = np.where(covc > 0, sums / covc, 0.0)
+            q = -np.abs(means - ctx.pos_label_mean)
+        out.append(q[cand.valid])
+    return np.concatenate(out) if out else np.empty(0)
+
+
+def _survival_scores(scorer: _LogRankScorer, cands: list[_Candidates]) -> np.ndarray:
+    """Log-rank statistic of every valid candidate of ``cands``, in order.
+
+    Each needed split (one with a valid side) gets a slot, numeric ones
+    first, in candidate order. A numeric cell goes to the first needed
+    split of its layout row that ends at or after it, and a nominal cell
+    to the split of its bin in ``cand.keys``, so no sort is needed; cells
+    past their row's last needed split, and cells of bins with no needed
+    split, go nowhere. A block takes the next slots whose wanted sides
+    number at most ``scorer.block``, or one slot, and one bincount keyed
+    by (slot, grid rank) counts it. A numeric first side is the
+    running sum of its row's slots: each row that begins inside the block
+    first takes away the counts of the row before, so one running sum
+    restarts at every row, and a row that runs past a block carries its
+    sum into the next. A nominal first side is its own slot. Counts are
+    integers, so all of this is exact. A second side is the rest of the
+    covered rows with a known value. One kernel call scores a block's
+    wanted sides.
+    """
+    slot, cells = [], []           # per counted cell: its slot and data row
+    row, want = [], []             # per needed split: its layout row and wanted sides
+    miss_row, miss_cells = [], []  # per missing cell: its layout row and data row
+    size = rows = numeric = 0      # slots, layout rows, and slots of the numeric block
+    for cand in cands:
+        w = cand.valid.reshape(-1, 2)  # (first side, second side) per split
+        need = np.flatnonzero(w.any(axis=1))
+        if need.size == 0:
             continue
-        # an unneeded numeric prefix folds into the next needed one; category
-        # runs are disjoint, so every run stays a segment of its own
-        need = np.flatnonzero(w.any(axis=1)) if cand.numeric else np.arange(hi - lo)
-        rows = layout[r, : cand.known[r]]
-        ends = cand.last[lo:hi][need] - r * layout.shape[1]
-        seg = np.searchsorted(ends, np.arange(rows.size))
-        scores = ctx.survival_scorer.split_scores(rows, seg, w[need], cumulative=cand.numeric)
-        q[2 * lo : 2 * hi][w.ravel()] = -scores
-    return q
+        r = cand.row[need]
+        if cand.numeric:
+            k, m = cand.rows.shape
+            ends = cand.last[need]
+            # per layout row, the offset of its last needed split's end, or -1
+            at = np.searchsorted(r, np.arange(k), side="right") - 1
+            last = np.where(r[at] == np.arange(k), ends[at] - np.arange(k) * m, -1)
+            counted = np.flatnonzero(np.arange(m) <= last[:, None])
+            slot.append(np.searchsorted(ends, counted) + size)
+            cells.append(cand.rows.ravel()[counted])
+            missing = np.flatnonzero(np.arange(m) >= cand.known[:, None])
+            miss_cells.append(cand.rows.ravel()[missing])
+            numeric = need.size
+        else:
+            k, m = cand.keys.shape
+            of_bin = np.full(cand.offsets[-1], -1)
+            of_bin[cand.bins[need]] = np.arange(need.size) + size
+            bin_slot = of_bin[cand.keys].ravel()
+            counted = np.flatnonzero(bin_slot >= 0)
+            slot.append(bin_slot[counted])
+            cells.append(cand.rows[counted % m])
+            missing = np.flatnonzero(cand.keys == (cand.offsets[1:] - 1)[:, None])
+            miss_cells.append(cand.rows[missing % m])
+        row.append(r + rows)
+        want.append(w[need])
+        miss_row.append(missing // m + rows)
+        size, rows = size + need.size, rows + k
+    if not size:
+        return np.empty(0)
+    numeric_cells = slot[0].size if numeric else 0  # they come first, in slot order
+    covered = cands[0].rows[0] if cands[0].numeric else cands[0].rows  # every covered row
+    covered = _slot_counts(scorer, 0, covered, 1)
+    slot, cells, row, want = (np.concatenate(x) for x in (slot, cells, row, want))
+    missing = np.concatenate(miss_row), np.concatenate(miss_cells)
+    starts = np.flatnonzero(np.diff(row[:numeric])) + 1  # the numeric rows' first slots
+    sides = np.cumsum(want.sum(axis=1))
+    bounds = [0]
+    while bounds[-1] < size:
+        done = sides[bounds[-1] - 1] if bounds[-1] else 0
+        bounds.append(max(int(np.searchsorted(sides, done + scorer.block, side="right")), bounds[-1] + 1))
+    out = []
+    carry = None
+    for b0, b1 in zip(bounds, bounds[1:]):
+        block_slot, block_cells = slot, cells
+        if b0 > 0 or b1 < size:
+            # numeric cells form a run; nominal ones are picked
+            lo, hi = np.searchsorted(slot[:numeric_cells], (b0, b1))
+            pick = np.arange(lo, hi)
+            if b1 > numeric:
+                nominal = slot[numeric_cells:]
+                inside = np.flatnonzero((nominal >= b0) & (nominal < b1))
+                pick = np.concatenate((pick, numeric_cells + inside))
+            block_slot, block_cells = slot[pick], cells[pick]
+        n, d = _slot_counts(scorer, block_slot - b0, block_cells, b1 - b0)
+        nb = max(min(numeric, b1) - b0, 0)  # the block's numeric slots
+        if nb:
+            if carry is not None:
+                n[0] += carry[0]
+                d[0] += carry[1]
+            j0, j1 = np.searchsorted(starts, (b0 + 1, b0 + nb))
+            if j0 < j1:
+                at = starts[j0:j1] - b0
+                runs = np.concatenate(([0], at))
+                n[at] -= np.add.reduceat(n[:nb], runs, axis=0)[:-1]
+                d[at] -= np.add.reduceat(d[:nb], runs, axis=0)[:-1]
+            np.cumsum(n[:nb], axis=0, out=n[:nb])
+            np.cumsum(d[:nb], axis=0, out=d[:nb])
+        # a row that runs on into the next block carries its running sum
+        carry = (n[nb - 1], d[nb - 1]) if b1 < numeric and row[b1 - 1] == row[b1] else None
+        # the wanted sides, in (split, side) order: a first side is its slot's
+        # counts, a second side the rest of its row's known rows
+        side = np.flatnonzero(want[b0:b1].ravel())
+        split, second = side >> 1, (side & 1).astype(bool)[:, None]
+        n, d = n[split], d[split]
+        total_n, total_d = _known_counts(scorer, covered, missing, row[b0:b1][split])
+        np.subtract(total_n, n, out=n, where=second)
+        np.subtract(total_d, d, out=d, where=second)
+        out.append(scorer.side_scores(n, d))
+    return np.concatenate(out)
+
+
+def _slot_counts(scorer: _LogRankScorer, slot, rows: np.ndarray, size: int):
+    """(size, g) at-risk and event counts at each grid time of ``rows``,
+    one sample per slot in 0..size-1."""
+    g = scorer.grid.size
+    return _survival_counts(slot * g + scorer.rank[rows], scorer.events[rows], (size, g))
+
+
+def _known_counts(scorer: _LogRankScorer, covered, missing, r: np.ndarray):
+    """At-risk and event counts of the covered rows with a known value in
+    layout row ``r[i]``, for each i; ``r`` is sorted.
+
+    ``covered`` holds the (1, g) counts of all covered rows, ``missing``
+    the layout row, in order, and the data row of every missing cell.
+    Where no row of ``r`` has one, the counts of all covered rows stand
+    for all.
+    """
+    n, d = covered
+    lo, hi = r[0], r[-1] + 1
+    a, b = np.searchsorted(missing[0], (lo, hi))
+    if a == b:
+        return n, d
+    miss_n, miss_d = _slot_counts(scorer, missing[0][a:b] - lo, missing[1][a:b], hi - lo)
+    return n - miss_n[r - lo], d - miss_d[r - lo]
 
 
 @dataclass
 class _Grown:
-    """A premise: its conditions and the rows all of them cover."""
+    """A premise: its conditions, the rows all of them cover, and its raw
+    quality where it is already known."""
 
     conditions: list[Condition]
     cov: np.ndarray
+    quality: float | None = None
 
 
 def _grow(ctx: _Context) -> _Grown | None:
@@ -491,6 +609,11 @@ def _grow(ctx: _Context) -> _Grown | None:
     then to the earliest candidate in enumeration order. A NaN score never
     wins, and a step whose scores are all NaN ends growing. The finished
     premise must pass the negative-to-positive ceiling or growing fails.
+
+    The premise's raw quality is its last step's score. Correlation and
+    survival score a candidate with the bits of ``_raw_quality``, so they
+    hand it on; regression's swept mean adds its labels in another order,
+    so its premise is scored afresh.
     """
     params = ctx.params
     # same division form as the candidate gate in _sweep_attribute
@@ -502,27 +625,28 @@ def _grow(ctx: _Context) -> _Grown | None:
     cov = np.ones(ctx.ds.n_examples, dtype=bool)
     conditions: list[Condition] = []
     attr_set: set[int] = set()
+    quality = None
     while True:
         cov_idx = np.flatnonzero(cov)
-        # the valid candidates of every block: their scoring inputs, and what
-        # _condition needs; of the sweeps' rows only the numeric layout is kept
-        parts: list[tuple] = []
-        picks: list[tuple] = []
+        cands = []
         for block in blocks:
             cand = _sweep_attribute(ctx, block, cov, cov_idx, counters, layout)
             if cand is None:
                 continue
             if cand.numeric:
                 layout = (cand.rows, cand.keys)
-            if not cand.valid.any():
-                continue
-            vidx = np.flatnonzero(cand.valid)
-            j = vidx // 2
-            parts.append((cand.q[vidx], cand.p[vidx], cand.p_new_reward[vidx], cand.covc[vidx], cand.attrs[j]))
-            picks.append((cand.numeric, cand.values[j], vidx % 2))
-        if not parts:
+            if cand.valid.any():
+                cands.append(cand)
+        if not cands:
             break
-        q, p, rew, covc, attrs = (np.concatenate(x) for x in zip(*parts))
+        # the valid candidates of every block, in block order
+        valid = [np.flatnonzero(c.valid) for c in cands]
+        q = _score_candidates(ctx, cands)
+        p, rew, covc = (
+            np.concatenate([getattr(c, name)[v] for c, v in zip(cands, valid)])
+            for name in ("p", "p_new_reward", "covc")
+        )
+        attrs = np.concatenate([c.attrs[v // 2] for c, v in zip(cands, valid)])
         qv = _modified(ctx, q, p, rew, _extension_spi(ctx, attr_set, attrs))
         top = np.fmax.reduce(qv)  # a NaN score never wins; NaN only when all are
         if np.isnan(top):
@@ -532,12 +656,12 @@ def _grow(ctx: _Context) -> _Grown | None:
         # a block holds each of its attributes' candidates in order, so the first
         # of the lowest attribute is the earliest in (attribute, split, side) order
         best = int(widest[np.argmin(attrs[widest])])
-        ai, counted = int(attrs[best]), int(covc[best])
-        for numeric, values, sides in picks:
-            if best < values.size:
+        ai, counted, quality = int(attrs[best]), int(covc[best]), float(q[best])
+        for cand, v in zip(cands, valid):
+            if best < v.size:
                 break
-            best -= values.size
-        best_cond = _condition(ai, numeric, values[best], int(sides[best]))
+            best -= v.size
+        best_cond = cand.condition(int(v[best]))
         cov = cov & condition_mask(best_cond, ctx.ds)
         # every step must shrink the coverage to what the sweep counted, so
         # growing cannot repeat a step forever
@@ -554,7 +678,7 @@ def _grow(ctx: _Context) -> _Grown | None:
     cm = _counts(ctx, cov)
     if cm.neg2pos > params.max_neg2pos:
         return None
-    return _Grown(conditions, cov)
+    return _Grown(conditions, cov, None if ctx.measure == "regression" else quality)
 
 
 def _counts(ctx: _Context, cov: np.ndarray) -> ConfusionMatrix:
@@ -631,22 +755,30 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
     the negative-to-positive ratio within bounds and reach the premise's
     own modified quality; the last removal with the highest quality wins,
     as a running-best scan in premise order would pick (a NaN never wins).
-    Stops when no removal qualifies or one condition remains.
+    Stops when no removal qualifies or one condition remains. The result
+    carries its raw quality.
 
     Each row holds how many conditions it fails and the sum of their ids
     (positions in ``grown``). The premise covers the rows that fail none;
     removing condition c adds the rows that fail only c, whose id sum is c,
     so one bincount over those rows gives every removal's added rows,
     positives and reward rows. The premise's counts and raw quality are
-    computed once; a round carries over the taken removal's. The ratio
-    gate, correlation and the multiplier each run once over all removals.
-    Regression and survival score each removal that adds rows afresh on its
-    exact coverage; correlation reads only the counts, so its coverage is
-    rebuilt only at the end. Condition masks are rebuilt when needed, so no
-    more than one is held at a time.
+    taken once (its quality from ``grown`` where known); a round carries
+    over the taken removal's. The ratio gate, correlation and the
+    multiplier each run once over all removals. Survival keeps the
+    premise's counts at each grid time, so one bincount of the same rows
+    keyed by (removal, time) gives every removal's sample, and one kernel
+    call scores them. Regression scores each removal that adds rows afresh
+    on its exact coverage, so only it rebuilds the coverage every round;
+    the others rebuild it once, at the end. Condition masks are rebuilt
+    when needed, so no more than one is held at a time.
     """
+    cov = grown.cov
+    q0 = grown.quality
+    if q0 is None:
+        q0 = _raw_quality(ctx, cov, _counts(ctx, cov))
     if len(grown.conditions) <= 1:
-        return grown
+        return _Grown(grown.conditions, cov, q0)
     conditions = list(grown.conditions)
     ids = np.arange(len(conditions))
     fails = np.zeros(ctx.ds.n_examples, dtype=np.int32)
@@ -657,10 +789,11 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         fails += miss
         id_sum += miss * np.int32(c)
     code = ctx.pos * 2 + ctx.r_u  # (in the group, in the reward baseline)
-    cov = grown.cov
     cm = _counts(ctx, cov)
     p0, n0, rew0 = cm.p, cm.n, int(np.count_nonzero(cov & ctx.r_u))
-    q0 = _raw_quality(ctx, cov, cm)
+    scorer = ctx.survival_scorer
+    if scorer is not None:
+        premise = _slot_counts(scorer, 0, np.flatnonzero(cov), 1)
     P, N, ceiling = ctx.P, ctx.N, ctx.params.max_neg2pos
     while len(conditions) > 1:
         attrs = [c.attr_index for c in conditions]
@@ -676,10 +809,14 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
             q_rm = _correlation(p, n, P, N)
         else:
             q_rm = np.full(ids.size, q0)
-            for i in np.flatnonzero(ok & (added > 0)):
-                cov_i = cov.copy()
-                cov_i[single[sid == ids[i]]] = True
-                q_rm[i] = _raw_quality(ctx, cov_i, ConfusionMatrix(int(p[i]), int(n[i]), P, N))
+            scored = np.flatnonzero(ok & (added > 0))
+            if scorer is None:
+                for i in scored:
+                    cov_i = cov.copy()
+                    cov_i[single[sid == ids[i]]] = True
+                    q_rm[i] = _raw_quality(ctx, cov_i, ConfusionMatrix(int(p[i]), int(n[i]), P, N))
+            elif scored.size:
+                q_rm[scored] = -_removal_scores(scorer, single, sid, ids[scored], len(grown.conditions), premise)
         # a removal that is not its attribute's first use leaves the premise's
         # distinct attributes in their insertion order, so they share one set
         spi = np.full(ids.size, _spi(ctx, set(attrs)))
@@ -695,16 +832,48 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
             break
         remove = int(np.flatnonzero(reach & (qmod == qmod[reach].max()))[-1])
         p0, n0, rew0, q0 = int(p[remove]), int(n[remove]), rew0 + int(add_rew[remove]), float(q_rm[remove])
+        if scorer is not None:
+            more = _slot_counts(scorer, 0, single[sid == ids[remove]], 1)
+            premise = (premise[0] + more[0], premise[1] + more[1])
         miss = ~condition_mask(conditions[remove], ctx.ds)
         fails -= miss
         id_sum -= miss * np.int32(ids[remove])
         ids = np.delete(ids, remove)
         del conditions[remove]
-        if ctx.measure != "correlation":
+        if ctx.measure == "regression":
             cov = fails == 0
     if len(conditions) < len(grown.conditions):
         cov = fails == 0
-    return _Grown(conditions, cov)
+    return _Grown(conditions, cov, q0)
+
+
+def _removal_scores(
+    scorer: _LogRankScorer, rows: np.ndarray, row_ids: np.ndarray, ids: np.ndarray, size: int, premise
+) -> np.ndarray:
+    """Log-rank statistic of the premise's sample plus, for each id of
+    ``ids``, the ``rows`` whose entry of ``row_ids`` is that id.
+
+    ``premise`` holds the (1, g) at-risk and event counts of the premise's
+    sample, which no removal's rows overlap; ids are below ``size``. One
+    bincount keyed by (id, grid rank) counts the removals of a block of at
+    most ``scorer.block``, and one kernel call scores them.
+    """
+    at = np.full(size, -1)
+    at[ids] = np.arange(ids.size)
+    which = at[row_ids]
+    keep = which >= 0
+    rows, which = rows[keep], which[keep]
+    step = scorer.block
+    if ids.size > step:  # blocks take runs of rows
+        order = np.argsort(which, kind="stable")
+        rows, which = rows[order], which[order]
+    out = []
+    for j0 in range(0, ids.size, step):
+        j1 = min(j0 + step, ids.size)
+        lo, hi = np.searchsorted(which, (j0, j1)) if ids.size > step else (0, which.size)
+        n, d = _slot_counts(scorer, which[lo:hi] - j0, rows[lo:hi], j1 - j0)
+        out.append(scorer.side_scores(n + premise[0], d + premise[1]))
+    return np.concatenate(out)
 
 
 def _resolve_measure(ds: DataSet, params: MiningParams) -> str:
@@ -822,7 +991,7 @@ def mine_group(
                 cov = pruned.cov
                 canon = canonicalize(ContrastSet(tuple(pruned.conditions), group))
                 cm = _counts(ctx, cov)
-                quality = _raw_quality(ctx, cov, cm)
+                quality = pruned.quality
                 key = canon.key()
                 duplicate = key in pool_keys
                 d_u &= ~cov

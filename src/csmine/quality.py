@@ -157,43 +157,74 @@ def _log_rank_rows(n1: np.ndarray, d1: np.ndarray, n2: np.ndarray, d2: np.ndarra
     no usable time, or zero variance, scores 0. Each row's sums run over
     that row's usable entries alone, in grid order, so a row scores the
     same bits whatever block it comes in.
+
+    The float temporaries share one workspace, large enough for all of
+    them, so that the allocator sees one block per call rather than a
+    dozen and does not hand memory back to the system and fault it in
+    again on every call. Each term is formed by the same operations, in
+    the same order, as ``n1 * d / nj`` and ``n1 * n2 * d * (nj - d) /
+    (nj * nj * (nj - 1.0))``.
     """
+    k, g = n1.shape
+    s = k * g
+    work = np.empty(6 * s + 2 * k)
+    d, tmp = work[:s].reshape(k, g), work[s : 2 * s].reshape(k, g)
+    terms = work[2 * s : 4 * s].reshape(2 * k, g)  # k rows of expected terms, then k of variance terms
+    e_terms, v_terms = terms[:k], terms[k:]
     nj = n1 + n2
-    d = d1 + d2
-    use = (d > 0) & (nj > 0)
-    var_use = use & (nj > 1)
+    ints = n1 * n2
+    np.add(d1, d2, out=d)
+    mask = np.empty((2 * k, g), dtype=bool)  # usable entries of each row of terms
+    use, var_use = mask[:k], mask[k:]
+    np.greater(d, 0, out=use)
+    use &= nj > 0
+    np.greater(nj, 1, out=var_use)
+    var_use &= use
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.concatenate((n1 * d / nj, n1 * n2 * d * (nj - d) / (nj * nj * (nj - 1.0))))
-    # k rows of expected terms, then k rows of variance terms: one call sums both
-    expected, variance = _row_sums(terms, np.concatenate((use, var_use))).reshape(2, -1)
+        np.multiply(n1, d, out=e_terms)
+        np.divide(e_terms, nj, out=e_terms)
+        np.multiply(ints, d, out=v_terms)
+        np.subtract(nj, d, out=tmp)
+        np.multiply(v_terms, tmp, out=v_terms)
+        np.multiply(nj, nj, out=ints)
+        np.subtract(nj, 1.0, out=tmp)
+        np.multiply(ints, tmp, out=tmp)
+        np.divide(v_terms, tmp, out=v_terms)
+    # one call sums both halves of terms
+    expected, variance = _row_sums(terms, mask, work[4 * s :]).reshape(2, -1)
     # event counts are whole numbers, so their sum is exact in any order
-    diff = np.where(use, d1, 0.0).sum(axis=1) - expected
+    np.multiply(d1, use, out=tmp)
+    diff = tmp.sum(axis=1) - expected
     return np.divide(diff * diff, variance, out=np.zeros(variance.shape), where=variance > 0.0)
 
 
-def _row_sums(terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _row_sums(terms: np.ndarray, mask: np.ndarray, space: np.ndarray) -> np.ndarray:
     """``terms[i][mask[i]].sum()`` of each row i, bit for bit, in one call.
 
-    The masked terms of every row are laid out one row after another, each
-    row behind a +0.0. ``add.reduceat`` starts a segment from its first
-    element and adds numpy's pairwise sum of the rest, so a row sums to
-    0.0 + pairwise(terms), which is what ``.sum()`` computes. The leading
-    zero changes nothing else because every term here is >= 0, and an
-    empty row sums to 0.0 either way.
+    The masked terms of every row are laid out in ``space`` (room for
+    every term plus one per row) one row after another, each row behind a
+    +0.0. ``add.reduceat`` starts a segment from its first element and
+    adds numpy's pairwise sum of the rest, so a row sums to 0.0 +
+    pairwise(terms), which is what ``.sum()`` computes. The leading zero
+    changes nothing else because every term here is >= 0, and an empty
+    row sums to 0.0 either way.
     """
     lens = np.count_nonzero(mask, axis=1) + 1
     starts = np.cumsum(lens) - lens
-    at_term = np.ones(lens.sum(), dtype=bool)
+    lead = space[: lens.sum()]
+    at_term = np.ones(lead.size, dtype=bool)
     at_term[starts] = False
-    lead = np.zeros(at_term.size)
+    lead[starts] = 0.0
     lead[at_term] = terms[mask]
     return np.add.reduceat(lead, starts)
 
 
-# Ceiling on splits x grid times per block of split_scores. A block's count
-# and kernel arrays then hold at most 2 x max(this, grid size) elements
-# (1 MB of float64 here), whatever the number of splits or rows. On a grid
-# of g times a block takes 2**16 // g splits, 704 at g = 93.
+# Ceiling on samples x grid times per block of counts and per kernel call.
+# On a grid of g times a block takes 2**16 // g samples, 704 at g = 93, or
+# at least one split's two sides, so its count arrays and the kernel's
+# inputs hold at most max(this, 2 x grid size) elements (512 KB of float64
+# here), whatever the number of splits, removals or rows. Larger calls run
+# slower per element once the kernel's temporaries outgrow the cache.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -214,46 +245,19 @@ class _LogRankScorer:
             self.rank[positives_mask], self.events[positives_mask], self.grid.shape
         )
 
+    @property
+    def block(self) -> int:
+        """Samples per block of counts, at least one."""
+        return max(1, _BLOCK_ELEMENTS // self.grid.size)
+
     def score(self, indices: np.ndarray) -> float:
         n1, d1 = _counts(self.rank[indices], self.events[indices], (1, self.grid.size))
-        return float(_log_rank_rows(n1, d1, self.n2, self.d2)[0])
+        return float(self.side_scores(n1, d1)[0])
 
-    def split_scores(
-        self, rows: np.ndarray, seg: np.ndarray, want: np.ndarray, cumulative: bool
-    ) -> np.ndarray:
-        """Statistics of the wanted sides of k >= 1 two-way splits of ``rows``.
-
-        ``seg`` gives each row its segment in 0..k-1, nondecreasing; rows
-        with a segment of k or more belong to none. Split j's first side is
-        segment j, or with ``cumulative`` segments 0..j; its second side is
-        the rest of ``rows``. ``want`` is a (k, 2) bool array; the result
-        holds the statistic of every wanted side in row-major order, equal
-        to ``score`` of that side's rows. Counts are built a block of splits
-        at a time, with no rows x grid matrix.
-        """
-        g = self.grid.size
-        k = want.shape[0]
-        r = self.rank[rows]
-        ev = self.events[rows]
-        n_all, d_all = _counts(r, ev, (g,))
-        carry_n = np.zeros(g, dtype=np.int64)
-        carry_d = np.zeros(g, dtype=np.float64)
-        step = max(1, _BLOCK_ELEMENTS // g)
-        out = []
-        for j0 in range(0, k, step):
-            j1 = min(j0 + step, k)
-            lo, hi = np.searchsorted(seg, (j0, j1))
-            # at-risk counts add up over segments like any other count
-            n1, d1 = _counts((seg[lo:hi] - j0) * g + r[lo:hi], ev[lo:hi], (j1 - j0, g))
-            if cumulative:
-                n1 = np.cumsum(n1, axis=0) + carry_n
-                d1 = np.cumsum(d1, axis=0) + carry_d
-                carry_n, carry_d = n1[-1], d1[-1]
-            sel = want[j0:j1].ravel()
-            n1 = np.stack((n1, n_all - n1), axis=1).reshape(-1, g)[sel]
-            d1 = np.stack((d1, d_all - d1), axis=1).reshape(-1, g)[sel]
-            out.append(_log_rank_rows(n1, d1, self.n2, self.d2))
-        return np.concatenate(out)
+    def side_scores(self, at_risk: np.ndarray, events: np.ndarray) -> np.ndarray:
+        """Statistics of k samples from their (k, g) at-risk and event
+        counts, as ``_counts`` gives them."""
+        return _log_rank_rows(at_risk, events, self.n2, self.d2)
 
 
 def survival_consistency(coverage: np.ndarray, ds: DataSet, positives: np.ndarray) -> float:

@@ -36,7 +36,8 @@ from csmine.data import (
 )
 from csmine.diversity import MULTIPLIER_FLOOR, PenaltyState
 from csmine.induction import _counts, _Grown, _raw_quality
-from csmine.quality import _correlation, _LogRankScorer, measure_for_task
+from csmine import quality
+from csmine.quality import _correlation, _counts as _survival_counts, _LogRankScorer, measure_for_task
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +739,68 @@ def log_rank_rows_reference(n1, d1, n2, d2):
             diff = float(observed[i]) - float(expected[i][use[i]].sum())
             stats[i] = (diff * diff) / var
     return stats
+
+
+def split_scores_reference(scorer, rows, seg, want, cumulative):
+    """Statistics of the wanted sides of k >= 1 two-way splits of ``rows``,
+    one attribute at a time: the block scan that the step scorer replaced.
+
+    ``seg`` gives each row its segment in 0..k-1, nondecreasing; rows with
+    a segment of k or more belong to none. Split j's first side is segment
+    j, or with ``cumulative`` segments 0..j; its second side is the rest of
+    ``rows``. ``want`` is a (k, 2) bool array; the result holds the
+    statistic of every wanted side in row-major order. Counts are built a
+    block of ``quality._BLOCK_ELEMENTS // g`` splits at a time, carried
+    across blocks.
+    """
+    g = scorer.grid.size
+    k = want.shape[0]
+    r = scorer.rank[rows]
+    ev = scorer.events[rows]
+    n_all, d_all = _survival_counts(r, ev, (g,))
+    carry_n = np.zeros(g, dtype=np.int64)
+    carry_d = np.zeros(g, dtype=np.float64)
+    step = max(1, quality._BLOCK_ELEMENTS // g)
+    out = []
+    for j0 in range(0, k, step):
+        j1 = min(j0 + step, k)
+        lo, hi = np.searchsorted(seg, (j0, j1))
+        # at-risk counts add up over segments like any other count
+        n1, d1 = _survival_counts((seg[lo:hi] - j0) * g + r[lo:hi], ev[lo:hi], (j1 - j0, g))
+        if cumulative:
+            n1 = np.cumsum(n1, axis=0) + carry_n
+            d1 = np.cumsum(d1, axis=0) + carry_d
+            carry_n, carry_d = n1[-1], d1[-1]
+        sel = want[j0:j1].ravel()
+        n1 = np.stack((n1, n_all - n1), axis=1).reshape(-1, g)[sel]
+        d1 = np.stack((d1, d_all - d1), axis=1).reshape(-1, g)[sel]
+        out.append(quality._log_rank_rows(n1, d1, scorer.n2, scorer.d2))
+    return np.concatenate(out)
+
+
+def survival_scores_reference(scorer, cand):
+    """Negated statistic of each valid candidate of one swept block, one
+    attribute at a time through ``split_scores_reference``: the per-attribute
+    scan that the step scorer replaced. A nominal block's layout sorts each
+    attribute's covered rows by category."""
+    q = np.full(cand.p.size, -np.inf)
+    want = cand.valid.reshape(-1, 2)  # (first side, second side) per split
+    layout = cand.rows if cand.numeric else cand.rows[np.argsort(cand.keys, axis=1, kind="stable")]
+    # each row of the layout holds one attribute's splits, a run of the split order
+    bounds = np.searchsorted(cand.row, np.arange(cand.known.size + 1))
+    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        w = want[lo:hi]
+        if not w.any():
+            continue
+        # an unneeded numeric prefix folds into the next needed one; category
+        # runs are disjoint, so every run stays a segment of its own
+        need = np.flatnonzero(w.any(axis=1)) if cand.numeric else np.arange(hi - lo)
+        rows = layout[r, : cand.known[r]]
+        ends = cand.last[lo:hi][need] - r * layout.shape[1]
+        seg = np.searchsorted(ends, np.arange(rows.size))
+        scores = split_scores_reference(scorer, rows, seg, w[need], cumulative=cand.numeric)
+        q[2 * lo : 2 * hi][w.ravel()] = -scores
+    return q[cand.valid]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from csmine.contrast import (
     cover,
     render_conditions,
 )
-from csmine.data import Attribute, DataSet
+from csmine.data import Attribute, DataSet, derive_groups_survival
 from csmine.diversity import PenaltyState
 from csmine.induction import (
     MiningParams,
@@ -60,6 +60,7 @@ from conftest import (
     random_regression,
     random_survival,
     redundancy_oracle,
+    survival_scores_reference,
     with_status,
 )
 
@@ -322,6 +323,9 @@ def test_grow_keeps_an_empty_reward_baseline():
     ids=["survival", "correlation", "regression"],
 )
 def test_sweep_scores_exactly_the_gated_candidates(monkeypatch, measure, make):
+    # a sweep only counts and gates; the step then scores the valid
+    # candidates of both blocks at once, survival in one kernel call whose
+    # rows are exactly those candidates
     kernel_rows = []
     kernel = quality._log_rank_rows
 
@@ -330,7 +334,7 @@ def test_sweep_scores_exactly_the_gated_candidates(monkeypatch, measure, make):
         return kernel(n1, d1, n2, d2)
 
     monkeypatch.setattr(quality, "_log_rank_rows", counting)
-    gated_out = scored = 0
+    gated_out = scored = steps = 0
     for seed in range(3):
         ds = make(seed + 10, n_min=60, n_max=140, max_attrs=5)
         rng = np.random.default_rng(seed)
@@ -344,15 +348,16 @@ def test_sweep_scores_exactly_the_gated_candidates(monkeypatch, measure, make):
             scorer = quality._LogRankScorer(ds, pos) if measure == "survival" else None
             cov = rng.random(ds.n_examples) < 0.8
             listed = list(possible_conditions(cov, ds))
+            cands, wants = [], []
             for block in ctx.blocks:
                 kernel_rows.clear()
                 cand = induction._sweep_attribute(ctx, block, cov, np.flatnonzero(cov))
+                assert kernel_rows == []
                 expected = [c for c in listed if c.attr_index in block]
                 if cand is None:
                     assert expected == []
                     continue
-                assert sum(kernel_rows) == (int(cand.valid.sum()) if scorer else 0)
-                conds = [cand.condition(i) for i in range(cand.q.size)]
+                conds = [cand.condition(i) for i in range(cand.p.size)]
                 assert conds == expected
                 for i, cond in enumerate(conds):
                     side = cov & condition_mask(cond, ds)
@@ -374,17 +379,169 @@ def test_sweep_scores_exactly_the_gated_candidates(monkeypatch, measure, make):
                     assert cand.valid[i] == gates
                     if gates:
                         if measure == "survival":
-                            want = -scorer.score(np.flatnonzero(side))
+                            wants.append(-scorer.score(np.flatnonzero(side)))
                         elif measure == "correlation":
-                            want = correlation(cm)
+                            wants.append(correlation(cm))
                         else:
-                            want = -abs(float(np.mean(ds.labels[side])) - ctx.pos_label_mean)
-                        assert cand.q[i] == want
-                    elif measure == "survival":
-                        assert cand.q[i] == -np.inf
+                            wants.append(-abs(float(np.mean(ds.labels[side])) - ctx.pos_label_mean))
                 gated_out += int((~cand.valid).sum())
                 scored += int(cand.valid.sum())
+                cands.append(cand)
+            kernel_rows.clear()
+            q = induction._score_candidates(ctx, cands)
+            assert q.tolist() == wants
+            if measure == "survival" and wants:
+                assert kernel_rows == [len(wants)]  # one call for the whole step
+                steps += 1
+            else:
+                assert kernel_rows == []
     assert gated_out >= 40 and scored >= 40
+    assert measure != "survival" or steps >= 4
+
+
+def _step_reference_and_check(ctx, cov):
+    """Sweep both blocks over ``cov``, then check the step scorer against
+    the per-attribute scan and against ``score`` of each valid side, bit
+    for bit. Returns the swept candidates."""
+    scorer = ctx.survival_scorer
+    cov_idx = np.flatnonzero(cov)
+    cands = [c for c in (induction._sweep_attribute(ctx, b, cov, cov_idx) for b in ctx.blocks) if c is not None]
+    got = induction._score_candidates(ctx, cands)
+    reference = np.concatenate([survival_scores_reference(scorer, c) for c in cands] + [np.empty(0)])
+    sides = [cov & condition_mask(c.condition(i), ctx.ds) for c in cands for i in np.flatnonzero(c.valid)]
+    alone = np.array([-scorer.score(np.flatnonzero(side)) for side in sides])
+    assert got.dtype == np.float64
+    assert got.tobytes() == reference.tobytes() == alone.tobytes()
+    return cands
+
+
+# times with ties, on a grid of a few values, or all distinct
+_TIMES = {"ties": st.sampled_from([0.0, 1.0, 2.0, 3.5]), "distinct": st.floats(0.0, 50.0)}
+
+
+@st.composite
+def survival_step_cases(draw):
+    """A survival DataSet of 1-5 attributes, numeric and nominal mixed:
+    numeric cells from the sweep's cell pool (ties, NaN, ±0.0, ±inf) and
+    nominal codes with missing cells; times with ties or mostly distinct;
+    a coverage mask, pools and gates."""
+    n = draw(st.integers(2, 30))
+    attrs, cols = [], []
+    for i in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            attrs.append(Attribute(f"x{i}", "numeric"))
+            cols.append(np.array(draw(st.lists(st.sampled_from(_CELLS), min_size=n, max_size=n))))
+        else:
+            domain = draw(st.integers(1, 5))
+            attrs.append(Attribute(f"c{i}", "nominal", tuple(f"v{v}" for v in range(domain))))
+            cols.append(np.array(draw(st.lists(st.integers(-1, domain - 1), min_size=n, max_size=n)),
+                                 dtype=np.int32))
+    times = draw(st.lists(_TIMES[draw(st.sampled_from(sorted(_TIMES)))], min_size=n, max_size=n))
+    status = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    codes = np.array([0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2)),
+                     dtype=np.int32)
+    ds = DataSet(attrs, cols, relation="step", task="survival", group_names=("g", "rest"),
+                 group_codes=codes, times=np.array(times), status=np.array(status, dtype=np.int8))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    cov = np.array(draw(bits)) | (np.arange(n) == draw(st.integers(0, n - 1)))
+    pos = codes == 0
+    d_u, r_u = pos & np.array(draw(bits)), pos & np.array(draw(bits))
+    gates = (draw(st.sampled_from([0.05, 0.3, 0.6])), draw(st.sampled_from([0.05, 0.5])))
+    return ds, cov, d_u, r_u, gates
+
+
+@pytest.mark.parametrize("block_elements", [None, 1, "three-grid"])
+@settings(max_examples=250, deadline=None)
+@given(case=survival_step_cases())
+def test_step_scorer_equals_per_attribute_scan(block_elements, case):
+    # 1 puts one slot in each block, three-grid three, so rows run across
+    # blocks and carry their counts; None is the default ceiling
+    ds, cov, d_u, r_u, (minsupp_all, minsupp_new) = case
+    ctx = induction._Context.build(ds, "g", MiningParams(minsupp_new=minsupp_new), "survival",
+                                   d_u=d_u, r_u=r_u, minsupp_all=minsupp_all)
+    size = {None: quality._BLOCK_ELEMENTS, 1: 1, "three-grid": 3 * ctx.survival_scorer.grid.size}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quality, "_BLOCK_ELEMENTS", size[block_elements])
+        _step_reference_and_check(ctx, cov)
+
+
+def _rest_slot_dataset():
+    """40 rows, 20 in group g. x0 and x2 split the group off at 0.5; x1's
+    only split puts half of the group on each side, so at minsupp 0.6 none
+    of its sides is valid and all of its rows fall into its rest slot, while
+    x0's second half, past its last needed split, fills x0's. A nominal
+    attribute with missing cells and a missing x2 cell come after."""
+    rng = np.random.default_rng(8)
+    g = np.arange(40) < 20
+    x0 = np.where(g, 0.0, 1.0) + np.round(rng.uniform(0, 0.4, 40), 2) * ~g
+    x1 = (np.arange(40) % 2).astype(np.float64)
+    x2 = np.where(g, rng.uniform(0, 0.4, 40), rng.uniform(0.6, 1.0, 40)).round(2)
+    x2[3] = np.nan
+    c = rng.integers(-1, 3, 40).astype(np.int32)
+    attrs = [Attribute(f"x{i}", "numeric") for i in range(3)] + [Attribute("c", "nominal", ("a", "b", "d"))]
+    return DataSet(attrs, [x0, x1, x2, c], relation="rest", task="survival", group_names=("g", "rest"),
+                   group_codes=(~g).astype(np.int32), times=rng.exponential(10.0, 40) + 20.0 * ~g,
+                   status=(rng.random(40) < 0.8).astype(np.int8))
+
+
+@pytest.mark.parametrize("block_elements", [None, 1, "three-grid"])
+def test_step_scorer_skips_a_numeric_row_with_no_needed_split(monkeypatch, block_elements):
+    ds = _rest_slot_dataset()
+    ctx = induction._Context.build(ds, "g", MiningParams(minsupp_new=0.05), "survival", minsupp_all=0.6)
+    size = {None: quality._BLOCK_ELEMENTS, 1: 1, "three-grid": 3 * ctx.survival_scorer.grid.size}
+    monkeypatch.setattr(quality, "_BLOCK_ELEMENTS", size[block_elements])
+    numeric = _step_reference_and_check(ctx, np.ones(ds.n_examples, dtype=bool))[0]
+    valid = numeric.valid.reshape(-1, 2).any(axis=1)
+    per_attr = {a: bool(valid[numeric.attrs == a].any()) for a in (0, 1, 2)}
+    assert per_attr == {0: True, 1: False, 2: True}
+    assert (numeric.attrs == 1).any()  # x1 has a split; its sides fail the gate
+    # x0 has rows past its last needed split
+    assert numeric.last[numeric.attrs == 0][valid[numeric.attrs == 0]].max() < numeric.known[0] - 1
+
+
+def test_step_scorer_memory_is_bounded_by_the_block_ceiling(monkeypatch):
+    # all-distinct times: a step's wanted sides times the grid come to more
+    # than ten blocks, yet every kernel input holds at most
+    # max(_BLOCK_ELEMENTS, 2 g) elements, and the step's peak stays within
+    # the kernel's workspace and a few such arrays
+    rng = np.random.default_rng(3)
+    n = 1200
+    x = rng.normal(size=(n, 2)).round(3)
+    stage = rng.integers(-1, 3, n).astype(np.int32)
+    ds = derive_groups_survival(DataSet(
+        (Attribute("x0", "numeric"), Attribute("x1", "numeric"), Attribute("stage", "nominal", ("a", "b", "c"))),
+        [x[:, 0], x[:, 1], stage], relation="distinct", task="survival",
+        times=rng.exponential(np.where(x[:, 0] > 0, 4.0, 12.0)), status=(rng.random(n) < 0.8).astype(np.int8),
+    ))
+    ctx = induction._Context.build(ds, ds.groups[0], MiningParams(minsupp_new=0.05), "survival",
+                                   minsupp_all=0.05)
+    g = ctx.survival_scorer.grid.size
+    assert g == ds.n_examples  # every time distinct
+    bound = max(quality._BLOCK_ELEMENTS, 2 * g)
+    cov = np.ones(g, dtype=bool)
+    cands = [induction._sweep_attribute(ctx, b, cov, np.flatnonzero(cov)) for b in ctx.blocks]
+    sides = sum(int(c.valid.sum()) for c in cands)
+    assert sides * g > 10 * bound
+    inputs = []
+    kernel = quality._log_rank_rows
+
+    def recording(n1, d1, n2, d2):
+        inputs.append(n1.size)
+        return kernel(n1, d1, n2, d2)
+
+    monkeypatch.setattr(quality, "_log_rank_rows", recording)
+    induction._score_candidates(ctx, cands)  # warm up
+    inputs.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        q = induction._score_candidates(ctx, cands)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert q.size == sides == sum(inputs) // g
+    assert max(inputs) <= bound
+    assert peak < 24 * bound * 8
 
 
 # cells that tie, signed zeros, neighbours one ulp apart, a subnormal,
@@ -649,6 +806,36 @@ def test_prune_first_use_penalty_follows_set_order():
         assert got.conditions == (x1, x8, x0)
 
 
+def test_prune_keeps_a_repeat_whose_removal_sums_pi_in_another_set_order():
+    """The premise's own s*pi sums pi over a set built from its attribute
+    list, the removal of a repeated condition over a copy of that set. Over
+    [12, 13, 14, 3, 19, 7] with these counts the copy iterates in another
+    order and sums one ulp higher, so at s = 1 the repeat's removal, which
+    keeps the coverage, scores just below the premise and prune keeps it.
+    ``prune_rounds_reference`` builds its sets the same way; ``naive_prune``
+    builds both alike and drops the repeat (ROADMAP item 4 settles this)."""
+    rng = np.random.default_rng(58)
+    n, k = 120, 23
+    codes = (rng.random(n) < 0.5).astype(np.int32)
+    cols = [np.round(rng.normal(0.0, 1.0, n) + 0.8 * (codes == 0) * (i % 4 == 0), 1) for i in range(k)]
+    ds = DataSet([Attribute(f"x{i}", "numeric") for i in range(k)], cols, relation="order",
+                 task="classification", group_names=("A", "B"), group_codes=codes)
+    counts = [3, 5, 0, 3, 5, 5, 5, 1, 5, 3, 4, 2, 3, 1, 3, 5, 0, 5, 4, 5, 5, 1, 5]
+    pen = PenaltyState(k, counts=counts, total=sum(counts))
+    attrs = [12, 13, 14, 3, 19, 7]
+    assert pen.premise_penalty(attrs) < pen.premise_penalty(set(attrs))
+    conds = [Condition(a, GE, float(np.quantile(ds.column(a), 0.05))) for a in attrs]
+    conds.append(conds[-1])
+    params = MiningParams(penalty_strength=1.0, max_neg2pos=2.0)
+    ctx = induction._Context.build(ds, "A", params, "correlation", penalty=pen)
+    grown = induction._Grown(conds, cover(ContrastSet(tuple(conds), "A"), ds))
+    got = induction._prune(ctx, grown)
+    want = prune_rounds_reference(ctx, grown)
+    assert condition_tuples(got.conditions) == condition_tuples(want.conditions) == condition_tuples(conds)
+    assert got.cov.tobytes() == want.cov.tobytes()
+    assert len(naive_prune(ds, "A", conds, params, penalty=pen)) < len(conds)
+
+
 @st.composite
 def prune_cases(draw):
     """A random premise of 2-60 conditions over 12-40 numeric attributes,
@@ -708,6 +895,66 @@ def test_prune_equals_prune_rounds_reference(case):
     want = prune_rounds_reference(ctx, grown)
     assert condition_tuples(got.conditions) == condition_tuples(want.conditions)
     assert got.cov.tobytes() == want.cov.tobytes()
+    # the carried quality has the bits of a fresh score of the result
+    assert got.quality == induction._raw_quality(ctx, got.cov, induction._counts(ctx, got.cov))
+
+
+@pytest.mark.parametrize("block_elements", [None, "three-grid"])
+def test_batched_survival_prune_matches_references_on_distinct_times(monkeypatch, block_elements):
+    # long premises over all-distinct times: a round counts every removal's
+    # sample in one bincount over the premise's counts, and three-grid puts
+    # three removals in each block of counts
+    base = continuous(5, 400, 12, "survival")
+    rng = np.random.default_rng(17)
+    ds = base._replace(times=base.times + rng.uniform(0.0, 0.5, base.n_examples))
+    assert np.unique(ds.times).size == ds.n_examples
+    if block_elements:
+        monkeypatch.setattr(quality, "_BLOCK_ELEMENTS", 3 * ds.n_examples)
+    grow_params = MiningParams(minsupps=(0.05,), max_neg2pos=1.0, measure="correlation")
+    lengths, removed = [], 0
+    for group in ds.groups:
+        pos = ds.group_mask(group)
+        conds = list(grow(ds, group, pos, grow_params, minsupp_all=0.05).conditions)
+        lengths.append(len(conds))
+        for s in (0.0, 1.0):
+            params = replace(grow_params, penalty_strength=s, measure=None)
+            unc, rew = _random_pool(rng, pos), _random_pool(rng, pos)
+            pen = _random_penalty(rng, len(ds.attributes))
+            ctx = induction._Context.build(ds, group, params, "survival", d_u=unc, r_u=rew, penalty=pen)
+            grown = induction._Grown(conds, cover(ContrastSet(tuple(conds), group), ds))
+            got = induction._prune(ctx, grown)
+            want = prune_rounds_reference(ctx, grown)
+            assert condition_tuples(got.conditions) == condition_tuples(want.conditions)
+            assert got.cov.tobytes() == want.cov.tobytes()
+            assert got.quality == -ctx.survival_scorer.score(np.flatnonzero(got.cov))
+            naive = naive_prune(ds, group, conds, params, uncovered=unc, reward_uncovered=rew, penalty=pen)
+            assert condition_tuples(got.conditions) == condition_tuples(naive)
+            removed += len(conds) - len(got.conditions)
+    assert min(lengths) >= 40 and removed >= 40
+
+
+@pytest.mark.parametrize("make", [random_classification, random_regression, random_survival],
+                         ids=["correlation", "regression", "survival"])
+def test_grown_and_pruned_premises_carry_their_fresh_quality(make):
+    # grow hands on its last step's score where it has the bits of a fresh
+    # score (correlation, survival); prune's result always carries one
+    checked = 0
+    for seed in range(4):
+        ds = make(seed + 40, n_min=60, n_max=140)
+        rng = np.random.default_rng(seed)
+        for params, group, unc, rew, pen, level in _grow_cases(ds, rng):
+            measure = induction._resolve_measure(ds, params)
+            ctx = induction._Context.build(ds, group, params, measure, d_u=unc, r_u=rew, penalty=pen,
+                                           minsupp_all=level)
+            grown = induction._grow(ctx)
+            if grown is None:
+                continue
+            fresh = induction._raw_quality(ctx, grown.cov, induction._counts(ctx, grown.cov))
+            assert grown.quality == (None if measure == "regression" else fresh)
+            pruned = induction._prune(ctx, grown)
+            assert pruned.quality == induction._raw_quality(ctx, pruned.cov, induction._counts(ctx, pruned.cov))
+            checked += 1
+    assert checked >= 10
 
 
 def test_prune_allows_a_removal_exactly_at_the_ratio_ceiling():

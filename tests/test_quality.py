@@ -31,6 +31,7 @@ from conftest import (
     log_rank_oracle,
     log_rank_rows_reference,
     random_survival,
+    split_scores_reference,
     with_status,
 )
 from test_acceptance import SURVIVAL_SAMPLES
@@ -326,7 +327,7 @@ def _assert_kernel_matches_reference(n1, d1, n2, d2):
 
 @st.composite
 def count_tables(draw):
-    """(n1, d1, n2, d2) as split_scores builds them: k samples and one
+    """(n1, d1, n2, d2) as survival scoring builds them: k samples and one
     reference sample on a grid of g times, where at-risk counts the rows at
     or after each time and events at a time are at most its rows. Small
     row counts give rows with no usable time and zero-variance rows."""
@@ -444,7 +445,9 @@ def _splits(ds, cov, ai, rng):
 
 @pytest.mark.parametrize("block_elements", [None, 1, "three-splits"])
 def test_block_scan_matches_score_exactly(monkeypatch, block_elements):
-    # at the default ceiling (None) an attribute's splits take one block,
+    # the per-attribute block scan, kept as the step scorer's reference in
+    # conftest, must itself score every side as score() does.
+    # At the default ceiling (None) an attribute's splits take one block,
     # or two on the distinct-time data's full coverage; 1 puts one split in
     # each block, and three-splits carries counts between blocks of three
     if block_elements == 1:
@@ -460,7 +463,7 @@ def test_block_scan_matches_score_exactly(monkeypatch, block_elements):
             for cov in (np.ones(ds.n_examples, dtype=bool), rng.random(ds.n_examples) < 0.6):
                 for ai, attr in enumerate(ds.attributes):
                     rows, seg, want, cumulative, sides = _splits(ds, cov, ai, rng)
-                    got = scorer.split_scores(rows, seg, want, cumulative)
+                    got = split_scores_reference(scorer, rows, seg, want, cumulative)
                     wanted = [s for pair, w in zip(sides, want) for s, keep in zip(pair, w) if keep]
                     expect = np.array([scorer.score(s) for s in wanted])
                     assert np.array_equal(got, expect)
