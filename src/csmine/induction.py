@@ -12,6 +12,7 @@ cover fresh positives. A level ends early once a pass yields nothing new.
 
 from __future__ import annotations
 
+import copy
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -156,7 +157,8 @@ class _Context:
     survival_scorer: _LogRankScorer | None = None
     # the presorted numeric block: its attributes, and per attribute its rows
     # stable-sorted by value with missing cells last, and the values in that
-    # order; the arrays of both blocks are built by presort() on the first sweep
+    # order; the arrays of both blocks, and the root, are built by presort()
+    # on the first sweep or grow step
     numeric: tuple[int, ...] = ()
     order: np.ndarray | None = None          # (k, n) int32
     sorted_values: np.ndarray | None = None  # (k, n) float64
@@ -166,6 +168,7 @@ class _Context:
     nominal: tuple[int, ...] = ()
     keys: np.ndarray | None = None     # (k, n) int32
     offsets: np.ndarray | None = None  # (k + 1,) first bin of each attribute, then the bin count
+    root: _Root | None = None  # the full-coverage step every grow starts from
 
     @classmethod
     def build(
@@ -183,7 +186,8 @@ class _Context:
 
         The uncovered pool defaults to the whole group, the reward baseline
         to the uncovered pool, and the support floor to the first level.
-        The blocks are presorted and stacked by the first sweep.
+        The blocks are presorted and stacked, and the root swept, by the
+        first sweep or grow step.
         """
         pos = ds.group_mask(group)
         neg = ~pos
@@ -217,7 +221,9 @@ class _Context:
         return ctx
 
     def presort(self) -> None:
-        """Presort the numeric block and stack the nominal block, once."""
+        """Presort the numeric block, stack the nominal block and sweep both
+        at full coverage into the root, once."""
+        # the root's sweeps call presort() again, which returns here
         if self.order is not None or self.keys is not None:
             return
         ds = self.ds
@@ -232,6 +238,9 @@ class _Context:
             cols = [ds.column(ai) for ai in self.nominal]
             self.keys = np.stack([np.where(c < 0, hi - 1, c + lo).astype(np.int32)
                                   for c, lo, hi in zip(cols, self.offsets[:-1], self.offsets[1:])])
+        everything = np.ones(ds.n_examples, dtype=bool)
+        swept = (_sweep_attribute(self, block, everything, np.arange(ds.n_examples)) for block in self.blocks)
+        self.root = _Root([cand for cand in swept if cand is not None])
 
     @property
     def blocks(self) -> list[tuple[int, ...]]:
@@ -370,10 +379,13 @@ def _sweep_attribute(
         if m < 2:  # no split, and each row below has m - 1 split positions
             return None
         order, values = layout if layout is not None else (ctx.order, ctx.sorted_values)
-        # index arrays gather faster than the boolean mask itself
-        at = np.flatnonzero(cov[order])
-        rows = order.take(at).reshape(k, m)
-        key = values.take(at).reshape(k, m)
+        if m == order.shape[1]:  # the layout holds just the covered rows: the root's is the presort
+            rows, key = order, values
+        else:
+            # index arrays gather faster than the boolean mask itself
+            at = np.flatnonzero(cov[order])
+            rows = order.take(at).reshape(k, m)
+            key = values.take(at).reshape(k, m)
         known = m - np.count_nonzero(np.isnan(key), axis=1)
         lo, hi = key[:, :-1], key[:, 1:]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -400,7 +412,7 @@ def _sweep_attribute(
                            mids.ravel()[split], key)
         first = cut + 1
     else:
-        keys = ctx.keys.take(cov_idx, axis=1).astype(np.intp)
+        keys = ctx.keys if m == ctx.keys.shape[1] else ctx.keys.take(cov_idx, axis=1).astype(np.intp)
         size = np.bincount(keys.ravel(), minlength=ctx.offsets[-1])
         missing = ctx.offsets[1:] - 1
         known = m - size[missing]
@@ -415,21 +427,76 @@ def _sweep_attribute(
         cand = _Candidates(False, cov_idx, known, row, np.asarray(block)[row], last[bins],
                            bins - ctx.offsets[row], keys, bins, ctx.offsets)
         first = size[bins]
-    counters = counters if counters is not None else _pack_counters(ctx)
-    rows = cand.rows
+    cand.covc = _sides(first.astype(np.int64, copy=False), known[cand.row])
+    return _count_and_gate(ctx, cand, counters if counters is not None else _pack_counters(ctx))
+
+
+def _count_and_gate(ctx: _Context, cand: _Candidates, counters: list[np.ndarray]) -> _Candidates:
+    """Count the sides of ``cand`` in the group and both pools, then gate them.
+
+    Sets ``p``, ``n``, ``p_new_pass``, ``p_new_reward`` and ``valid`` from
+    ``counters``, which are ``_pack_counters(ctx)``, and ``cand.covc``.
+    """
     # counts are whole numbers, exact in any float or integer form
     cand.p, cand.p_new_pass, cand.p_new_reward = _unpack_counters(
-        ctx.ds.n_examples, [cand.side_sums(col[rows]) for col in counters]
+        ctx.ds.n_examples, [cand.side_sums(col[cand.rows]) for col in counters]
     )
-    cand.covc = _sides(first.astype(np.int64, copy=False), known[cand.row])
     cand.n = cand.covc - cand.p  # every row is in the group or in its contrast
-    # same division forms as the pool gate in _grow, so boundaries agree
+    # same division forms as the pool gate in _grow, so boundaries agree; the
+    # layout's last axis runs over the covered rows
     cand.valid = (
         (cand.p / ctx.P >= ctx.minsupp_all)
         & (cand.p_new_pass / ctx.P >= ctx.params.minsupp_new)
-        & (cand.covc < m)
+        & (cand.covc < cand.rows.shape[-1])
     )
     return cand
+
+
+@dataclass
+class _Root:
+    """A context's full-coverage step, which every grow starts from.
+
+    ``cands`` are the full-coverage candidates of each block with a
+    split, laid out over the presort's own arrays. Once scored, their
+    ``valid`` marks the candidates whose raw score ``q`` holds, per block
+    in candidate order: every one that can pass the gates at a support
+    floor of ``floor`` or above, whatever the pools, since a candidate's
+    new positives are among its positives.
+    """
+
+    cands: list[_Candidates]
+    floor: float = np.inf
+    q: list[np.ndarray] = field(default_factory=list)
+
+
+def _root_step(ctx: _Context, counters: list[np.ndarray]) -> tuple[list[_Candidates], np.ndarray]:
+    """The first step of a grow: the candidates of the root that are valid
+    for the pass's pools, and their raw scores, in block order.
+
+    A copy of each root candidate is counted and gated as a sweep would
+    count it. The scores are taken in one ``_score_candidates`` call on
+    the context's first grow step, and again only if the support floor
+    falls below the one they were taken at. A score depends only on its
+    candidate's own counts, so a cached one has the bits a fresh step's
+    would have.
+    """
+    ctx.presort()
+    root = ctx.root
+    if ctx.minsupp_all < root.floor:
+        floor = min(ctx.minsupp_all, ctx.params.minsupps[-1])
+        for cand in root.cands:
+            support = cand.p / ctx.P
+            cand.valid = (support >= floor) & (support >= ctx.params.minsupp_new) & (cand.covc < ctx.ds.n_examples)
+        q = _score_candidates(ctx, root.cands)
+        root.q = np.split(q, np.cumsum([np.count_nonzero(c.valid) for c in root.cands[:-1]]))
+        root.floor = floor
+    cands, q = [], []
+    for base, scores in zip(root.cands, root.q):
+        cand = _count_and_gate(ctx, copy.copy(base), counters)
+        if cand.valid.any():
+            cands.append(cand)
+            q.append(scores[cand.valid[base.valid]])
+    return cands, np.concatenate(q) if q else np.empty(0)
 
 
 def _score_candidates(ctx: _Context, cands: list[_Candidates]) -> np.ndarray:
@@ -610,10 +677,11 @@ def _grow(ctx: _Context) -> _Grown | None:
     wins, and a step whose scores are all NaN ends growing. The finished
     premise must pass the negative-to-positive ceiling or growing fails.
 
-    The premise's raw quality is its last step's score. Correlation and
-    survival score a candidate with the bits of ``_raw_quality``, so they
-    hand it on; regression's swept mean adds its labels in another order,
-    so its premise is scored afresh.
+    The first step reads the context's root, so only later steps sweep the
+    covered rows and score their candidates. The premise's raw quality is
+    its last step's score. Correlation and survival score a candidate with
+    the bits of ``_raw_quality``, so they hand it on; regression's swept
+    mean adds its labels in another order, so its premise is scored afresh.
     """
     params = ctx.params
     # same division form as the candidate gate in _sweep_attribute
@@ -627,21 +695,24 @@ def _grow(ctx: _Context) -> _Grown | None:
     attr_set: set[int] = set()
     quality = None
     while True:
-        cov_idx = np.flatnonzero(cov)
-        cands = []
-        for block in blocks:
-            cand = _sweep_attribute(ctx, block, cov, cov_idx, counters, layout)
-            if cand is None:
-                continue
-            if cand.numeric:
-                layout = (cand.rows, cand.keys)
-            if cand.valid.any():
-                cands.append(cand)
+        if not conditions:  # full coverage: the root's layout is the presort's
+            cands, q = _root_step(ctx, counters)
+        else:
+            cov_idx = np.flatnonzero(cov)
+            cands = []
+            for block in blocks:
+                cand = _sweep_attribute(ctx, block, cov, cov_idx, counters, layout)
+                if cand is None:
+                    continue
+                if cand.numeric:
+                    layout = (cand.rows, cand.keys)
+                if cand.valid.any():
+                    cands.append(cand)
+            q = _score_candidates(ctx, cands) if cands else None
         if not cands:
             break
         # the valid candidates of every block, in block order
         valid = [np.flatnonzero(c.valid) for c in cands]
-        q = _score_candidates(ctx, cands)
         p, rew, covc = (
             np.concatenate([getattr(c, name)[v] for c, v in zip(cands, valid)])
             for name in ("p", "p_new_reward", "covc")
@@ -770,8 +841,9 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
     keyed by (removal, time) gives every removal's sample, and one kernel
     call scores them. Regression scores each removal that adds rows afresh
     on its exact coverage, so only it rebuilds the coverage every round;
-    the others rebuild it once, at the end. Condition masks are rebuilt
-    when needed, so no more than one is held at a time.
+    the others rebuild it once, at the end. Both take each removal's added
+    rows as a slice of the single-failure rows sorted by id. Condition
+    masks are rebuilt when needed, so no more than one is held at a time.
     """
     cov = grown.cov
     q0 = grown.quality
@@ -808,12 +880,18 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         if ctx.measure == "correlation":  # reads only the counts
             q_rm = _correlation(p, n, P, N)
         else:
+            # ids ascend, so with the rows sorted by id removal i adds the
+            # slice single[starts[i]:ends[i]]
+            by_id = np.argsort(sid, kind="stable")
+            single, sid = single[by_id], sid[by_id]
+            ends = np.cumsum(added)
+            starts = ends - added
             q_rm = np.full(ids.size, q0)
             scored = np.flatnonzero(ok & (added > 0))
             if scorer is None:
                 for i in scored:
                     cov_i = cov.copy()
-                    cov_i[single[sid == ids[i]]] = True
+                    cov_i[single[starts[i] : ends[i]]] = True
                     q_rm[i] = _raw_quality(ctx, cov_i, ConfusionMatrix(int(p[i]), int(n[i]), P, N))
             elif scored.size:
                 q_rm[scored] = -_removal_scores(scorer, single, sid, ids[scored], len(grown.conditions), premise)
@@ -833,7 +911,7 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         remove = int(np.flatnonzero(reach & (qmod == qmod[reach].max()))[-1])
         p0, n0, rew0, q0 = int(p[remove]), int(n[remove]), rew0 + int(add_rew[remove]), float(q_rm[remove])
         if scorer is not None:
-            more = _slot_counts(scorer, 0, single[sid == ids[remove]], 1)
+            more = _slot_counts(scorer, 0, single[starts[remove] : ends[remove]], 1)
             premise = (premise[0] + more[0], premise[1] + more[1])
         miss = ~condition_mask(conditions[remove], ctx.ds)
         fails -= miss
@@ -854,9 +932,10 @@ def _removal_scores(
     ``ids``, the ``rows`` whose entry of ``row_ids`` is that id.
 
     ``premise`` holds the (1, g) at-risk and event counts of the premise's
-    sample, which no removal's rows overlap; ids are below ``size``. One
-    bincount keyed by (id, grid rank) counts the removals of a block of at
-    most ``scorer.block``, and one kernel call scores them.
+    sample, which no removal's rows overlap; ids are below ``size``, and
+    ``ids`` and ``row_ids`` ascend, so a block of removals takes a run of
+    rows. One bincount keyed by (id, grid rank) counts the removals of a
+    block of at most ``scorer.block``, and one kernel call scores them.
     """
     at = np.full(size, -1)
     at[ids] = np.arange(ids.size)
@@ -864,13 +943,10 @@ def _removal_scores(
     keep = which >= 0
     rows, which = rows[keep], which[keep]
     step = scorer.block
-    if ids.size > step:  # blocks take runs of rows
-        order = np.argsort(which, kind="stable")
-        rows, which = rows[order], which[order]
     out = []
     for j0 in range(0, ids.size, step):
         j1 = min(j0 + step, ids.size)
-        lo, hi = np.searchsorted(which, (j0, j1)) if ids.size > step else (0, which.size)
+        lo, hi = np.searchsorted(which, (j0, j1))
         n, d = _slot_counts(scorer, which[lo:hi] - j0, rows[lo:hi], j1 - j0)
         out.append(scorer.side_scores(n + premise[0], d + premise[1]))
     return np.concatenate(out)

@@ -46,6 +46,7 @@ from csmine.reports import write_csv_report
 from csmine.synthetic import generate_synthetic
 
 from conftest import (
+    bimodal_survival,
     condition_tuples,
     continuous,
     count_confusion,
@@ -542,6 +543,127 @@ def test_step_scorer_memory_is_bounded_by_the_block_ceiling(monkeypatch):
     assert q.size == sides == sum(inputs) // g
     assert max(inputs) <= bound
     assert peak < 24 * bound * 8
+
+
+def _fresh_full_step(ctx):
+    """A first grow step taken afresh: both blocks swept at full coverage,
+    the candidates with a valid side kept, and those scored."""
+    n = ctx.ds.n_examples
+    swept = [induction._sweep_attribute(ctx, b, np.ones(n, dtype=bool), np.arange(n)) for b in ctx.blocks]
+    cands = [c for c in swept if c is not None and c.valid.any()]
+    return cands, induction._score_candidates(ctx, cands)
+
+
+@pytest.mark.parametrize(
+    "measure, make",
+    [("survival", random_survival), ("correlation", random_classification),
+     ("regression", random_regression)],
+    ids=["survival", "correlation", "regression"],
+)
+def test_root_step_equals_a_fresh_step(measure, make):
+    # one context per group, as mine_group keeps it: the pools shrink pass by
+    # pass and the support floor steps down the ladder, then below it; every
+    # root step must equal a fresh full-coverage sweep and score, bit for bit
+    params = MiningParams(minsupps=(0.6, 0.3, 0.1), minsupp_new=0.05)
+    steps = scored = 0
+    for seed in range(3):
+        ds = make(seed + 40, n_min=60, n_max=140, max_attrs=5)
+        rng = np.random.default_rng(seed)
+        for group in ds.groups[:2]:
+            pos = ds.group_mask(group)
+            ctx = induction._Context.build(ds, group, params, measure)
+            for level in params.minsupps + (0.05,):
+                ctx.minsupp_all = level
+                ctx.r_u = pos.copy()
+                for _ in range(3):
+                    ctx.d_u = pos.copy()
+                    for _ in range(2):
+                        got, got_q = induction._root_step(ctx, induction._pack_counters(ctx))
+                        want, want_q = _fresh_full_step(ctx)
+                        assert [c.numeric for c in got] == [c.numeric for c in want]
+                        for a, b in zip(got, want):
+                            assert [a.condition(i) for i in range(a.p.size)] == [
+                                b.condition(i) for i in range(b.p.size)]
+                            for name in ("p", "n", "p_new_pass", "p_new_reward", "covc", "valid"):
+                                x, y = getattr(a, name), getattr(b, name)
+                                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+                        assert got_q.dtype == want_q.dtype and got_q.tobytes() == want_q.tobytes()
+                        steps += 1
+                        scored += got_q.size
+                        # as if a premise covering a random third of the rows was taken
+                        taken = rng.random(ds.n_examples) < 0.3
+                        ctx.d_u = ctx.d_u & ~taken
+                        ctx.r_u = ctx.r_u & ~taken
+            assert ctx.root.floor == 0.05
+    assert steps == 3 * 2 * 4 * 3 * 2 and scored >= 500
+
+
+@pytest.mark.parametrize("make", [random_classification, random_regression, random_survival],
+                         ids=["classification", "regression", "survival"])
+def test_public_grow_below_the_ladder_matches_reference(make):
+    # a support floor below the ladder's last level: the root scores every
+    # candidate that can pass it, not only those that pass the ladder's floors
+    params = MiningParams(minsupps=(0.5, 0.2, 0.1), minsupp_new=0.05)
+    checked = floor_decides = 0
+    for seed in range(6):
+        ds = make(seed + 60, n_min=60, n_max=160)
+        for group in ds.groups[:2]:
+            unc = ds.group_mask(group)
+            got = grow(ds, group, unc, params, minsupp_all=0.05)
+            want = naive_grow(ds, group, params, unc, minsupp_all=0.05)
+            if want is None:
+                assert got is None
+                continue
+            assert got is not None and condition_tuples(got.conditions) == condition_tuples(want)
+            checked += 1
+            floor_decides += want != naive_grow(ds, group, params, unc, minsupp_all=0.1)
+    assert checked >= 6 and floor_decides >= 1
+
+
+def test_mine_group_builds_the_root_once(monkeypatch):
+    # one survival mine_group: the presort sweeps each block at full coverage
+    # once, into the root, whose layout is the presort itself; one score call
+    # takes the full-coverage candidates, and every grow's first step reads them
+    contexts, full_sweeps, full_scores, grows = [], [], [], []
+    presort, sweep, score, grow_ = (induction._Context.presort, induction._sweep_attribute,
+                                    induction._score_candidates, induction._grow)
+    building = []
+
+    def presorting(ctx):
+        building.append(ctx.root is None)
+        presort(ctx)
+        building.pop()
+        if all(c is not ctx for c in contexts):
+            contexts.append(ctx)
+
+    def sweeping(ctx, block, cov, cov_idx, *args):
+        if cov_idx.size == ctx.ds.n_examples:
+            full_sweeps.append(bool(building and building[-1]))
+        return sweep(ctx, block, cov, cov_idx, *args)
+
+    def scoring(ctx, cands):
+        if any(c.rows.shape[-1] == ctx.ds.n_examples for c in cands):
+            full_scores.append(id(ctx))
+        return score(ctx, cands)
+
+    def growing(ctx):
+        grows.append(ctx)
+        return grow_(ctx)
+
+    monkeypatch.setattr(induction._Context, "presort", presorting)
+    monkeypatch.setattr(induction, "_sweep_attribute", sweeping)
+    monkeypatch.setattr(induction, "_score_candidates", scoring)
+    monkeypatch.setattr(induction, "_grow", growing)
+    ds = bimodal_survival()
+    sets = mine_group(ds, ds.groups[0])
+    assert sets and len(contexts) == 1
+    ctx = contexts[0]
+    assert len(grows) >= 10
+    assert full_scores == [id(ctx)]
+    assert full_sweeps == [True] * len(ctx.blocks)
+    numeric, nominal = ctx.root.cands
+    assert np.shares_memory(numeric.rows, ctx.order) and np.shares_memory(numeric.keys, ctx.sorted_values)
+    assert np.shares_memory(nominal.keys, ctx.keys)
 
 
 # cells that tie, signed zeros, neighbours one ulp apart, a subnormal,
@@ -1100,6 +1222,23 @@ def test_headline_2k_report_is_pinned():
     ds = continuous(2204, 2000, 12)
     text = write_csv_report(mine_all(ds, workers=1), ds)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _HEADLINE_2K_CSV_SHA256
+
+
+# sha256 of the CSV report of mine_all on 1,200 rows of bimodal survival data
+# whose times are all distinct, so the log-rank grid has a column per row
+_DISTINCT_TIME_SURVIVAL_CSV_SHA256 = "5c8a2d469396b8ea9d3dc1052cafe2fdd111d09f22c3e223da0d357eb256ed8d"
+
+
+def test_distinct_time_survival_report_is_pinned():
+    base = bimodal_survival(2204, 1200)
+    n = base.n_examples
+    ds = DataSet(base.attributes, [base.column(i) for i in range(len(base.attributes))],
+                 relation=base.relation, task="survival", group_names=base.group_names,
+                 group_codes=base.group_codes, times=base.times + np.random.default_rng(1).uniform(0, 0.01, n),
+                 status=base.status)
+    assert np.unique(ds.times).size == n
+    text = write_csv_report(mine_all(ds, workers=1), ds)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _DISTINCT_TIME_SURVIVAL_CSV_SHA256
 
 
 def test_prune_memory_does_not_grow_with_premise_length():
