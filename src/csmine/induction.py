@@ -82,7 +82,7 @@ class MiningParams:
             raise ValueError("minsupp levels must be strictly descending")
         if not 0 < self.minsupp_new <= 1:
             raise ValueError("minsupp_new must be in (0, 1]")
-        if self.max_neg2pos < 0:
+        if not self.max_neg2pos >= 0:  # refuses NaN too; inf means no ceiling
             raise ValueError("max_neg2pos must be non-negative")
         if self.max_passes < 1:
             raise ValueError("max_passes must be at least 1")
@@ -162,6 +162,13 @@ class _Context:
     numeric: tuple[int, ...] = ()
     order: np.ndarray | None = None          # (k, n) int32
     sorted_values: np.ndarray | None = None  # (k, n) float64
+    # facts of the numeric block, recorded by presort(): its attributes as an
+    # array, whether a cell is missing, and whether a cell is infinite or
+    # above 2**1022 in magnitude, the only cells that can make the sum of two
+    # cells overflow or meet the -inf rules of a sweep
+    numeric_attrs: np.ndarray | None = None
+    missing_cells: bool = True
+    wide_cells: bool = True
     # the nominal block: its attributes, and per attribute each row's bin, its
     # category code plus the attribute's first bin; each attribute's last bin
     # holds its missing cells
@@ -229,6 +236,9 @@ class _Context:
         ds = self.ds
         if self.numeric:
             cols = np.stack([ds.column(ai) for ai in self.numeric])
+            self.numeric_attrs = np.asarray(self.numeric)
+            self.missing_cells = bool(np.isnan(cols).any())
+            self.wide_cells = bool((np.abs(cols) > 2.0**1022).any())
             order = np.argsort(cols, axis=1, kind="stable")
             self.sorted_values = np.take_along_axis(cols, order, axis=1)
             self.order = order.astype(np.int32)
@@ -310,7 +320,7 @@ class _Candidates:
     covc: np.ndarray = field(init=False)
     valid: np.ndarray = field(init=False)
 
-    def side_sums(self, x: np.ndarray) -> np.ndarray:
+    def side_sums(self, x: np.ndarray, counts: bool = False) -> np.ndarray:
         """Interleaved first-side/second-side sums of ``x``, one value per ``rows`` entry.
 
         A numeric first side reads its row's running sum at its cut, and the
@@ -320,7 +330,8 @@ class _Candidates:
         were swept alone. Label sums are not exact, so these forms also fix
         the order in which their floats are added. Where a first side and
         its total overflow to the same infinity, the second side is summed
-        from its own rows instead of being NaN.
+        from its own rows instead of being NaN; ``counts`` says that every
+        sum of ``x`` is an integer below 2**53, so none can.
         """
         if self.numeric:
             m = x.shape[1]
@@ -333,7 +344,7 @@ class _Candidates:
             spans = zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
             first, total = per[self.bins], np.array([per[lo : hi - 1].sum() for lo, hi in spans])
         out = _sides(first, total[self.row])
-        if np.isinf(total).any():
+        if not counts and np.isinf(total).any():
             for j in np.flatnonzero(np.isinf(first) & (total[self.row] == first)):
                 r = self.row[j]
                 if self.numeric:
@@ -383,32 +394,35 @@ def _sweep_attribute(
             rows, key = order, values
         else:
             # index arrays gather faster than the boolean mask itself
-            at = np.flatnonzero(cov[order])
+            at = cov[order].ravel().nonzero()[0]
             rows = order.take(at).reshape(k, m)
             key = values.take(at).reshape(k, m)
-        known = m - np.count_nonzero(np.isnan(key), axis=1)
+        known = m - np.count_nonzero(np.isnan(key), axis=1) if ctx.missing_cells else np.full(k, m)
         lo, hi = key[:, :-1], key[:, 1:]
-        with np.errstate(over="ignore", invalid="ignore"):
+        if not ctx.wide_cells:  # no sum of two cells reaches 2**1024
             mids = (lo + hi) / 2.0
-        # halving first keeps a midpoint of two finite values finite; elsewhere
-        # the sum's form is kept, which also keeps the bits of subnormal pairs
-        over = np.isinf(mids)
-        if over.any():
-            over &= np.isfinite(lo) & np.isfinite(hi)
-            mids[over] = lo[over] / 2.0 + hi[over] / 2.0
-        # -inf next to +inf splits at 0.0, and next to a finite value at -DBL_MAX,
-        # below which only -inf lies; a row holds -inf only at its start
-        if (key[:, 0] == -np.inf).any():
-            neg = lo == -np.inf
-            mids[neg & (hi == np.inf)] = 0.0
-            mids[neg & np.isfinite(hi)] = np.finfo(np.float64).min
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mids = (lo + hi) / 2.0
+            # halving first keeps a midpoint of two finite values finite; elsewhere
+            # the sum's form is kept, which also keeps the bits of subnormal pairs
+            over = np.isinf(mids)
+            if over.any():
+                over &= np.isfinite(lo) & np.isfinite(hi)
+                mids[over] = lo[over] / 2.0 + hi[over] / 2.0
+            # -inf next to +inf splits at 0.0, and next to a finite value at -DBL_MAX,
+            # below which only -inf lies; a row holds -inf only at its start
+            if (key[:, 0] == -np.inf).any():
+                neg = lo == -np.inf
+                mids[neg & (hi == np.inf)] = 0.0
+                mids[neg & np.isfinite(hi)] = np.finfo(np.float64).min
         # a split lies between two different values, unless its midpoint rounds
         # down onto the lower one; next to a missing cell the midpoint is NaN
-        split = np.flatnonzero((hi != lo) & (mids > lo))
+        split = ((hi != lo) & (mids > lo)).ravel().nonzero()[0]
         if split.size == 0:
             return None
         row, cut = np.divmod(split, m - 1)
-        cand = _Candidates(True, rows, known, row, np.asarray(block)[row], row * m + cut,
+        cand = _Candidates(True, rows, known, row, ctx.numeric_attrs[row], row * m + cut,
                            mids.ravel()[split], key)
         first = cut + 1
     else:
@@ -420,7 +434,7 @@ def _sweep_attribute(
         # count at a category ends its run in the block's (k, m) category order
         last = np.cumsum(size) - 1
         size[missing] = 0
-        bins = np.flatnonzero(size)
+        bins = size.nonzero()[0]
         if bins.size == 0:
             return None
         row = np.searchsorted(ctx.offsets, bins, side="right") - 1
@@ -439,7 +453,7 @@ def _count_and_gate(ctx: _Context, cand: _Candidates, counters: list[np.ndarray]
     """
     # counts are whole numbers, exact in any float or integer form
     cand.p, cand.p_new_pass, cand.p_new_reward = _unpack_counters(
-        ctx.ds.n_examples, [cand.side_sums(col[cand.rows]) for col in counters]
+        ctx.ds.n_examples, [cand.side_sums(col[cand.rows], counts=True) for col in counters]
     )
     cand.n = cand.covc - cand.p  # every row is in the group or in its contrast
     # same division forms as the pool gate in _grow, so boundaries agree; the
@@ -504,23 +518,23 @@ def _score_candidates(ctx: _Context, cands: list[_Candidates]) -> np.ndarray:
     valid ones of the first block in candidate order, then the next
     block's.
 
-    Correlation and regression score every candidate of a block at once.
-    Survival counts and scores only the valid ones, those of every block
-    in one kernel call as long as their sides fit one block of counts.
+    Correlation scores the valid candidates of a block at once, and
+    regression every candidate of a block. Survival counts and scores only
+    the valid ones, those of every block in one kernel call as long as
+    their sides fit one block of counts.
     """
     if ctx.measure == "survival":
         return -_survival_scores(ctx.survival_scorer, cands)
     out = []
     for cand in cands:
         if ctx.measure == "correlation":
-            q = _correlation(cand.p, cand.n, ctx.P, ctx.N)
+            out.append(_correlation(cand.p[cand.valid], cand.n[cand.valid], ctx.P, ctx.N))
         else:
             sums = cand.side_sums(ctx.labels[cand.rows])
             covc = cand.covc.astype(np.float64)
             with np.errstate(invalid="ignore", divide="ignore"):
                 means = np.where(covc > 0, sums / covc, 0.0)
-            q = -np.abs(means - ctx.pos_label_mean)
-        out.append(q[cand.valid])
+            out.append(-np.abs(means - ctx.pos_label_mean)[cand.valid])
     return np.concatenate(out) if out else np.empty(0)
 
 
@@ -693,12 +707,14 @@ def _grow(ctx: _Context) -> _Grown | None:
     cov = np.ones(ctx.ds.n_examples, dtype=bool)
     conditions: list[Condition] = []
     attr_set: set[int] = set()
+    every_attr = np.arange(len(ctx.ds.attributes))
+    spi = None  # s*pi of attr_set | {a} for every attribute a, until attr_set grows
     quality = None
     while True:
         if not conditions:  # full coverage: the root's layout is the presort's
             cands, q = _root_step(ctx, counters)
         else:
-            cov_idx = np.flatnonzero(cov)
+            cov_idx = cov.nonzero()[0]
             cands = []
             for block in blocks:
                 cand = _sweep_attribute(ctx, block, cov, cov_idx, counters, layout)
@@ -712,17 +728,16 @@ def _grow(ctx: _Context) -> _Grown | None:
         if not cands:
             break
         # the valid candidates of every block, in block order
-        valid = [np.flatnonzero(c.valid) for c in cands]
-        p, rew, covc = (
-            np.concatenate([getattr(c, name)[v] for c, v in zip(cands, valid)])
-            for name in ("p", "p_new_reward", "covc")
-        )
-        attrs = np.concatenate([c.attrs[v // 2] for c, v in zip(cands, valid)])
-        qv = _modified(ctx, q, p, rew, _extension_spi(ctx, attr_set, attrs))
+        valid = [c.valid.nonzero()[0] for c in cands]
+        fields = [(c.p[v], c.p_new_reward[v], c.covc[v], c.attrs[v // 2]) for c, v in zip(cands, valid)]
+        p, rew, covc, attrs = fields[0] if len(fields) == 1 else map(np.concatenate, zip(*fields))
+        if spi is None:
+            spi = _extension_spi(ctx, attr_set, every_attr)
+        qv = _modified(ctx, q, p, rew, spi[attrs])
         top = np.fmax.reduce(qv)  # a NaN score never wins; NaN only when all are
         if np.isnan(top):
             break
-        at_top = np.flatnonzero(qv == top)
+        at_top = (qv == top).nonzero()[0]
         widest = at_top[covc[at_top] == covc[at_top].max()]
         # a block holds each of its attributes' candidates in order, so the first
         # of the lowest attribute is the earliest in (attribute, split, side) order
@@ -743,7 +758,9 @@ def _grow(ctx: _Context) -> _Grown | None:
                 f"where its sweep counted {counted}"
             )
         conditions.append(best_cond)
-        attr_set.add(best_cond.attr_index)
+        if ai not in attr_set:
+            attr_set.add(ai)
+            spi = None
     if not conditions:
         return None
     cm = _counts(ctx, cov)
@@ -809,9 +826,10 @@ def _modified(ctx: _Context, q, p, p_new_reward, spi) -> np.ndarray:
     return _apply_multiplier(q, keep, _reward_factor(p_new_reward, p, keep, ctx.params.reward_saturation))
 
 
-def _modified_quality_of(ctx: _Context, q: float, p: int, p_new_reward: int, attrs: Iterable[int]) -> float:
-    """Modified quality of one premise from its raw quality and counts."""
-    return float(_modified(ctx, q, p, p_new_reward, _spi(ctx, attrs)))
+def _modified_quality_of(ctx: _Context, q, p, p_new_reward, spi) -> np.ndarray:
+    """A prune round's one modifier call: the modified quality of each
+    removal and, last, of the premise itself."""
+    return _modified(ctx, q, p, p_new_reward, spi)
 
 
 # (added rows, added positives, added reward rows) from a removal's counts
@@ -835,8 +853,11 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
     so one bincount over those rows gives every removal's added rows,
     positives and reward rows. The premise's counts and raw quality are
     taken once (its quality from ``grown`` where known); a round carries
-    over the taken removal's. The ratio gate, correlation and the
-    multiplier each run once over all removals. Survival keeps the
+    over the taken removal's. The premise rides in a round's arrays as a
+    last entry, a removal of nothing: its id is held by no row, so it adds
+    none, and it is never allowed. The ratio gate, correlation and the
+    multiplier each run once over all entries, so the multiplier's one call
+    also gives the premise's own modified quality. Survival keeps the
     premise's counts at each grid time, so one bincount of the same rows
     keyed by (removal, time) gives every removal's sample, and one kernel
     call scores them. Regression scores each removal that adds rows afresh
@@ -852,7 +873,8 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
     if len(grown.conditions) <= 1:
         return _Grown(grown.conditions, cov, q0)
     conditions = list(grown.conditions)
-    ids = np.arange(len(conditions))
+    ids = np.arange(len(conditions) + 1)  # the last id, held by no row, is the premise's
+    n_keys = 4 * ids.size
     fails = np.zeros(ctx.ds.n_examples, dtype=np.int32)
     # wraps past 2**31 on long premises, but a row that fails once holds its id exactly
     id_sum = np.zeros(ctx.ds.n_examples, dtype=np.int32)
@@ -865,20 +887,21 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
     p0, n0, rew0 = cm.p, cm.n, int(np.count_nonzero(cov & ctx.r_u))
     scorer = ctx.survival_scorer
     if scorer is not None:
-        premise = _slot_counts(scorer, 0, np.flatnonzero(cov), 1)
+        premise = _slot_counts(scorer, 0, cov.nonzero()[0], 1)
     P, N, ceiling = ctx.P, ctx.N, ctx.params.max_neg2pos
     while len(conditions) > 1:
         attrs = [c.attr_index for c in conditions]
-        q_best = _modified_quality_of(ctx, q0, p0, rew0, attrs)
-        single = np.flatnonzero(fails == 1)
+        single = (fails == 1).nonzero()[0]
         sid = id_sum[single]
-        per = np.bincount(sid * 4 + code[single], minlength=4 * len(grown.conditions)).reshape(-1, 4)[ids]
+        per = np.bincount(sid * 4 + code[single], minlength=n_keys).reshape(-1, 4)[ids]
         added, add_p, add_rew = (per @ _ADDED).T
         p, n = p0 + add_p, n0 + (added - add_p)
         # ConfusionMatrix.neg2pos: exact products, and p = 0 reads as inf
         ok = np.divide(n * P, p * N, out=np.full(p.size, np.inf), where=p > 0) <= ceiling
+        ok[-1] = False
         if ctx.measure == "correlation":  # reads only the counts
             q_rm = _correlation(p, n, P, N)
+            q_rm[-1] = q0
         else:
             # ids ascend, so with the rows sorted by id removal i adds the
             # slice single[starts[i]:ends[i]]
@@ -887,7 +910,7 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
             ends = np.cumsum(added)
             starts = ends - added
             q_rm = np.full(ids.size, q0)
-            scored = np.flatnonzero(ok & (added > 0))
+            scored = (ok & (added > 0)).nonzero()[0]
             if scorer is None:
                 for i in scored:
                     cov_i = cov.copy()
@@ -896,19 +919,22 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
             elif scored.size:
                 q_rm[scored] = -_removal_scores(scorer, single, sid, ids[scored], len(grown.conditions), premise)
         # a removal that is not its attribute's first use leaves the premise's
-        # distinct attributes in their insertion order, so they share one set
+        # distinct attributes in their insertion order, so they share one set;
+        # the premise's own set is built from its list, which can iterate in
+        # another order than that set's copy and so differ in the last bit
         spi = np.full(ids.size, _spi(ctx, set(attrs)))
+        spi[-1] = _spi(ctx, attrs)
         first: dict[int, int] = {}
         for i, a in enumerate(attrs):
             first.setdefault(a, i)
         for i in first.values():
             if ok[i]:
                 spi[i] = _spi(ctx, set(attrs[:i] + attrs[i + 1 :]))
-        qmod = _modified(ctx, q_rm, p, rew0 + add_rew, spi)
-        reach = ok & (qmod >= q_best)
+        qmod = _modified_quality_of(ctx, q_rm, p, rew0 + add_rew, spi)
+        reach = ok & (qmod >= qmod[-1])
         if not reach.any():
             break
-        remove = int(np.flatnonzero(reach & (qmod == qmod[reach].max()))[-1])
+        remove = int((reach & (qmod == qmod[reach].max())).nonzero()[0][-1])
         p0, n0, rew0, q0 = int(p[remove]), int(n[remove]), rew0 + int(add_rew[remove]), float(q_rm[remove])
         if scorer is not None:
             more = _slot_counts(scorer, 0, single[starts[remove] : ends[remove]], 1)
@@ -916,7 +942,7 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         miss = ~condition_mask(conditions[remove], ctx.ds)
         fails -= miss
         id_sum -= miss * np.int32(ids[remove])
-        ids = np.delete(ids, remove)
+        ids = np.concatenate((ids[:remove], ids[remove + 1 :]))
         del conditions[remove]
         if ctx.measure == "regression":
             cov = fails == 0

@@ -238,6 +238,9 @@ def test_main_mine_rejects_bad_override(tmp_path, capsys):
     # README documents s in [0, 1]
     assert main(["mine", str(cfg), "--set", "penalty_strength=3"]) == 2
     assert "penalty_strength must be in [0, 1]" in capsys.readouterr().err
+    # a NaN ceiling would accept every grown premise and block every removal
+    assert main(["mine", str(cfg), "--set", "max_neg2pos=nan"]) == 2
+    assert "max_neg2pos must be non-negative" in capsys.readouterr().err
 
 
 def test_main_mine_multi_input_suffixes_outputs(tmp_path, capsys):

@@ -6,6 +6,7 @@ per-candidate reference in conftest produces, across measures, penalty
 histories, and gate settings.
 """
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -81,6 +82,10 @@ def test_mining_params_validation():
         MiningParams(minsupp_new=0.0)
     with pytest.raises(ValueError, match="max_neg2pos"):
         MiningParams(max_neg2pos=-0.1)
+    # a NaN ceiling would neither reject a grown premise nor allow a removal
+    with pytest.raises(ValueError, match="max_neg2pos must be non-negative"):
+        MiningParams(max_neg2pos=float("nan"))
+    MiningParams(max_neg2pos=float("inf"))  # no ceiling
     with pytest.raises(ValueError, match="max_passes"):
         MiningParams(max_passes=0)
     with pytest.raises(ValueError, match="penalty_strength"):
@@ -752,6 +757,102 @@ def test_numeric_block_sweep_equals_per_attribute_reference(case):
             assert np.isnan(ds.column(ai)[cand.rows[r, cand.known[r]:]]).all()
 
 
+def _guarded_sweep_equals(ctx, cov):
+    """Sweep the numeric block with the context's facts as presort() read
+    them, then with both forced to present, and compare every field."""
+    cov_idx = np.flatnonzero(cov)
+    fast = induction._sweep_attribute(ctx, ctx.numeric, cov, cov_idx)
+    facts = ctx.missing_cells, ctx.wide_cells
+    ctx.missing_cells = ctx.wide_cells = True
+    try:
+        guarded = induction._sweep_attribute(ctx, ctx.numeric, cov, cov_idx)
+    finally:
+        ctx.missing_cells, ctx.wide_cells = facts
+    assert (fast is None) == (guarded is None)
+    if fast is None:
+        return
+    for f in dataclasses.fields(induction._Candidates):
+        a, b = getattr(fast, f.name), getattr(guarded, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+@settings(max_examples=400, deadline=None)
+@given(numeric_sweep_cases())
+def test_numeric_sweep_equals_the_guarded_midpoint_sweep(case):
+    # the drawn block, and a copy whose wide cells are replaced by 1.0 so
+    # that the unguarded midpoint is taken on every example
+    ds, cov, d_u, r_u, (minsupp_all, minsupp_new) = case
+    cols = [ds.column(ai) for ai in range(len(ds.attributes))]
+    narrow = [np.where(np.abs(c) > 2.0**1022, 1.0, c) for c in cols]
+    for block in (cols, narrow):
+        data = DataSet(ds.attributes, block, relation="sweep", task="regression",
+                       group_names=ds.group_names, group_codes=ds.group_codes, labels=ds.labels)
+        ctx = induction._Context.build(data, "g", MiningParams(minsupp_new=minsupp_new), "regression",
+                                       d_u=d_u, r_u=r_u, minsupp_all=minsupp_all)
+        ctx.presort()
+        stacked = np.stack(block)
+        assert ctx.missing_cells == bool(np.isnan(stacked).any())
+        assert ctx.wide_cells == bool((np.abs(stacked) > 2.0**1022).any())
+        _guarded_sweep_equals(ctx, cov)
+    assert not ctx.wide_cells
+
+
+def _one_cell_dataset(cell):
+    x = np.array([cell, 1.0, 2.0, 3.0, 1.0, 2.0])
+    return DataSet([Attribute("x", "numeric"), Attribute("y", "numeric")], [x, np.arange(6.0)],
+                   relation="facts", task="classification", group_names=("g", "rest"),
+                   group_codes=np.array([0, 1, 0, 1, 0, 1], dtype=np.int32))
+
+
+@pytest.mark.parametrize("cell, missing, wide", [
+    (2.0**1022, False, False),
+    (-(2.0**1022), False, False),
+    (np.nextafter(2.0**1022, np.inf), False, True),
+    (-np.nextafter(2.0**1022, np.inf), False, True),
+    (np.inf, False, True),
+    (-np.inf, False, True),
+    (np.finfo(np.float64).min, False, True),
+    (np.nan, True, False),
+    (5e-324, False, False),
+    (-0.0, False, False),
+], ids=["2^1022", "-2^1022", "above-2^1022", "below--2^1022", "inf", "-inf", "-dbl-max", "nan",
+        "subnormal", "minus-zero"])
+def test_presort_records_missing_and_wide_cells(cell, missing, wide):
+    # only a cell above 2**1022 in magnitude can make the sum of two cells
+    # overflow; the guarded and the plain midpoints agree either way
+    ctx = induction._Context.build(_one_cell_dataset(cell), "g", MiningParams(), "correlation")
+    ctx.presort()
+    assert (ctx.missing_cells, ctx.wide_cells) == (missing, wide)
+    for cov in (np.ones(6, dtype=bool), np.array([1, 1, 0, 1, 1, 0], dtype=bool)):
+        _guarded_sweep_equals(ctx, cov)
+
+
+def test_sweep_without_missing_or_wide_cells_enters_no_errstate(monkeypatch):
+    ds = continuous(5, 200, 4)
+    ctx = induction._Context.build(ds, "A", MiningParams(minsupp_new=0.05), "correlation", minsupp_all=0.05)
+    ctx.presort()
+    assert not ctx.missing_cells and not ctx.wide_cells
+    entered = []
+    errstate = np.errstate
+
+    def counting(*args, **kwargs):
+        entered.append(kwargs)
+        return errstate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    cov = np.random.default_rng(0).random(ds.n_examples) < 0.6
+    cand = induction._sweep_attribute(ctx, ctx.numeric, cov, np.flatnonzero(cov))
+    assert cand is not None and cand.valid.any()
+    assert entered == []
+    # the guarded path, taken where a cell is wide, enters it once
+    ctx.wide_cells = True
+    induction._sweep_attribute(ctx, ctx.numeric, cov, np.flatnonzero(cov))
+    assert len(entered) == 1
+
+
 @st.composite
 def nominal_sweep_cases(draw):
     """A regression DataSet of 1-4 nominal columns, maybe between numeric
@@ -890,6 +991,71 @@ def test_prune_matches_reference_on_long_premises(task):
                                uncovered=unc, reward_uncovered=rew, penalty=pen)
             assert condition_tuples(got.conditions) == condition_tuples(want)
     assert min(lengths) >= 40
+
+
+@pytest.mark.parametrize("task", ["classification", "regression", "survival"])
+def test_prune_makes_one_modifier_call_per_round(monkeypatch, task):
+    # the long premises of test_prune_matches_reference_on_long_premises;
+    # each round's one multiplier call returns, last, the premise's own
+    # modified quality, which a fresh call on the premise alone must match
+    ds = continuous(5, 400, 12, task)
+    rng = np.random.default_rng(11)
+    base = MiningParams(minsupps=(0.05,), max_neg2pos=1.0, measure="correlation")
+    grown = {g: grow(ds, g, ds.group_mask(g), base, minsupp_all=0.05) for g in ds.groups}
+    modifier, modified, mask = induction._modified_quality_of, induction._modified, induction.condition_mask
+    held: list[Condition] = []  # the premise _prune holds: the grown one, less what it removed
+    masks = [0, 0]  # masks built in this prune call, and how many conditions it started with
+    rounds, stray, inside = [], [], []
+
+    def tracking_mask(cond, data):
+        if masks[0] >= masks[1]:  # past one mask per condition, each mask is a removal's
+            del held[next(i for i, c in enumerate(held) if c is cond)]
+        masks[0] += 1
+        return mask(cond, data)
+
+    def counting_modified(*args):
+        if not inside:
+            stray.append(args)
+        return modified(*args)
+
+    def counting_modifier(ctx, q, p, rew, spi):
+        inside.append(True)
+        try:
+            out = modifier(ctx, q, p, rew, spi)
+            cov = np.logical_and.reduce([mask(c, ctx.ds) for c in held])
+            cm = induction._counts(ctx, cov)
+            fresh = [np.array([v]) for v in (induction._raw_quality(ctx, cov, cm), cm.p,
+                                              int(np.count_nonzero(cov & ctx.r_u)),
+                                              induction._spi(ctx, [c.attr_index for c in held]))]
+            alone = modifier(ctx, *fresh)
+        finally:
+            inside.pop()
+        for got, want in zip((q, p, rew, spi), fresh):
+            assert got[-1:].dtype == want.dtype and got[-1:].tobytes() == want.tobytes()
+        assert out[-1:].tobytes() == alone.tobytes()
+        rounds.append(out.size)
+        return out
+
+    monkeypatch.setattr(induction, "condition_mask", tracking_mask)
+    monkeypatch.setattr(induction, "_modified", counting_modified)
+    monkeypatch.setattr(induction, "_modified_quality_of", counting_modifier)
+    checked = 0
+    for group, cs in grown.items():
+        pos = ds.group_mask(group)
+        for s in (0.0, 0.5, 1.0):
+            params = replace(base, penalty_strength=s, measure=None)
+            unc, rew = _random_pool(rng, pos), _random_pool(rng, pos)
+            pen = _random_penalty(rng, len(ds.attributes))
+            held[:], masks[:], rounds[:] = cs.conditions, [0, len(cs.conditions)], []
+            pruned = prune(cs, ds, params, uncovered=unc, penalty=pen, reward_uncovered=rew)
+            removed = len(cs.conditions) - len(pruned.conditions)
+            assert len(rounds) == removed + (len(pruned.conditions) > 1)
+            # a round holds every condition still held, then the premise
+            assert rounds == list(range(len(cs.conditions) + 1, len(cs.conditions) - len(rounds) + 1, -1))
+            assert held == list(pruned.conditions)
+            checked += len(rounds)
+    assert stray == []
+    assert checked > 100
 
 
 def test_prune_first_use_penalty_follows_set_order():
