@@ -54,6 +54,8 @@ class PenaltyState:
             self.counts = [0] * self.n_attributes
         if len(self.counts) != self.n_attributes:
             raise ValueError("one usage count per attribute required")
+        if self.total != sum(self.counts):
+            raise ValueError("total must be the sum of the usage counts")
 
     def reset(self) -> None:
         self.counts = [0] * self.n_attributes
@@ -71,11 +73,12 @@ class PenaltyState:
         return self.counts[attr_index] / self.total
 
     def premise_penalty(self, attribute_indices: Iterable[int]) -> float:
-        """Sum of count / total over ``set(attribute_indices)``, in that set's order."""
+        """pi: the counts of ``set(attribute_indices)`` summed as integers and
+        divided once by total, so the one rounding makes it exact."""
         if self.total == 0:
             return 0.0
-        counts, total = self.counts, self.total
-        return sum([counts[ai] / total for ai in set(attribute_indices)])
+        counts = self.counts
+        return sum([counts[ai] for ai in set(attribute_indices)]) / self.total
 
 
 def attribute_penalty(state: PenaltyState, attr_index: int) -> float:

@@ -16,7 +16,7 @@ import copy
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -706,9 +706,9 @@ def _grow(ctx: _Context) -> _Grown | None:
     layout = None  # the last numeric sweep's layout, which covers every later step's rows
     cov = np.ones(ctx.ds.n_examples, dtype=bool)
     conditions: list[Condition] = []
-    attr_set: set[int] = set()
-    every_attr = np.arange(len(ctx.ds.attributes))
-    spi = None  # s*pi of attr_set | {a} for every attribute a, until attr_set grows
+    counts = np.asarray(ctx.penalty.counts)
+    held = np.zeros(counts.size, dtype=bool)  # the premise's attributes
+    spi = None  # s*pi of the premise plus each attribute, until the premise gains one
     quality = None
     while True:
         if not conditions:  # full coverage: the root's layout is the presort's
@@ -732,7 +732,7 @@ def _grow(ctx: _Context) -> _Grown | None:
         fields = [(c.p[v], c.p_new_reward[v], c.covc[v], c.attrs[v // 2]) for c, v in zip(cands, valid)]
         p, rew, covc, attrs = fields[0] if len(fields) == 1 else map(np.concatenate, zip(*fields))
         if spi is None:
-            spi = _extension_spi(ctx, attr_set, every_attr)
+            spi = _extension_spi(ctx, counts, held)
         qv = _modified(ctx, q, p, rew, spi[attrs])
         top = np.fmax.reduce(qv)  # a NaN score never wins; NaN only when all are
         if np.isnan(top):
@@ -758,8 +758,8 @@ def _grow(ctx: _Context) -> _Grown | None:
                 f"where its sweep counted {counted}"
             )
         conditions.append(best_cond)
-        if ai not in attr_set:
-            attr_set.add(ai)
+        if not held[ai]:
+            held[ai] = True
             spi = None
     if not conditions:
         return None
@@ -790,34 +790,32 @@ def _raw_quality(ctx: _Context, cov: np.ndarray, cm: ConfusionMatrix) -> float:
     return -ctx.survival_scorer.score(np.flatnonzero(cov))
 
 
-def _spi(ctx: _Context, attrs: Iterable[int]) -> float:
-    """s * pi of the premise over ``attrs``.
+def _spi(ctx: _Context, sums: np.ndarray) -> np.ndarray:
+    """s * pi of each premise whose distinct attributes' usage counts sum to
+    ``sums``: the integer sum divided once by the total, as
+    ``PenaltyState.premise_penalty`` divides it, and 0 before any usage."""
+    total = ctx.penalty.total
+    if total == 0:
+        return np.zeros(sums.shape)
+    return ctx.params.penalty_strength * (sums / total)
 
-    ``premise_penalty`` sums over a set, in the set's iteration order, so the
-    float depends on the order its distinct attributes were first inserted.
+
+def _extension_spi(ctx: _Context, counts: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """s * pi of the premise over the attributes ``held`` (a bool mask) plus
+    each attribute in turn; ``counts`` holds the usage counts as an array."""
+    return _spi(ctx, counts[held].sum() + counts * ~held)
+
+
+def _removal_spi(ctx: _Context, counts: np.ndarray, attrs: np.ndarray) -> np.ndarray:
+    """s * pi of the premise over the attribute of each entry of ``attrs``
+    less that entry, in turn, then of the whole premise.
+
+    An entry takes its attribute's count out only when it is that
+    attribute's one use.
     """
-    return ctx.params.penalty_strength * ctx.penalty.premise_penalty(attrs)
-
-
-def _extension_spi(ctx: _Context, attr_set: set[int], attrs: np.ndarray) -> np.ndarray:
-    """s * pi of ``attr_set | {a}`` for each attribute ``a`` of ``attrs``.
-
-    For every ``a`` already in ``attr_set`` that set is a copy of
-    ``attr_set`` with nothing inserted, so all of them iterate in the same
-    order and give the same float: it is computed once.
-    """
-    spi = np.empty(len(ctx.ds.attributes))
-    present = np.zeros(spi.size, dtype=bool)
-    present[attrs] = True
-    inside = None
-    for a in np.flatnonzero(present).tolist():
-        if a not in attr_set:
-            spi[a] = _spi(ctx, attr_set | {a})
-        elif inside is None:
-            spi[a] = inside = _spi(ctx, attr_set | {a})
-        else:
-            spi[a] = inside
-    return spi[attrs]
+    uses = np.bincount(attrs, minlength=counts.size)
+    whole = counts[uses > 0].sum()
+    return _spi(ctx, np.append(whole - counts[attrs] * (uses[attrs] == 1), whole))
 
 
 def _modified(ctx: _Context, q, p, p_new_reward, spi) -> np.ndarray:
@@ -874,6 +872,8 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         return _Grown(grown.conditions, cov, q0)
     conditions = list(grown.conditions)
     ids = np.arange(len(conditions) + 1)  # the last id, held by no row, is the premise's
+    counts = np.asarray(ctx.penalty.counts)
+    attrs = np.array([c.attr_index for c in conditions])
     n_keys = 4 * ids.size
     fails = np.zeros(ctx.ds.n_examples, dtype=np.int32)
     # wraps past 2**31 on long premises, but a row that fails once holds its id exactly
@@ -890,7 +890,6 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         premise = _slot_counts(scorer, 0, cov.nonzero()[0], 1)
     P, N, ceiling = ctx.P, ctx.N, ctx.params.max_neg2pos
     while len(conditions) > 1:
-        attrs = [c.attr_index for c in conditions]
         single = (fails == 1).nonzero()[0]
         sid = id_sum[single]
         per = np.bincount(sid * 4 + code[single], minlength=n_keys).reshape(-1, 4)[ids]
@@ -918,19 +917,7 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
                     q_rm[i] = _raw_quality(ctx, cov_i, ConfusionMatrix(int(p[i]), int(n[i]), P, N))
             elif scored.size:
                 q_rm[scored] = -_removal_scores(scorer, single, sid, ids[scored], len(grown.conditions), premise)
-        # a removal that is not its attribute's first use leaves the premise's
-        # distinct attributes in their insertion order, so they share one set;
-        # the premise's own set is built from its list, which can iterate in
-        # another order than that set's copy and so differ in the last bit
-        spi = np.full(ids.size, _spi(ctx, set(attrs)))
-        spi[-1] = _spi(ctx, attrs)
-        first: dict[int, int] = {}
-        for i, a in enumerate(attrs):
-            first.setdefault(a, i)
-        for i in first.values():
-            if ok[i]:
-                spi[i] = _spi(ctx, set(attrs[:i] + attrs[i + 1 :]))
-        qmod = _modified_quality_of(ctx, q_rm, p, rew0 + add_rew, spi)
+        qmod = _modified_quality_of(ctx, q_rm, p, rew0 + add_rew, _removal_spi(ctx, counts, attrs))
         reach = ok & (qmod >= qmod[-1])
         if not reach.any():
             break
@@ -943,6 +930,7 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         fails -= miss
         id_sum -= miss * np.int32(ids[remove])
         ids = np.concatenate((ids[:remove], ids[remove + 1 :]))
+        attrs = np.concatenate((attrs[:remove], attrs[remove + 1 :]))
         del conditions[remove]
         if ctx.measure == "regression":
             cov = fails == 0

@@ -994,10 +994,13 @@ def naive_prune(ds, group, conditions, params, uncovered=None, reward_uncovered=
 
 
 def _spi_reference(ctx, attrs):
-    """s * pi as a generator sum of ``attribute_penalty`` over ``set(attrs)``,
-    the form that ``PenaltyState.premise_penalty`` replaced."""
+    """s * pi with pi the exact rational sum of counts over ``set(attrs)``
+    per total, rounded once by ``Fraction``; 0 before any usage."""
     penalty = ctx.penalty
-    return ctx.params.penalty_strength * sum(penalty.attribute_penalty(ai) for ai in set(attrs))
+    if penalty.total == 0:
+        return 0.0
+    pi = Fraction(sum(penalty.counts[ai] for ai in set(attrs)), penalty.total)
+    return ctx.params.penalty_strength * float(pi)
 
 
 def _modified_reference(ctx, q, p, p_new_reward, spi):

@@ -1,5 +1,7 @@
 """Penalty state, reward factor, modified quality, similarity, redundancy."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,32 @@ def test_penalty_update_counts_distinct_attributes_once():
 def test_penalty_state_validation():
     with pytest.raises(ValueError, match="one usage count per attribute"):
         PenaltyState(3, counts=[0, 0])
+    # pi divides by total, so a total that is not the counts' sum is refused
+    with pytest.raises(ValueError, match="total must be the sum"):
+        PenaltyState(2, counts=[1, 1])
+    with pytest.raises(ValueError, match="total must be the sum"):
+        PenaltyState(2, counts=[5, 5], total=1)
+
+
+def test_premise_penalty_is_exact_where_a_float_sum_is_not():
+    # ten shares of 0.1 add up to 0.9999999999999999 as floats; pi is 10 / 10
+    state = PenaltyState(10, counts=[1] * 10, total=10)
+    assert state.premise_penalty(range(10)) == 1.0
+    assert state.premise_penalty([9, 0, 9, 3, 1, 2, 8, 4, 7, 6, 5, 0]) == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_premise_penalty_is_one_exact_division(data):
+    # any attribute list, repeats and any order included, gives the counts'
+    # exact share rounded once
+    counts = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=60))
+    k = len(counts)
+    attrs = data.draw(st.lists(st.integers(0, k - 1), max_size=3 * k))
+    state = PenaltyState(k, counts=counts, total=sum(counts))
+    got = state.premise_penalty(attrs)
+    want = float(Fraction(sum(counts[a] for a in set(attrs)), state.total)) if state.total else 0.0
+    assert got.hex() == want.hex()
 
 
 def test_premise_penalty_accepts_contrast_set():

@@ -947,9 +947,11 @@ def test_packed_counts_are_exact_where_the_column_count_changes(n, columns):
 
 
 def test_extension_spi_equals_one_set_per_attribute_on_long_premises():
-    # s*pi of attr_set | {a} for every attribute, bit for bit, at every step
-    # of long premises: grown ones, and random attribute sequences, some of
-    # whose sets iterate in another order once copied and resized
+    # grow's s*pi of the premise plus each attribute, and prune's s*pi of
+    # the premise less each condition and then of the premise itself, equal
+    # the scalar s * premise_penalty of each literal attribute set bit for
+    # bit, at every step of long premises: grown ones, and random attribute
+    # sequences with many repeats
     ds = continuous(5, 400, 12)
     rng = np.random.default_rng(1)
     base = MiningParams(minsupps=(0.05,), max_neg2pos=1.0)
@@ -957,16 +959,21 @@ def test_extension_spi_equals_one_set_per_attribute_on_long_premises():
                 for g in ds.groups]
     assert min(map(len, premises)) >= 40
     premises += [rng.integers(0, 12, 60).tolist() for _ in range(200)]
-    attrs = rng.permutation(np.repeat(np.arange(12), 2))
     for premise in premises:
-        params = replace(base, penalty_strength=float(rng.choice([0.5, 1.0])))
-        ctx = induction._Context.build(ds, "A", params, "correlation", penalty=_random_penalty(rng, 12))
-        attr_set: set[int] = set()
-        for a in premise:
-            got = induction._extension_spi(ctx, attr_set, attrs)
-            want = np.array([induction._spi(ctx, attr_set | {int(b)}) for b in attrs])
-            assert got.tobytes() == want.tobytes()
-            attr_set.add(a)
+        s = float(rng.choice([0.5, 1.0]))
+        pen = _random_penalty(rng, 12)
+        ctx = induction._Context.build(ds, "A", replace(base, penalty_strength=s), "correlation", penalty=pen)
+        counts = np.asarray(pen.counts)
+        held = np.zeros(12, dtype=bool)
+        for step, a in enumerate(premise, 1):
+            got = induction._extension_spi(ctx, counts, held)
+            want = [s * pen.premise_penalty(premise[: step - 1] + [b]) for b in range(12)]
+            assert got.tobytes() == np.array(want).tobytes()
+            held[a] = True
+            attrs = premise[:step]
+            got = induction._removal_spi(ctx, counts, np.array(attrs))
+            want = [s * pen.premise_penalty(attrs[:i] + attrs[i + 1 :]) for i in range(step)]
+            assert got.tobytes() == np.array(want + [s * pen.premise_penalty(attrs)]).tobytes()
 
 
 @pytest.mark.parametrize("task", ["classification", "regression", "survival"])
@@ -1026,7 +1033,8 @@ def test_prune_makes_one_modifier_call_per_round(monkeypatch, task):
             cm = induction._counts(ctx, cov)
             fresh = [np.array([v]) for v in (induction._raw_quality(ctx, cov, cm), cm.p,
                                               int(np.count_nonzero(cov & ctx.r_u)),
-                                              induction._spi(ctx, [c.attr_index for c in held]))]
+                                              ctx.params.penalty_strength
+                                              * ctx.penalty.premise_penalty([c.attr_index for c in held]))]
             alone = modifier(ctx, *fresh)
         finally:
             inside.pop()
@@ -1058,16 +1066,16 @@ def test_prune_makes_one_modifier_call_per_round(monkeypatch, task):
     assert checked > 100
 
 
-def test_prune_first_use_penalty_follows_set_order():
-    """Dropping the first of two uses of an attribute keeps the premise's
-    attributes but reinserts that one last, which can reorder the set that
-    premise_penalty sums over and so change the last bit of s*pi.
+def test_prune_exact_pi_tie_drops_the_later_use():
+    """Dropping either of two uses of an attribute keeps the premise's
+    coverage and its attribute set, so both removals tie with the premise
+    on the one exact pi, and the later use goes.
 
     Rows sit in the eight cells of x0, x1, x8 in {-1, 1}; the group is the
     all-negative cell, and the cells one step from it hold most negatives,
-    so x1 and x8 cannot go. The premise uses x0 twice, so removing either
-    use keeps the coverage and only s*pi tells them apart: {0, 1, 8} sums
-    x0 first, {1, 8, 0} sums x8 first.
+    so x1 and x8 cannot go. The premise uses x0 twice, and a float sum of
+    count / total over {0, 1, 8} and over {1, 8, 0} can differ in the last
+    bit, so a pi that depends on summation order breaks the tie.
     """
     rng = np.random.default_rng(3)
     cells = [(x0, x1, x8) for x0 in (-1.0, 1.0) for x1 in (-1.0, 1.0) for x8 in (-1.0, 1.0)]
@@ -1089,19 +1097,17 @@ def test_prune_first_use_penalty_follows_set_order():
     got = prune(cs, ds, params, penalty=pen, reward_uncovered=empty)
     want = naive_prune(ds, "g", cs.conditions, params, reward_uncovered=empty, penalty=pen)
     assert condition_tuples(got.conditions) == condition_tuples(want)
-    if pen.premise_penalty(set([1, 8, 0])) < pen.premise_penalty(set([0, 1, 8])):
-        # summation order matters on this interpreter: the first use goes
-        assert got.conditions == (x1, x8, x0)
+    assert got.conditions == (x0, x1, x8)
 
 
-def test_prune_keeps_a_repeat_whose_removal_sums_pi_in_another_set_order():
-    """The premise's own s*pi sums pi over a set built from its attribute
-    list, the removal of a repeated condition over a copy of that set. Over
-    [12, 13, 14, 3, 19, 7] with these counts the copy iterates in another
-    order and sums one ulp higher, so at s = 1 the repeat's removal, which
-    keeps the coverage, scores just below the premise and prune keeps it.
-    ``prune_rounds_reference`` builds its sets the same way; ``naive_prune``
-    builds both alike and drops the repeat (ROADMAP item 4 settles this)."""
+def test_prune_drops_a_repeat_as_naive_prune_does():
+    """A repeated condition's removal keeps the premise's coverage and its
+    attributes, so its s*pi is the premise's and it scores as high: at s = 1
+    prune drops the repeat, as ``naive_prune`` and ``prune_rounds_reference``
+    do. Over [12, 13, 14, 3, 19, 7] with these counts, a float sum of
+    count / total over the premise's set and over a copy of it, which
+    iterates in another order, differs by one ulp, so a pi that depends on
+    summation order keeps the repeat."""
     rng = np.random.default_rng(58)
     n, k = 120, 23
     codes = (rng.random(n) < 0.5).astype(np.int32)
@@ -1111,7 +1117,6 @@ def test_prune_keeps_a_repeat_whose_removal_sums_pi_in_another_set_order():
     counts = [3, 5, 0, 3, 5, 5, 5, 1, 5, 3, 4, 2, 3, 1, 3, 5, 0, 5, 4, 5, 5, 1, 5]
     pen = PenaltyState(k, counts=counts, total=sum(counts))
     attrs = [12, 13, 14, 3, 19, 7]
-    assert pen.premise_penalty(attrs) < pen.premise_penalty(set(attrs))
     conds = [Condition(a, GE, float(np.quantile(ds.column(a), 0.05))) for a in attrs]
     conds.append(conds[-1])
     params = MiningParams(penalty_strength=1.0, max_neg2pos=2.0)
@@ -1119,9 +1124,38 @@ def test_prune_keeps_a_repeat_whose_removal_sums_pi_in_another_set_order():
     grown = induction._Grown(conds, cover(ContrastSet(tuple(conds), "A"), ds))
     got = induction._prune(ctx, grown)
     want = prune_rounds_reference(ctx, grown)
-    assert condition_tuples(got.conditions) == condition_tuples(want.conditions) == condition_tuples(conds)
+    naive = naive_prune(ds, "A", conds, params, penalty=pen)
+    assert condition_tuples(got.conditions) == condition_tuples(want.conditions) == condition_tuples(naive)
     assert got.cov.tobytes() == want.cov.tobytes()
-    assert len(naive_prune(ds, "A", conds, params, penalty=pen)) < len(conds)
+    assert len(got.conditions) < len(conds)
+
+
+def test_full_penalty_floors_the_premise_multiplier(monkeypatch):
+    """At s = 1 a premise over every used attribute has s*pi exactly 1, so
+    its multiplier is floored: raw quality 0.5 with p = 100 and 90 reward
+    rows modifies to 0.5 * MULTIPLIER_FLOOR. A float sum of ten 0.1 shares
+    is 0.9999999999999999, which would skip the floor and give 0.4375."""
+    n = 300
+    codes = (np.arange(n) >= 200).astype(np.int32)  # P = 200, N = 100
+    cols = [(np.arange(n) >= 100).astype(np.float64) for _ in range(10)]
+    ds = DataSet([Attribute(f"x{i}", "numeric") for i in range(10)], cols, relation="floor",
+                 task="classification", group_names=("g", "rest"), group_codes=codes)
+    cs = ContrastSet(tuple(Condition(ai, LT, 0.5) for ai in range(10)), "g")  # covers rows 0-99
+    pen = PenaltyState(10, counts=[1] * 10, total=10)
+    params = MiningParams(penalty_strength=1.0)
+    baseline = np.arange(n) < 90
+    modifier, premises = induction._modified_quality_of, []
+
+    def recording(ctx, q, p, rew, spi):
+        out = modifier(ctx, q, p, rew, spi)
+        premises.append((float(q[-1]), int(p[-1]), int(rew[-1]), float(spi[-1]), float(out[-1])))
+        return out
+
+    monkeypatch.setattr(induction, "_modified_quality_of", recording)
+    got = prune(cs, ds, params, penalty=pen, reward_uncovered=baseline)
+    assert premises[0] == (0.5, 100, 90, 1.0, 5e-07)
+    want = naive_prune(ds, "g", cs.conditions, params, reward_uncovered=baseline, penalty=pen)
+    assert condition_tuples(got.conditions) == condition_tuples(want)
 
 
 @st.composite
@@ -1132,9 +1166,7 @@ def prune_cases(draw):
     Each condition drops a few percent of the rows at one end of its
     attribute, so long premises still cover rows and prune has choices.
     Some conditions repeat an earlier one, so removing either copy keeps
-    the coverage and only s*pi tells the removals apart. Penalty sets of up
-    to 40 attribute indices resize and collide, so their iteration order,
-    and the last bit of s*pi, depends on how each set was built.
+    the coverage and the attribute set, and the two removals tie.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     measure = draw(st.sampled_from(["correlation", "regression", "survival"]))
@@ -1151,7 +1183,7 @@ def prune_cases(draw):
     task = {"correlation": "classification"}.get(measure, measure)
     ds = DataSet([Attribute(f"x{i}", "numeric") for i in range(k)], cols, relation="prune",
                  task=task, group_names=("A", "B"), group_codes=codes, **extra)
-    # mostly a few distinct attributes, whose sets collide in small tables
+    # mostly a few distinct attributes, each used many times
     pool = rng.choice(k, size=int(rng.integers(2, 9 if rng.random() < 0.7 else k + 1)), replace=False)
     conds = []
     for ai in rng.choice(pool, size=length).tolist():
