@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import io
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -295,6 +296,10 @@ _LINE = re.compile(r"[^\n]*\n|[^\n]+")  # one line and its newline
 _ODD_LINE = re.compile(r"\n[^\S\n]*(?:(\{)|(?:%[^\n]*)?(?=\n|\Z))")
 _QUOTED_RUN = re.compile(r"""'([^']*)'|"([^"]*)\"""")
 _QUOTED_SPAN = re.compile(r"""['"].*['"]""", re.S)  # first quote to last
+# The @data section is read by one token scan per chunk of about this many
+# characters, cut after a newline, so the parse holds the columns plus one
+# chunk's tokens, never a string per cell of the file.
+_CHUNK_CHARS = 1 << 18
 
 
 def _raw_fields(text: str, line_no: int) -> list[str]:
@@ -321,111 +326,159 @@ def _field_text(raw: str) -> str:
     return raw[:lo].lstrip() + inner + raw[hi:].rstrip()
 
 
-def _data_tokens(text: str, start: int, first: int, k: int) -> tuple[list[str], Sequence[int]]:
-    """The tokens of the ``@data`` section that starts at ``text[start]``, on
-    line ``first``, and the line of each row: row after row, ``k`` tokens a
-    row, each a raw field plus one separator character, a comma or, at the
-    end of a row, a newline.
+class _Section:
+    """The ``@data`` section that starts at ``text[start]``, on line
+    ``first``, of rows of ``k`` fields, read a chunk of rows at a time.
 
-    Blank, whitespace-only and ``%`` lines are skipped. The section is read
-    in one scan with no loop per row; only a malformed section is walked
-    line by line, to raise the error of its first bad line.
+    Blank, whitespace-only and ``%`` lines are skipped; the runs of rows
+    between them are ``stretches``, each (first row, first line, start,
+    end), and ``n`` counts the rows. A malformed row, wherever it is, makes
+    the section walk its lines from the start to raise the error of the
+    first bad one; only a malformed section is walked.
     """
-    odd = list(_ODD_LINE.finditer(text, start - 1))
-    if odd and odd[-1].start() == len(text) - 1:
-        odd.pop()  # the empty text after a final newline
-    if any(m.group(1) for m in odd):
-        _raise_first_bad_row(text, start, first, k)
-    data, pos, lines = text, start, None
-    if odd:
-        # join the stretches of rows between the skipped lines, and number them
-        pieces, lines, line = [], [], first
-        for m in odd:
-            skip = m.start() + 1  # the skipped line's first character
-            rows = text.count("\n", pos, skip)
-            pieces.append(text[pos:skip])
-            lines.extend(range(line, line + rows))
-            pos, line = m.end() + 1, line + rows + 1
-        pieces.append(text[pos:])
-        data, pos = "".join(pieces), 0
-    tokens = _TOKENS.findall(data, pos)
-    # findall steps over an unterminated quote, so its tokens then fall short
-    # of covering the section
-    if sum(map(len, tokens)) != len(data) - pos:
-        _raise_first_bad_row(text, start, first, k)
-    # the scan ends in an empty match at the end of the text, a last empty
-    # field only after a comma; a last line without a newline gets one
-    if len(tokens) < 2 or tokens[-2][-1] != ",":
-        tokens.pop()
-    if tokens and tokens[-1][-1:] != "\n":
-        tokens[-1] += "\n"
-    n = data.count("\n", pos) + (len(data) > pos and data[-1] != "\n")
-    # each token holds at most one newline, at its end, so n rows of k fields
-    # are n * k tokens with a newline ending every k-th one
-    if len(tokens) != n * k or any(t[-1] != "\n" for t in dict.fromkeys(tokens[k - 1 :: k])):
-        _raise_first_bad_row(text, start, first, k)
-    if lines is None:
-        return tokens, range(first, first + n)
-    lines.extend(range(line, line + n - len(lines)))
-    return tokens, lines
+
+    def __init__(self, text: str, start: int, first: int, k: int):
+        self.text, self.start, self.first, self.k = text, start, first, k
+        odd = list(_ODD_LINE.finditer(text, start - 1))
+        if odd and odd[-1].start() == len(text) - 1:
+            odd.pop()  # the empty text after a final newline
+        if any(m.group(1) for m in odd):
+            self.raise_first_bad_row()
+        self.stretches: list[tuple[int, int, int, int]] = []
+        self.n, pos, line = 0, start, first
+        # a stretch ends at a skipped line's first character; the next starts after its newline
+        for end, resume in [(m.start() + 1, m.end() + 1) for m in odd] + [(len(text), None)]:
+            rows = text.count("\n", pos, end) + (end > pos and text[end - 1] != "\n")
+            if rows:
+                self.stretches.append((self.n, line, pos, end))
+            self.n += rows
+            pos, line = resume, line + rows + 1
+
+    def chunks(self) -> Iterator[tuple[list[str], int]]:
+        """The rows, a chunk of about ``_CHUNK_CHARS`` characters at a time:
+        (tokens, first row), ``k`` tokens a row, each a raw field plus one
+        separator character, a comma or, at the end of a row, a newline.
+
+        Each stretch is scanned on its own, and a chunk gathers the tokens
+        of short stretches, so skipped lines cost no chunk of their own.
+        """
+        tokens: list[str] = []
+        row = size = 0
+        for _, _, pos, end in self.stretches:
+            while pos < end:
+                # no token holds a newline but at its end, so a cut after
+                # one splits no field
+                cut = self.text.find("\n", min(pos + _CHUNK_CHARS - size, end) - 1, end) + 1 or end
+                tokens += self._tokens(pos, cut)
+                size += cut - pos
+                pos = cut
+                if size >= _CHUNK_CHARS:
+                    yield tokens, row
+                    row, tokens, size = row + len(tokens) // self.k, [], 0
+        if tokens:
+            yield tokens, row
+
+    def _tokens(self, pos: int, end: int) -> list[str]:
+        """The tokens of the whole rows of ``text[pos:end]``; rows that are
+        not well formed raise instead."""
+        text, k = self.text, self.k
+        tokens = _TOKENS.findall(text, pos, end)
+        # findall steps over an unterminated quote, so its tokens then fall
+        # short of covering the text
+        if sum(map(len, tokens)) != end - pos:
+            self.raise_first_bad_row()
+        # the scan ends in an empty match at the end, a last empty field only
+        # after a comma; a last line without a newline gets one
+        if len(tokens) < 2 or tokens[-2][-1] != ",":
+            tokens.pop()
+        if tokens[-1][-1:] != "\n":
+            tokens[-1] += "\n"
+        rows = text.count("\n", pos, end) + (text[end - 1] != "\n")
+        # each token holds at most one newline, at its end, so these rows of
+        # k fields are rows * k tokens with a newline ending every k-th one
+        if len(tokens) != rows * k or any(t[-1] != "\n" for t in dict.fromkeys(tokens[k - 1 :: k])):
+            self.raise_first_bad_row()
+        return tokens
+
+    def line(self, row: int) -> int:
+        """The line of the ``row``-th row."""
+        first_row, line, _, _ = self.stretches[bisect_right(self.stretches, row, key=itemgetter(0)) - 1]
+        return line + row - first_row
+
+    def fail(self, line: int, message: str) -> NoReturn:
+        """Raise ``ArffError(line, message)``, unless a row is malformed: the
+        first bad row's error comes first."""
+        for _ in self.chunks():
+            pass
+        raise ArffError(line, message)
+
+    def raise_first_bad_row(self) -> NoReturn:
+        """Raise the error of the section's first malformed row, walking it
+        line by line."""
+        for line_no, raw in enumerate(self.text[self.start :].split("\n"), start=self.first):
+            line = raw.strip()
+            if not line or line.startswith("%"):
+                continue
+            if line.startswith("{"):
+                raise ArffError(line_no, "sparse data rows are not supported")
+            fields = _raw_fields(line, line_no)
+            if len(fields) != self.k:
+                raise ArffError(line_no, f"expected {self.k} values, found {len(fields)}")
+        raise AssertionError("the @data scan failed on a section whose every row is well formed")
 
 
-def _raise_first_bad_row(text: str, start: int, first: int, k: int) -> NoReturn:
-    """Raise the error of the first malformed row of the ``@data`` section
-    that starts at ``text[start]``, on line ``first``, walking it line by line."""
-    for line_no, raw in enumerate(text[start:].split("\n"), start=first):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        if line.startswith("{"):
-            raise ArffError(line_no, "sparse data rows are not supported")
-        fields = _raw_fields(line, line_no)
-        if len(fields) != k:
-            raise ArffError(line_no, f"expected {k} values, found {len(fields)}")
-    raise AssertionError("the @data scan failed on a section whose every row is well formed")
-
-
-def _decode_column(
-    tokens: Sequence[str],
-    lines: Sequence[int],
-    name: str,
-    lookup: dict[str, int] | None,
-    missing: str | None,
-) -> np.ndarray:
-    """The ``tokens`` of column ``name`` (raw fields, each followed by its
-    separator) as codes into ``lookup`` or, without one, as numbers.
+class _Column:
+    """One ``@data`` column, decoded a chunk at a time into ``values``:
+    codes into ``lookup`` or, without one, numbers.
 
     Only a bare ``?`` is a missing cell, read as -1 or NaN; a quoted ``'?'``
     is the text ``?``. Where ``missing`` is given, a missing cell (or a
-    ``nan``) raises it instead. Each distinct token is decoded once, in
-    order of first appearance, so a bad one raises ArffError at the first
-    line that holds it.
+    ``nan``) is an error instead. The table of token values lasts across
+    chunks, so each distinct token is decoded once, in order of first
+    appearance. The first that fails ends the decoding, and ``error`` keeps
+    the first row that holds it, with the message.
     """
 
-    def decode(token: str) -> float:
+    def __init__(self, n: int, name: str, lookup: dict[str, int] | None, missing: str | None):
+        self.values = np.empty(n, np.float64 if lookup is None else np.int32)
+        self.error: tuple[int, str] | None = None
+        self.name, self.lookup, self.missing = name, lookup, missing
+        self.table: dict[str, float] = {}
+
+    def decode(self, token: str) -> float:
+        """The value of a token, a raw field plus its separator."""
         raw = token[:-1]
         text = None if raw.strip() == "?" else _field_text(raw)
-        if lookup is not None:
-            if text is not None and text not in lookup:
-                raise ValueError(f"value {text!r} not in declared domain of {name!r}")
-            value = -1 if text is None else lookup[text]
+        if self.lookup is not None:
+            if text is not None and text not in self.lookup:
+                raise ValueError(f"value {text!r} not in declared domain of {self.name!r}")
+            value = -1 if text is None else self.lookup[text]
         else:
             try:
                 value = np.nan if text is None else float(text)
             except ValueError:
-                raise ValueError(f"non-numeric value {text!r} in column {name!r}") from None
-        if missing and (text is None or value != value):
-            raise ValueError(missing)
+                raise ValueError(f"non-numeric value {text!r} in column {self.name!r}") from None
+        if self.missing and (text is None or value != value):
+            raise ValueError(self.missing)
         return value
 
-    table = {}
-    for token in dict.fromkeys(tokens):
+    def read(self, tokens: list[str], row: int) -> None:
+        """Decode the column's ``tokens`` of a chunk whose first row is ``row``."""
+        if self.error is not None:
+            return
+        table, m = self.table, len(tokens)
         try:
-            table[token] = decode(token)
-        except ValueError as exc:
-            raise ArffError(lines[tokens.index(token)], str(exc)) from None
-    dtype = np.float64 if lookup is None else np.int32
-    return np.fromiter(map(table.__getitem__, tokens), dtype, len(tokens))
+            values = np.fromiter(map(table.__getitem__, tokens), self.values.dtype, m)
+        except KeyError:  # a token first seen in this chunk
+            for token in dict.fromkeys(tokens):
+                if token not in table:
+                    try:
+                        table[token] = self.decode(token)
+                    except ValueError as exc:
+                        self.error = row + tokens.index(token), str(exc)
+                        return
+            values = np.fromiter(map(table.__getitem__, tokens), self.values.dtype, m)
+        self.values[row : row + m] = values
 
 
 def _parse_attribute_line(rest: str, line_no: int) -> Attribute:
@@ -507,22 +560,22 @@ def parse_arff(
     else:
         raise ArffError(1, "missing @data section")
     k = len(attributes)
-    tokens, row_lines = _data_tokens(text, match.end(), line_no + 1, k)
+    section = _Section(text, match.end(), line_no + 1, k)
 
     all_names = [a.name for a in attributes]
     if len(set(all_names)) != len(all_names):
         dupe = next(n for n in all_names if all_names.count(n) > 1)
-        raise ArffError(1, f"duplicate attribute name {dupe!r}")
+        section.fail(1, f"duplicate attribute name {dupe!r}")
 
     special = {}
     for role, name in (("group", group), ("label", label), ("time", time), ("status", status)):
         if name is None:
             continue
         if name not in all_names:
-            raise ArffError(1, f"{role} column {name!r} not declared")
+            section.fail(1, f"{role} column {name!r} not declared")
         special[role] = all_names.index(name)
     if len(set(special.values())) != len(special):
-        raise ArffError(1, "group/label/time/status columns must be distinct")
+        section.fail(1, "group/label/time/status columns must be distinct")
 
     if task is None:
         if time is not None or status is not None:
@@ -532,19 +585,16 @@ def parse_arff(
         else:
             task = "classification"
     if task == "survival" and ("time" not in special or "status" not in special):
-        raise ArffError(1, "survival task needs both time and status columns")
+        section.fail(1, "survival task needs both time and status columns")
     if task == "regression" and "label" not in special:
-        raise ArffError(1, "regression task needs a label column")
+        section.fail(1, "regression task needs a label column")
 
     roles = {i: role for role, i in special.items()}
     cond_idx = [i for i in range(len(attributes)) if i not in roles]
-    columns: dict[int, np.ndarray] = {}
-    # conditional columns first, then the bound ones in role order; one
-    # column of tokens at a time, so peak memory stays that of the tokens
+    readers: dict[int, _Column] = {}
+    # conditional columns first, then the bound ones in role order
     for i in cond_idx + list(special.values()):
         attr, role = attributes[i], roles.get(i)
-        if role == "group" and attr.is_numeric:
-            raise ArffError(1, f"group column {attr.name!r} must be nominal")
         # nominal-declared label, time and status columns are read as numbers
         codes = role == "group" or (role is None and not attr.is_numeric)
         missing = {
@@ -553,14 +603,23 @@ def parse_arff(
             "time": "missing survival time value" if task == "survival" else None,
             "status": "missing survival status value",
         }.get(role)
-        columns[i] = _decode_column(
-            tokens[i::k], row_lines, attr.name,
-            {v: c for c, v in enumerate(attr.domain)} if codes else None, missing,
+        readers[i] = _Column(
+            section.n, attr.name, {v: c for c, v in enumerate(attr.domain)} if codes else None, missing
         )
-        # the values DataSet refuses, found here so the error names their line
-        error = _rule_error(role, columns[i], task)
+    for tokens, row in section.chunks():
+        for i, reader in readers.items():
+            reader.read(tokens[i::k], row)
+    # in the same column order: each column's first bad cell, then the
+    # values DataSet refuses, found here so the error names their line
+    columns: dict[int, np.ndarray] = {}
+    for i, reader in readers.items():
+        attr, role = attributes[i], roles.get(i)
+        if role == "group" and attr.is_numeric:
+            raise ArffError(1, f"group column {attr.name!r} must be nominal")
+        error = reader.error or _rule_error(role, reader.values, task)
         if error:
-            raise ArffError(row_lines[error[0]], error[1])
+            raise ArffError(section.line(error[0]), error[1])
+        columns[i] = reader.values
 
     group_names, group_codes = (), None
     if "group" in special:

@@ -986,6 +986,10 @@ def _api_context(
 ) -> _Context:
     """Context for the public grow and prune calls, from coverage masks."""
     measure = _resolve_measure(ds, params)
+    if penalty is not None and penalty.n_attributes != len(ds.attributes):
+        raise ValueError(
+            f"penalty tracks {penalty.n_attributes} attributes, the dataset has {len(ds.attributes)}"
+        )
     if uncovered is not None:
         uncovered = _check_mask(uncovered, ds, "uncovered")
     if reward_uncovered is not None:

@@ -1,5 +1,6 @@
 """Dataset container, coverage masks, ARFF I/O, group derivation."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -236,7 +237,15 @@ def test_parse_accepts_stream_and_case():
     assert ds.n_examples == 3
 
 
-@pytest.mark.parametrize("text,line,fragment", [
+@contextlib.contextmanager
+def _one_row_chunks():
+    """Inside this context every chunk of ``@data`` is one row."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_CHUNK_CHARS", 1)
+        yield
+
+
+_LINE_ERRORS = [
     ("@relation r\n@banana x\n@data\n", 2, "unrecognized header"),
     ("@relation r\n@data\n", 2, "@data before any @attribute"),
     ("@relation r\n@attribute a numeric\n", 1, "missing @data"),
@@ -261,13 +270,22 @@ def test_parse_accepts_stream_and_case():
     pytest.param(("@relation r\n@attribute a numeric\n@attribute y {1,2,x}\n@data\n"
                   "1,2\n2,x\n", {"label": "y"}), 6,
                  "non-numeric value 'x' in column 'y'", id="nominal-label-not-a-number"),
-])
+]
+
+
+@pytest.mark.parametrize("text,line,fragment", _LINE_ERRORS)
 def test_parse_errors_carry_line_numbers(text, line, fragment):
     text, bindings = text if isinstance(text, tuple) else (text, {})
     with pytest.raises(ArffError, match=fragment) as exc:
         parse_arff(text, **bindings)
     assert exc.value.line == line
     assert str(exc.value).startswith(f"line {line}:")
+
+
+@pytest.mark.parametrize("text,line,fragment", _LINE_ERRORS)
+def test_parse_errors_carry_line_numbers_in_one_row_chunks(text, line, fragment):
+    with _one_row_chunks():
+        test_parse_errors_carry_line_numbers(text, line, fragment)
 
 
 def test_quoted_question_mark_is_a_value():
@@ -382,7 +400,7 @@ def test_raw_fields_match_reference_splitter(text):
 
 
 # ---------------------------------------------------------------------------
-# the one-scan @data reader against the per-line reference
+# the chunked @data reader against the per-line reference
 
 def _parse_outcome(parse, text, bindings):
     """What ``parse`` makes of ``text``: a DataSet, or an ArffError's message and line."""
@@ -507,6 +525,14 @@ def test_parse_matches_the_per_line_reference(case):
     _assert_same_outcome(text, **bindings)
 
 
+@settings(max_examples=500, deadline=None)
+@given(arff_texts())
+def test_parse_matches_the_per_line_reference_in_one_row_chunks(case):
+    text, bindings = case
+    with _one_row_chunks():
+        _assert_same_outcome(text, **bindings)
+
+
 _EDIT_VALUES = ("'x,1'", '"y\'2"', "plain", "'?'", "?")
 # 30 rows with quoted commas, comment and blank lines between rows
 _EDIT_BASE = (
@@ -527,6 +553,15 @@ _EDIT_BASE = (
 def test_single_character_edits_parse_as_the_reference():
     # no single-character edit of a valid file makes the scan disagree with
     # the per-line reader, or raise anything but ArffError
+    _assert_edits_parse_as_the_reference()
+
+
+def test_single_character_edits_parse_as_the_reference_in_one_row_chunks():
+    with _one_row_chunks():
+        _assert_edits_parse_as_the_reference()
+
+
+def _assert_edits_parse_as_the_reference():
     rng = np.random.default_rng(0)
     for _ in range(1500):
         at = int(rng.integers(0, len(_EDIT_BASE) + 1))
@@ -534,6 +569,37 @@ def test_single_character_edits_parse_as_the_reference():
         edit = int(rng.integers(0, 3))  # insert, delete, replace
         text = _EDIT_BASE[:at] + ("" if edit == 1 else char) + _EDIT_BASE[at + (edit > 0):]
         _assert_same_outcome(text, group="g")
+
+
+# 40,000 rows of four columns, three chunks at the default size
+_FAULT_ROWS = [f"{i % 97 / 4}, {'uv'[i % 2]}, {i % 13}, {i % 2}" for i in range(40_000)]
+_FAULT_HEADER = ("@relation faults\n@attribute a numeric\n@attribute s {u, v}\n"
+                 "@attribute y numeric\n@attribute t numeric\n@data\n")  # rows on lines 7-40,006
+
+
+@pytest.mark.parametrize("chunks", ["default-chunks", "one-row-chunks"])
+@pytest.mark.parametrize("early, late, bindings, line, message", [
+    # a malformed row anywhere wins over a bad cell
+    ("1, zzz, 1, 1", "1, u, 1, 1, 1", {}, 40_006, "expected 4 values, found 5"),
+    # an earlier column's bad cell wins over a later column's at an earlier row
+    ("1, u, x, 1", "oops, u, 1, 1", {}, 40_006, "non-numeric value 'oops' in column 'a'"),
+    # a bound column's rule error wins over a later bound column's bad cell
+    ("1, u, 1, x", "1, u, inf, 1", {"label": "y", "status": "t", "task": "regression"}, 40_006,
+     "regression labels must be finite"),
+    # and over a binding error, which the header alone shows
+    ("1, u, 1, 1", "1, u, 1, 1, 1", {"group": "nope"}, 40_006, "expected 4 values, found 5"),
+], ids=["domain-then-malformed", "later-column-first", "label-rule-then-status-cell",
+        "binding-then-malformed"])
+def test_first_of_two_faults_is_reported_as_the_reference_does(early, late, bindings, line,
+                                                                message, chunks):
+    rows = [_FAULT_ROWS[0], early, *_FAULT_ROWS[2:-1], late]
+    text = _FAULT_HEADER + "\n".join(rows) + "\n"
+    assert len(text) > 2 * data._CHUNK_CHARS
+    with _one_row_chunks() if chunks == "one-row-chunks" else contextlib.nullcontext():
+        with pytest.raises(ArffError, match=message) as exc:
+            parse_arff(text, **bindings)
+        assert exc.value.line == line
+        _assert_same_outcome(text, **bindings)
 
 
 def test_a_wide_file_parses_as_the_reference():
@@ -579,6 +645,17 @@ def test_parse_holds_no_more_memory_than_the_per_line_reference():
     # a copy of the @data section, or a text kept alive, shows here
     text = _nominal_arff(0, 20_000, 12)
     assert _traced_peak(parse_arff, text) <= _traced_peak(parse_arff_reference, text)
+
+
+def test_parse_memory_is_the_columns_plus_one_chunk():
+    # the reader's column arrays, the DataSet's copies of them and one chunk
+    # of 2**18 characters, whose tokens (about six characters and 49 bytes
+    # of str header each) take about 12 bytes a character; the bound allows
+    # twice that. Nothing beyond the columns grows with the cell count: a
+    # string per cell of this file traces about 37 MB.
+    text = _nominal_arff(0, 40_000, 12)
+    columns = 13 * 40_000 * np.dtype(np.int32).itemsize  # 12 attributes and the group
+    assert _traced_peak(parse_arff, text) < 2 * columns + 24 * 2**18
 
 
 # ---------------------------------------------------------------------------

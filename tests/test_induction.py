@@ -261,6 +261,19 @@ def test_grow_step_that_covers_other_than_counted_raises(monkeypatch):
     assert len(steps) == 1
 
 
+def test_penalty_for_another_attribute_count_is_refused():
+    # a penalty state sized for another dataset used to index past its counts
+    ds = generate_synthetic()
+    pen = PenaltyState(1, counts=[1], total=1)
+    red = ds.group_mask("red")
+    message = r"penalty tracks 1 attributes, the dataset has 3"
+    with pytest.raises(ValueError, match=message):
+        grow(ds, "red", red, MiningParams(), penalty=pen)
+    cs = ContrastSet((Condition(0, GE, 0.0), Condition(1, GE, 0.0)), "red")
+    with pytest.raises(ValueError, match=message):
+        prune(cs, ds, MiningParams(), red, penalty=pen)
+
+
 def test_infinite_cells_of_both_signs_split_at_zero():
     # -inf + inf is NaN, so the pair had no midpoint and no split: mining
     # warned and found nothing, though the attribute separates the groups
