@@ -84,28 +84,29 @@ def _parse_number(cfg: dict, key: str, default, kind=float):
 
 
 def params_from_config(cfg: dict[str, str]) -> MiningParams:
-    defaults = MiningParams()
-    minsupps = defaults.minsupps
-    if "minsupps" in cfg:
-        try:
-            minsupps = tuple(float(v) for v in cfg["minsupps"].split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(f"minsupps must be comma-separated numbers, got {cfg['minsupps']!r}") from None
+    """The ``MiningParams`` of a config: each field is read by the type of
+    its default, and an absent key keeps the default."""
     measure = cfg.get("measure") or None
     if measure is not None and measure not in MEASURES:
         raise ConfigError(f"measure must be one of {', '.join(MEASURES)}, got {measure!r}")
+    values = {}
+    for f in fields(MiningParams):
+        if f.name not in cfg:
+            continue
+        value = cfg[f.name]
+        if isinstance(f.default, tuple):
+            try:
+                values[f.name] = tuple(float(v) for v in value.split(",") if v.strip())
+            except ValueError:
+                raise ConfigError(f"{f.name} must be comma-separated numbers, got {value!r}") from None
+        elif isinstance(f.default, (float, int)):
+            values[f.name] = _parse_number(cfg, f.name, f.default, type(f.default))
+        elif f.default is None:  # an optional name: empty means the default
+            values[f.name] = value or None
+        else:
+            values[f.name] = value
     try:
-        return MiningParams(
-            minsupps=minsupps,
-            minsupp_new=_parse_number(cfg, "minsupp_new", defaults.minsupp_new),
-            max_neg2pos=_parse_number(cfg, "max_neg2pos", defaults.max_neg2pos),
-            max_passes=_parse_number(cfg, "max_passes", defaults.max_passes, int),
-            penalty_strength=_parse_number(cfg, "penalty_strength", defaults.penalty_strength),
-            reward_saturation=_parse_number(cfg, "reward_saturation", defaults.reward_saturation),
-            mode=cfg.get("mode", defaults.mode),
-            negative_group=cfg.get("negative_group") or None,
-            measure=measure,
-        )
+        return MiningParams(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

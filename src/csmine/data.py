@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import io
 import re
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -330,80 +331,76 @@ class _Section:
     """The ``@data`` section that starts at ``text[start]``, on line
     ``first``, of rows of ``k`` fields, read a chunk of rows at a time.
 
-    Blank, whitespace-only and ``%`` lines are skipped; the runs of rows
-    between them are ``stretches``, each (first row, first line, start,
-    end), and ``n`` counts the rows. A malformed row, wherever it is, makes
-    the section walk its lines from the start to raise the error of the
-    first bad one; only a malformed section is walked.
+    Blank, whitespace-only and ``%`` lines are skipped; ``starts`` and
+    ``ends`` hold their spans, and ``n`` counts the rows. A malformed row,
+    wherever it is, makes the section walk its lines from the start to raise
+    the error of the first bad one; only a malformed section is walked.
     """
 
     def __init__(self, text: str, start: int, first: int, k: int):
         self.text, self.start, self.first, self.k = text, start, first, k
-        odd = list(_ODD_LINE.finditer(text, start - 1))
-        if odd and odd[-1].start() == len(text) - 1:
-            odd.pop()  # the empty text after a final newline
-        if any(m.group(1) for m in odd):
-            self.raise_first_bad_row()
-        self.stretches: list[tuple[int, int, int, int]] = []
-        self.n, pos, line = 0, start, first
-        # a stretch ends at a skipped line's first character; the next starts after its newline
-        for end, resume in [(m.start() + 1, m.end() + 1) for m in odd] + [(len(text), None)]:
-            rows = text.count("\n", pos, end) + (end > pos and text[end - 1] != "\n")
-            if rows:
-                self.stretches.append((self.n, line, pos, end))
-            self.n += rows
-            pos, line = resume, line + rows + 1
+        # a skipped line's span, newline included: a match starts at the
+        # newline before its line and ends before the line's own
+        self.starts, self.ends = array("q"), array("q")
+        for m in _ODD_LINE.finditer(text, start - 1):
+            if m.group(1):
+                self.raise_first_bad_row()
+            elif m.start() < len(text) - 1:  # not the empty text after a final newline
+                self.starts.append(m.start() + 1)
+                self.ends.append(m.end() + 1)
+        lines = text.count("\n", start) + (len(text) > start and text[-1] != "\n")
+        self.n = lines - len(self.starts)
 
     def chunks(self) -> Iterator[tuple[list[str], int]]:
         """The rows, a chunk of about ``_CHUNK_CHARS`` characters at a time:
         (tokens, first row), ``k`` tokens a row, each a raw field plus one
         separator character, a comma or, at the end of a row, a newline.
 
-        Each stretch is scanned on its own, and a chunk gathers the tokens
-        of short stretches, so skipped lines cost no chunk of their own.
+        A chunk that holds skipped lines is scanned as one copy of the rows
+        between them, so skipped lines cost no scan of their own.
         """
-        tokens: list[str] = []
-        row = size = 0
-        for _, _, pos, end in self.stretches:
-            while pos < end:
-                # no token holds a newline but at its end, so a cut after
-                # one splits no field
-                cut = self.text.find("\n", min(pos + _CHUNK_CHARS - size, end) - 1, end) + 1 or end
-                tokens += self._tokens(pos, cut)
-                size += cut - pos
-                pos = cut
-                if size >= _CHUNK_CHARS:
-                    yield tokens, row
-                    row, tokens, size = row + len(tokens) // self.k, [], 0
-        if tokens:
+        text, starts, ends, k = self.text, self.starts, self.ends, self.k
+        pos, row, i = self.start, 0, 0
+        while pos < len(text):
+            # no token holds a newline but at its end, so a cut after one
+            # splits no field, and a skipped line ends at or before the cut
+            cut = text.find("\n", min(pos + _CHUNK_CHARS, len(text)) - 1) + 1 or len(text)
+            j = bisect_left(starts, cut, i)
+            # the rows from pos or a skipped line's end to the next skipped line or the cut
+            rows = "".join(text[a:b] for a, b in zip([pos, *ends[i:j]], [*starts[i:j], cut]))
+            pos, i = cut, j
+            if not rows:
+                continue
+            tokens = _TOKENS.findall(rows)
+            # findall steps over an unterminated quote, so its tokens then
+            # fall short of covering the rows
+            if sum(map(len, tokens)) != len(rows):
+                self.raise_first_bad_row()
+            # the scan ends in an empty match at the end, a last empty field
+            # only after a comma; a last line without a newline gets one
+            if len(tokens) < 2 or tokens[-2][-1] != ",":
+                tokens.pop()
+            if tokens[-1][-1:] != "\n":
+                tokens[-1] += "\n"
+            n = rows.count("\n") + (rows[-1] != "\n")
+            # each token holds at most one newline, at its end, so these n
+            # rows of k fields are n * k tokens with a newline ending every
+            # k-th one
+            if len(tokens) != n * k or any(t[-1] != "\n" for t in dict.fromkeys(tokens[k - 1 :: k])):
+                self.raise_first_bad_row()
             yield tokens, row
-
-    def _tokens(self, pos: int, end: int) -> list[str]:
-        """The tokens of the whole rows of ``text[pos:end]``; rows that are
-        not well formed raise instead."""
-        text, k = self.text, self.k
-        tokens = _TOKENS.findall(text, pos, end)
-        # findall steps over an unterminated quote, so its tokens then fall
-        # short of covering the text
-        if sum(map(len, tokens)) != end - pos:
-            self.raise_first_bad_row()
-        # the scan ends in an empty match at the end, a last empty field only
-        # after a comma; a last line without a newline gets one
-        if len(tokens) < 2 or tokens[-2][-1] != ",":
-            tokens.pop()
-        if tokens[-1][-1:] != "\n":
-            tokens[-1] += "\n"
-        rows = text.count("\n", pos, end) + (text[end - 1] != "\n")
-        # each token holds at most one newline, at its end, so these rows of
-        # k fields are rows * k tokens with a newline ending every k-th one
-        if len(tokens) != rows * k or any(t[-1] != "\n" for t in dict.fromkeys(tokens[k - 1 :: k])):
-            self.raise_first_bad_row()
-        return tokens
+            row += n
 
     def line(self, row: int) -> int:
-        """The line of the ``row``-th row."""
-        first_row, line, _, _ = self.stretches[bisect_right(self.stretches, row, key=itemgetter(0)) - 1]
-        return line + row - first_row
+        """The line of the ``row``-th row: the skipped lines before it are
+        counted off the rows between them."""
+        line, pos = self.first + row, self.start
+        for start, end in zip(self.starts, self.ends):
+            row -= self.text.count("\n", pos, start)
+            if row < 0:
+                break
+            line, pos = line + 1, end
+        return line
 
     def fail(self, line: int, message: str) -> NoReturn:
         """Raise ``ArffError(line, message)``, unless a row is malformed: the

@@ -1,6 +1,7 @@
 """Config parsing, dataset resolution and the csmine entry point."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -63,19 +64,20 @@ def test_parse_config_errors(text, line, needle):
 
 def test_params_from_config_defaults_and_overrides():
     assert params_from_config({}) == MiningParams()
-    params = params_from_config(
-        {
-            "minsupps": "0.5,0.2",
-            "minsupp_new": "0.2",
-            "max_neg2pos": "1.0",
-            "max_passes": "3",
-            "penalty_strength": "0",
-            "reward_saturation": "0.7",
-            "mode": "one-vs-one",
-            "negative_group": "blue",
-            "measure": "regression",
-        }
-    )
+    cfg = {
+        "minsupps": "0.5,0.2",
+        "minsupp_new": "0.2",
+        "max_neg2pos": "1.0",
+        "max_passes": "3",
+        "penalty_strength": "0",
+        "reward_saturation": "0.7",
+        "mode": "one-vs-one",
+        "negative_group": "blue",
+        "measure": "regression",
+    }
+    # every field is overridden here, so a field the config cannot set fails below
+    assert set(cfg) == {f.name for f in dataclasses.fields(MiningParams)}
+    params = params_from_config(cfg)
     assert params == MiningParams(
         minsupps=(0.5, 0.2),
         minsupp_new=0.2,

@@ -602,6 +602,29 @@ def test_first_of_two_faults_is_reported_as_the_reference_does(early, late, bind
         _assert_same_outcome(text, **bindings)
 
 
+def _skipped_before_late_row(skipped, late):
+    """All of _FAULT_ROWS but the last, with a % line after every row or a run
+    of blank lines longer than a chunk after the second, then ``late``."""
+    if skipped == "comment-after-every-row":
+        rows = [row + "\n% a note, with 'a quote" for row in _FAULT_ROWS[:-1]]
+    else:
+        rows = [_FAULT_ROWS[0], _FAULT_ROWS[1] + "\n" * (data._CHUNK_CHARS + 1), *_FAULT_ROWS[2:-1]]
+    return _FAULT_HEADER + "\n".join(rows + [late]) + "\n"
+
+
+@pytest.mark.parametrize("chunks", ["default-chunks", "one-row-chunks"])
+@pytest.mark.parametrize("late", ["oops, u, 1, 1", "1, u, 1, 1, 1", "1, u, 1, 1"],
+                         ids=["bad-cell", "malformed", "valid"])
+@pytest.mark.parametrize("skipped", ["comment-after-every-row", "blank-run-past-a-chunk"])
+def test_a_late_row_after_many_skipped_lines_parses_as_the_reference(skipped, late, chunks):
+    # the last row sits in a late chunk, after 39,999 comment lines or
+    # 2**18 + 1 blank lines; a bad cell's line counts them all
+    text = _skipped_before_late_row(skipped, late)
+    assert len(text) > 2 * data._CHUNK_CHARS
+    with _one_row_chunks() if chunks == "one-row-chunks" else contextlib.nullcontext():
+        _assert_same_outcome(text)
+
+
 def test_a_wide_file_parses_as_the_reference():
     # 5,000 attributes: the scan's cost is linear in the fields of a row
     rng = np.random.default_rng(1)
@@ -655,6 +678,44 @@ def test_parse_memory_is_the_columns_plus_one_chunk():
     # string per cell of this file traces about 37 MB.
     text = _nominal_arff(0, 40_000, 12)
     columns = 13 * 40_000 * np.dtype(np.int32).itemsize  # 12 attributes and the group
+    assert _traced_peak(parse_arff, text) < 2 * columns + 24 * 2**18
+
+
+def _commented(text):
+    """``text`` with a ``%`` line after every ``@data`` row."""
+    head, rows = text.split("@data\n")
+    return head + "@data\n" + "".join(row + "\n% a note, with 'a quote\n" for row in rows.splitlines())
+
+
+class _CountingPattern:
+    """A compiled pattern that counts its ``findall`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def findall(self, *args):
+        self.calls += 1
+        return self.pattern.findall(*args)
+
+
+def test_a_comment_after_every_row_costs_no_scan_of_its_own(monkeypatch):
+    # one token scan per chunk of the section, not one per run of rows
+    # between comments (about 40,000 here)
+    text = _nominal_arff(0, 40_000, 12)
+    commented = _commented(text)
+    scans = _CountingPattern(data._TOKENS)
+    monkeypatch.setattr(data, "_TOKENS", scans)
+    got = parse_arff(commented, group="class")
+    section = len(commented) - commented.index("@data\n") - len("@data\n")
+    assert scans.calls <= -(-section // 2**18) + 1
+    _assert_datasets_equal(got, parse_arff(text, group="class"))
+
+
+def test_parse_memory_with_a_comment_after_every_row_is_the_columns_plus_one_chunk():
+    # the bound of test_parse_memory_is_the_columns_plus_one_chunk: the copy
+    # of a chunk's rows between its comments is no larger than the chunk
+    text = _commented(_nominal_arff(0, 40_000, 12))
+    columns = 13 * 40_000 * np.dtype(np.int32).itemsize
     assert _traced_peak(parse_arff, text) < 2 * columns + 24 * 2**18
 
 

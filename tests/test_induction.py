@@ -244,6 +244,22 @@ def test_grow_matches_reference_where_label_sums_overflow():
     assert grown >= 9
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the regression sweep takes a nominal != side's label sum as total - the = side's "
+    "sum, which rounds: x = a and x != b cover the same 7 rows, but 3.9 is summed for "
+    "= and 4.6 - 0.7 = 3.8999999999999995 taken for !=, so the tie breaks the other way"))
+def test_grow_matches_reference_where_a_complement_label_sum_rounds():
+    ds = DataSet([Attribute("x", "nominal", ("a", "b"))],
+                 [np.array([0, 0, 0, 0, 1, 0, 0, 0], dtype=np.int32)],
+                 task="regression", group_names=("g0", "g1"),
+                 group_codes=np.array([1, 1, 1, 1, 0, 1, 0, 1], dtype=np.int32),
+                 labels=np.array([0.7, 0.6, 0.2, 0.4, 0.7, 0.4, 0.6, 1.0]))
+    params = MiningParams(minsupps=(0.1,), max_neg2pos=10.0)
+    unc = ds.group_mask("g1").copy()
+    got = grow(ds, "g1", unc, params)
+    assert condition_tuples(got.conditions) == condition_tuples(naive_grow(ds, "g1", params, unc))
+
+
 def test_grow_step_that_covers_other_than_counted_raises(monkeypatch):
     # growing must shrink the coverage to what the sweep counted at every
     # step; a condition that keeps every row would repeat forever
