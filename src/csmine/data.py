@@ -9,7 +9,8 @@ from the label or survival time median.
 
 from __future__ import annotations
 
-import io
+import contextlib
+import itertools
 import re
 from array import array
 from bisect import bisect_left
@@ -301,6 +302,8 @@ _QUOTED_SPAN = re.compile(r"""['"].*['"]""", re.S)  # first quote to last
 # characters, cut after a newline, so the parse holds the columns plus one
 # chunk's tokens, never a string per cell of the file.
 _CHUNK_CHARS = 1 << 18
+# write_arff formats the rows this many cells at a time.
+_WRITE_CELLS = 1 << 14
 
 
 def _raw_fields(text: str, line_no: int) -> list[str]:
@@ -643,9 +646,24 @@ def parse_arff(
 
 
 def load_arff(path, **bindings) -> DataSet:
-    """Read and parse an ARFF file from disk."""
+    """Read and parse a UTF-8 ARFF file from disk; a file that is not UTF-8
+    raises ArffError at the line of its first bad byte."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_arff(fh, **bindings)
+        try:
+            return parse_arff(fh, **bindings)
+        except UnicodeDecodeError as exc:
+            error = exc
+    # the text reader may decode a buffer at a time, so the error's offset
+    # need not be the file's: decode the bytes whole to find it
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end as the text reader ends them: at \r\n, \r or \n
+        before = raw[: exc.start]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise ArffError(line, f"not UTF-8: byte 0x{raw[exc.start]:02x} ({exc.reason})") from None
+    raise error  # the file changed between the two reads
 
 
 _NEEDS_QUOTES = re.compile(r"[,'\"{}%\s]")
@@ -671,7 +689,16 @@ def write_arff(ds: DataSet, out=None) -> str:
     their stored names, so ``parse_arff(write_arff(ds), ...)`` with the same
     bindings round-trips the dataset. A dataset ARFF cannot hold (no
     columns, duplicate column names, an empty or multi-line name or value, or
-    a value mixing both quote characters) raises ValueError.
+    a value mixing both quote characters) raises ValueError, before anything
+    is written.
+
+    The text is returned and, when ``out`` (a writable stream or a path) is
+    given, written to it: the header, then the rows a chunk of about
+    ``_WRITE_CELLS`` cells at a time, each formatted a column at a time and
+    joined once, with no string per row. The returned text grows by each
+    chunk in place (CPython extends a str that nothing else refers to), and
+    ``out`` takes each chunk as it comes, so the writer holds the text and
+    one chunk, never a copy of the whole text.
     """
     # (name, quoted domain or None for numeric, values) per column
     columns = [
@@ -691,21 +718,46 @@ def write_arff(ds: DataSet, out=None) -> str:
         raise ValueError("cannot write a dataset without columns")
     if len(set(names)) != len(names):
         raise ValueError(f"cannot write duplicate column names {names!r}")
-    buf = io.StringIO()
-    buf.write(f"@relation {_quote_if_needed(ds.relation)}\n\n")
+    header = [f"@relation {_quote_if_needed(ds.relation)}\n\n"]
     for name, domain, _ in columns:
         kind = "numeric" if domain is None else "{" + ",".join(domain) + "}"
-        buf.write(f"@attribute {_quote_if_needed(name)} {kind}\n")
-    buf.write("\n@data\n")
-    # a column at a time; status ints print as they read back
-    cells = [
-        ["?" if x != x else repr(x) for x in arr.tolist()] if domain is None
-        # code -1 picks the "?" after the domain
-        else list(map((domain + ("?",)).__getitem__, arr.tolist()))
-        for _, domain, arr in columns
-    ]
-    buf.writelines(",".join(row) + "\n" for row in zip(*cells))
-    return _write_text(buf.getvalue(), out)
+        header.append(f"@attribute {_quote_if_needed(name)} {kind}\n")
+    header.append("\n@data\n")
+    text = ""
+    with contextlib.ExitStack() as stack:
+        if out is not None and not hasattr(out, "write"):
+            out = stack.enter_context(open(out, "w", encoding="utf-8"))
+        for chunk in itertools.chain(header, _data_chunks(columns, ds.n_examples)):
+            if out is not None:
+                out.write(chunk)
+            text += chunk
+    return text
+
+
+def _data_chunks(columns, n: int) -> Iterator[str]:
+    """The ``@data`` rows of ``columns``, ``(name, quoted domain or None,
+    values)`` each, as text of at most ``_WRITE_CELLS`` cells a chunk.
+
+    A cell carries its separator, a comma or, after a row's last cell, a
+    newline, so a chunk is one join of its cells in row order. A missing
+    cell, NaN or code -1, is a bare ``?``; status ints print as they read back.
+    """
+    k = len(columns)
+    seps = [","] * (k - 1) + ["\n"]
+    # code -1 picks the "?" after the domain
+    tables = [None if domain is None else tuple(v + sep for v in domain + ("?",))
+              for (_, domain, _), sep in zip(columns, seps)]
+    step = max(1, _WRITE_CELLS // k)
+    for lo in range(0, n, step):
+        cells = [""] * (min(step, n - lo) * k)
+        for c, ((_, _, arr), table, sep) in enumerate(zip(columns, tables, seps)):
+            values = arr[lo : lo + step].tolist()
+            if table is None:
+                missing = "?" + sep
+                cells[c::k] = [missing if x != x else repr(x) + sep for x in values]
+            else:
+                cells[c::k] = map(table.__getitem__, values)
+        yield "".join(cells)
 
 
 def _read_text(source) -> str:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import copy
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -275,6 +274,16 @@ def _pack_counters(ctx: _Context) -> list[np.ndarray]:
     ]
 
 
+def _pack_codes(ctx: _Context) -> np.ndarray:
+    """``pos``, ``d_u`` and ``r_u`` as one int8 code per row: 4 if in the
+    group, plus 2 if in the pass pool, plus 1 if in the reward pool."""
+    return (ctx.pos * 4 + ctx.d_u * 2 + ctx.r_u).astype(np.int8)
+
+
+# a code's (row, in the group, in the pass pool, in the reward pool) counts
+_CODE_COUNTS = np.array([[1, code >> 2, code >> 1 & 1, code & 1] for code in range(8)])
+
+
 def _unpack_counters(n: int, sums: list[np.ndarray]) -> list[np.ndarray]:
     """The three int64 counts from sums of ``_pack_counters`` columns over ``n`` rows."""
     w = n.bit_length()
@@ -293,12 +302,12 @@ class _Candidates:
     last, the first ``known`` of them with a value. A numeric block holds
     that layout as ``rows`` and its values as ``keys``. A nominal block
     needs no sort to count: ``rows`` are the covered rows in row order and
-    ``keys`` their (k, m) bins, so one bincount gives every category's sums.
-    Splits run in (attribute, split)
-    order. Split j cuts row ``row[j]`` of the layout: its first side ends at
-    flat position ``last[j]`` and is the whole prefix (``< values[j]``) or
-    the run of category ``values[j]`` (``= values[j]``); its second side is
-    the rest of the known rows. Split j yields candidates 2j and 2j + 1, one
+    ``keys`` their (k, m) int32 bins, so one bincount gives every
+    category's counts. Splits run in (attribute, split) order. Split j
+    cuts row ``row[j]`` of the layout: its first side ends at flat position
+    ``last[j]`` and is the whole prefix (``< values[j]``) or the run of
+    category ``values[j]`` (``= values[j]``); its second side is the rest
+    of the known rows. Split j yields candidates 2j and 2j + 1, one
     per side. ``valid`` marks the candidates that pass both support gates
     and shrink the coverage; only those are scored.
     """
@@ -370,18 +379,31 @@ def _sides(first: np.ndarray, total) -> np.ndarray:
     return out
 
 
+def _bin_counts(keys: np.ndarray, codes: np.ndarray, size: int) -> np.ndarray:
+    """The (size, 4) counts of rows, group rows, pass-pool rows and
+    reward-pool rows in each bin of ``keys``, whose (k, m) cells hold bins
+    below ``size`` of m rows with the ``_pack_codes`` ``codes``: one integer
+    bincount keyed by bin * 8 + code."""
+    key = np.multiply(keys, 8, dtype=np.intp)
+    key += codes
+    return np.bincount(key.ravel(), minlength=8 * size).reshape(size, 8) @ _CODE_COUNTS
+
+
 def _sweep_attribute(
     ctx: _Context, block: tuple[int, ...], cov: np.ndarray, cov_idx: np.ndarray,
     counters: list[np.ndarray] | None = None, layout: tuple[np.ndarray, np.ndarray] | None = None,
+    codes: np.ndarray | None = None,
 ) -> _Candidates | None:
     """Gated candidates of one of ``ctx.blocks`` over the covered region.
 
-    ``counters`` are ``_pack_counters(ctx)``, computed here when not given.
-    The numeric block narrows ``layout`` to the covered rows in one call:
-    the (rows, values) of any earlier step's numeric block, or by default
-    the full presort. A stable sort of the covered rows is a presorted
-    order with the other rows left out, ties included. The nominal block
-    counts every attribute's categories with one bincount of its bins.
+    ``counters`` are ``_pack_counters(ctx)`` and ``codes``
+    ``_pack_codes(ctx)``, each computed here when the block needs it and it
+    is not given. The numeric block narrows ``layout`` to the covered rows
+    in one call: the (rows, values) of any earlier step's numeric block, or
+    by default the full presort. A stable sort of the covered rows is a
+    presorted order with the other rows left out, ties included. The
+    nominal block counts every attribute's categories, in the group and
+    both pools too, with one integer bincount of its bins and the codes.
     """
     ctx.presort()
     m = cov_idx.size
@@ -424,37 +446,51 @@ def _sweep_attribute(
         row, cut = np.divmod(split, m - 1)
         cand = _Candidates(True, rows, known, row, ctx.numeric_attrs[row], row * m + cut,
                            mids.ravel()[split], key)
-        first = cut + 1
-    else:
-        keys = ctx.keys if m == ctx.keys.shape[1] else ctx.keys.take(cov_idx, axis=1).astype(np.intp)
-        size = np.bincount(keys.ravel(), minlength=ctx.offsets[-1])
-        missing = ctx.offsets[1:] - 1
-        known = m - size[missing]
-        # each attribute's bins count its m rows, missing bin last, so the running
-        # count at a category ends its run in the block's (k, m) category order
-        last = np.cumsum(size) - 1
-        size[missing] = 0
-        bins = size.nonzero()[0]
-        if bins.size == 0:
-            return None
-        row = np.searchsorted(ctx.offsets, bins, side="right") - 1
-        cand = _Candidates(False, cov_idx, known, row, np.asarray(block)[row], last[bins],
-                           bins - ctx.offsets[row], keys, bins, ctx.offsets)
-        first = size[bins]
-    cand.covc = _sides(first.astype(np.int64, copy=False), known[cand.row])
-    return _count_and_gate(ctx, cand, counters if counters is not None else _pack_counters(ctx))
+        cand.covc = _sides((cut + 1).astype(np.int64, copy=False), known[cand.row])
+        return _count_and_gate(ctx, cand, counters if counters is not None else _pack_counters(ctx))
+    keys = ctx.keys if m == ctx.keys.shape[1] else ctx.keys.take(cov_idx, axis=1)
+    codes = codes if codes is not None else _pack_codes(ctx)
+    table = _bin_counts(keys, codes[cov_idx], ctx.offsets[-1])
+    size = table[:, 0].copy()
+    missing = ctx.offsets[1:] - 1
+    known = m - size[missing]
+    # each attribute's bins count its m rows, missing bin last, so the running
+    # count at a category ends its run in the block's (k, m) category order
+    last = np.cumsum(size) - 1
+    size[missing] = 0
+    bins = size.nonzero()[0]
+    if bins.size == 0:
+        return None
+    row = np.searchsorted(ctx.offsets, bins, side="right") - 1
+    cand = _Candidates(False, cov_idx, known, row, np.asarray(block)[row], last[bins],
+                       bins - ctx.offsets[row], keys, bins, ctx.offsets)
+    return _count_and_gate(ctx, cand, table=table)
 
 
-def _count_and_gate(ctx: _Context, cand: _Candidates, counters: list[np.ndarray]) -> _Candidates:
+def _count_and_gate(
+    ctx: _Context, cand: _Candidates, counters: list[np.ndarray] | None = None,
+    table: np.ndarray | None = None,
+) -> _Candidates:
     """Count the sides of ``cand`` in the group and both pools, then gate them.
 
-    Sets ``p``, ``n``, ``p_new_pass``, ``p_new_reward`` and ``valid`` from
-    ``counters``, which are ``_pack_counters(ctx)``, and ``cand.covc``.
+    Sets ``p``, ``n``, ``p_new_pass``, ``p_new_reward`` and ``valid``. A
+    numeric block sums ``counters``, which are ``_pack_counters(ctx)``, and
+    keeps ``cand.covc``. A nominal block reads ``table``, the
+    ``_bin_counts`` of its bins, and sets ``covc`` too: a first side is its
+    category's bin, and an attribute's known rows are the covered rows
+    less its missing bin.
     """
-    # counts are whole numbers, exact in any float or integer form
-    cand.p, cand.p_new_pass, cand.p_new_reward = _unpack_counters(
-        ctx.ds.n_examples, [cand.side_sums(col[cand.rows], counts=True) for col in counters]
-    )
+    if cand.numeric:
+        # counts are whole numbers, exact in any float or integer form
+        cand.p, cand.p_new_pass, cand.p_new_reward = _unpack_counters(
+            ctx.ds.n_examples, [cand.side_sums(col[cand.rows], counts=True) for col in counters]
+        )
+    else:
+        # the first attribute's bins hold every covered row
+        known = table[: cand.offsets[1]].sum(axis=0) - table[cand.offsets[1:] - 1]
+        # one interleave of the four counts' rows: each row stays a run of its own
+        first, total = table[cand.bins].T.ravel(), known[cand.row].T.ravel()
+        cand.covc, cand.p, cand.p_new_pass, cand.p_new_reward = _sides(first, total).reshape(4, -1)
     cand.n = cand.covc - cand.p  # every row is in the group or in its contrast
     # same division forms as the pool gate in _grow, so boundaries agree; the
     # layout's last axis runs over the covered rows
@@ -483,16 +519,18 @@ class _Root:
     q: list[np.ndarray] = field(default_factory=list)
 
 
-def _root_step(ctx: _Context, counters: list[np.ndarray]) -> tuple[list[_Candidates], np.ndarray]:
+def _root_step(
+    ctx: _Context, counters: list[np.ndarray], codes: np.ndarray
+) -> tuple[list[_Candidates], np.ndarray]:
     """The first step of a grow: the candidates of the root that are valid
     for the pass's pools, and their raw scores, in block order.
 
     A copy of each root candidate is counted and gated as a sweep would
-    count it. The scores are taken in one ``_score_candidates`` call on
-    the context's first grow step, and again only if the support floor
-    falls below the one they were taken at. A score depends only on its
-    candidate's own counts, so a cached one has the bits a fresh step's
-    would have.
+    count it, from ``counters`` and ``codes``. The scores are taken in one
+    ``_score_candidates`` call on the context's first grow step, and again
+    only if the support floor falls below the one they were taken at. A
+    score depends only on its candidate's own counts, so a cached one has
+    the bits a fresh step's would have.
     """
     ctx.presort()
     root = ctx.root
@@ -506,7 +544,9 @@ def _root_step(ctx: _Context, counters: list[np.ndarray]) -> tuple[list[_Candida
         root.floor = floor
     cands, q = [], []
     for base, scores in zip(root.cands, root.q):
-        cand = _count_and_gate(ctx, copy.copy(base), counters)
+        # the root covers every row, in row order
+        table = None if base.numeric else _bin_counts(base.keys, codes, base.offsets[-1])
+        cand = _count_and_gate(ctx, copy.copy(base), counters, table)
         if cand.valid.any():
             cands.append(cand)
             q.append(scores[cand.valid[base.valid]])
@@ -702,7 +742,8 @@ def _grow(ctx: _Context) -> _Grown | None:
     if np.count_nonzero(ctx.d_u) / ctx.P < params.minsupp_new:
         return None
     blocks = ctx.blocks
-    counters = _pack_counters(ctx)  # d_u and r_u stay fixed for the whole call
+    # d_u and r_u stay fixed for the whole call
+    counters, codes = _pack_counters(ctx), _pack_codes(ctx)
     layout = None  # the last numeric sweep's layout, which covers every later step's rows
     cov = np.ones(ctx.ds.n_examples, dtype=bool)
     conditions: list[Condition] = []
@@ -712,12 +753,12 @@ def _grow(ctx: _Context) -> _Grown | None:
     quality = None
     while True:
         if not conditions:  # full coverage: the root's layout is the presort's
-            cands, q = _root_step(ctx, counters)
+            cands, q = _root_step(ctx, counters, codes)
         else:
             cov_idx = cov.nonzero()[0]
             cands = []
             for block in blocks:
-                cand = _sweep_attribute(ctx, block, cov, cov_idx, counters, layout)
+                cand = _sweep_attribute(ctx, block, cov, cov_idx, counters, layout, codes)
                 if cand is None:
                     continue
                 if cand.numeric:
@@ -1197,6 +1238,9 @@ def mine_all(
         jobs = [(ds, g, params) for g in targets]
     results: dict[str, list[AnnotatedContrastSet]] = {}
     if workers > 1 and len(jobs) > 1:
+        # imported here, so a run that starts no pool never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for g, sets in pool.map(_mine_one, jobs):
                 results[g] = sets

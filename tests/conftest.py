@@ -30,6 +30,7 @@ from csmine.data import (
     _field_text,
     _observed_groups,
     _parse_attribute_line,
+    _quote_if_needed,
     _raw_fields,
     _rule_error,
     derive_groups_survival,
@@ -350,6 +351,42 @@ def parse_arff_reference(
         )
     except ValueError as exc:
         raise ArffError(1, str(exc)) from None
+
+
+def write_arff_reference(ds: DataSet) -> str:
+    """The ARFF text of ``ds`` as the per-row writer that the chunked one
+    replaced made it, kept literal: every cell's string, then one joined
+    string per row, all held at once."""
+    columns = [
+        (a.name, None if a.is_numeric else tuple(map(_quote_if_needed, a.domain)), col)
+        for a, col in zip(ds.attributes, ds._columns)
+    ]
+    if ds.group_codes is not None:
+        columns.append(
+            (ds.group_attr or "group", tuple(map(_quote_if_needed, ds.group_names)), ds.group_codes)
+        )
+    for name, arr in ((ds.label_attr or "label", ds.labels), (ds.time_attr or "time", ds.times),
+                      (ds.status_attr or "status", ds.status)):
+        if arr is not None:
+            columns.append((name, None, arr))
+    names = [name for name, _, _ in columns]
+    if not names:
+        raise ValueError("cannot write a dataset without columns")
+    if len(set(names)) != len(names):
+        raise ValueError(f"cannot write duplicate column names {names!r}")
+    buf = io.StringIO()
+    buf.write(f"@relation {_quote_if_needed(ds.relation)}\n\n")
+    for name, domain, _ in columns:
+        kind = "numeric" if domain is None else "{" + ",".join(domain) + "}"
+        buf.write(f"@attribute {_quote_if_needed(name)} {kind}\n")
+    buf.write("\n@data\n")
+    cells = [
+        ["?" if x != x else repr(x) for x in arr.tolist()] if domain is None
+        else list(map((domain + ("?",)).__getitem__, arr.tolist()))
+        for _, domain, arr in columns
+    ]
+    buf.writelines(",".join(row) + "\n" for row in zip(*cells))
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

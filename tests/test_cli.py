@@ -381,6 +381,36 @@ def test_main_mine_non_finite_label_exit_code(tmp_path, capsys):
     assert "reg.arff: line 22: regression labels must be finite" in err
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_main_mine_non_utf8_input_exit_code(tmp_path, capsys, newline):
+    # a 0xff byte on data line 6, after more text than one read buffer
+    # holds; the line counts CRLF and CR endings as the text reader does
+    text = write_arff(generate_synthetic())
+    head, rows = text.split("@data\n")
+    rows = rows.splitlines()
+    rows[:5] = [row + " " * 3000 for row in rows[:5]]
+    data = (head + "@data\n" + "\n".join(rows) + "\n").replace("\n", newline).encode("utf-8")
+    line = head.count("\n") + 2 + 5
+    at = data.index(rows[5].encode("utf-8")) + 3
+    arff = tmp_path / "latin.arff"
+    arff.write_bytes(data[:at] + b"\xff" + data[at:])
+    cfg = write_config(tmp_path, input=arff, group_column="group", output_csv=tmp_path / "out.csv")
+    assert main(["mine", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {arff}: line {line}: not UTF-8: byte 0xff (invalid start byte)" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # mine_all imports the pool only when it starts one, so a one-worker run
+    # never pays for multiprocessing; a fresh interpreter shows what the import loads
+    env = dict(os.environ, PYTHONPATH=str(Path(csmine.__file__).parents[1]))
+    code = "import sys, csmine.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_mine_near_the_float_maximum_finishes(tmp_path):
     # (1e308 + 1.7e308) / 2 overflows to inf; a cut at inf counted the four
     # lower rows but its condition covered all eight, so growing repeated it

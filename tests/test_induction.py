@@ -6,6 +6,7 @@ per-candidate reference in conftest produces, across measures, penalty
 histories, and gate settings.
 """
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
@@ -612,7 +613,8 @@ def test_root_step_equals_a_fresh_step(measure, make):
                 for _ in range(3):
                     ctx.d_u = pos.copy()
                     for _ in range(2):
-                        got, got_q = induction._root_step(ctx, induction._pack_counters(ctx))
+                        got, got_q = induction._root_step(
+                            ctx, induction._pack_counters(ctx), induction._pack_codes(ctx))
                         want, want_q = _fresh_full_step(ctx)
                         assert [c.numeric for c in got] == [c.numeric for c in want]
                         for a, b in zip(got, want):
@@ -947,6 +949,38 @@ def test_nominal_block_sweep_equals_per_attribute_reference(case):
         Condition(int(a), op, int(v))
         for r in listed for a, v in zip(r["attrs"], r["values"]) for op in (EQ, NE)
     ]
+
+
+def test_nominal_sweep_memory_is_a_few_times_the_narrowed_keys():
+    # one sweep of a 40,000 x 12 nominal block at 60% coverage holds the
+    # covered rows' int32 bins, their intp count keys (twice that) and small
+    # arrays per bin, about 3.1 times the bins in all; an intp copy of the
+    # bins and a float64 copy of the block per counter, as a weighted count
+    # per counter held, came to 4.2 times
+    rng = np.random.default_rng(5)
+    n, k = 40_000, 12
+    attrs = [Attribute(f"c{i}", "nominal", tuple(f"v{j}" for j in range(3 + i % 4))) for i in range(k)]
+    cols = [rng.integers(-1, len(a.domain), n, dtype=np.int32) for a in attrs]
+    groups = rng.integers(0, 2, n, dtype=np.int32)
+    ds = DataSet(attrs, cols, relation="sweep", group_names=("g", "rest"), group_codes=groups)
+    pos = groups == 0
+    ctx = induction._Context.build(ds, "g", MiningParams(minsupp_new=0.05), "correlation",
+                                   d_u=pos & (rng.random(n) < 0.7), minsupp_all=0.05)
+    cov = rng.random(n) < 0.6
+    cov_idx = np.flatnonzero(cov)
+    counters, codes = induction._pack_counters(ctx), induction._pack_codes(ctx)
+    induction._sweep_attribute(ctx, ctx.nominal, cov, cov_idx, counters, None, codes)  # presorts
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cand = induction._sweep_attribute(ctx, ctx.nominal, cov, cov_idx, counters, None, codes)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    keys = k * cov_idx.size * np.dtype(np.int32).itemsize
+    assert cand.keys.dtype == np.int32 and cand.keys.nbytes == keys
+    assert cand.valid.sum() >= 10
+    assert peak < 3.5 * keys
 
 
 @pytest.mark.parametrize("n, columns", [(2**17 - 1, 1), (2**17, 2)])
@@ -1818,9 +1852,17 @@ def _no_pool(*args, **kwargs):
     raise AssertionError("a process pool was started")
 
 
+def test_a_pool_is_started_through_concurrent_futures(monkeypatch):
+    # mine_all imports the pool when it starts one, so the tests below that
+    # refuse a pool patch it where mine_all looks it up
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    with pytest.raises(AssertionError, match="a process pool was started"):
+        mine_all(generate_synthetic(), workers=2)
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
 def test_workers_env_rejects_bad_values(monkeypatch, value):
-    monkeypatch.setattr(induction, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     monkeypatch.setattr(induction, "mine_group", _no_pool)
     monkeypatch.setenv("CSMINE_WORKERS", value)
     with pytest.raises(ValueError, match=f"CSMINE_WORKERS .*got '{re.escape(value)}'"):
@@ -1828,7 +1870,7 @@ def test_workers_env_rejects_bad_values(monkeypatch, value):
 
 
 def test_workers_argument_rejects_values_below_one(monkeypatch):
-    monkeypatch.setattr(induction, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     monkeypatch.setattr(induction, "mine_group", _no_pool)
     for workers in (0, -2):
         with pytest.raises(ValueError, match=f"workers must be .* got {workers}"):
