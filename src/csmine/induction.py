@@ -155,19 +155,13 @@ class _Context:
     pos_label_mean: float = 0.0
     survival_scorer: _LogRankScorer | None = None
     # the presorted numeric block: its attributes, and per attribute its rows
-    # stable-sorted by value with missing cells last, and the values in that
-    # order; the arrays of both blocks, and the root, are built by presort()
-    # on the first sweep or grow step
+    # stable-sorted by value with missing cells last, and the ranks of their
+    # values in that order; the arrays of both blocks, and the root, are
+    # built by presort() on the first sweep or grow step
     numeric: tuple[int, ...] = ()
-    order: np.ndarray | None = None          # (k, n) int32
-    sorted_values: np.ndarray | None = None  # (k, n) float64
-    # facts of the numeric block, recorded by presort(): its attributes as an
-    # array, whether a cell is missing, and whether a cell is infinite or
-    # above 2**1022 in magnitude, the only cells that can make the sum of two
-    # cells overflow or meet the -inf rules of a sweep
-    numeric_attrs: np.ndarray | None = None
-    missing_cells: bool = True
-    wide_cells: bool = True
+    order: np.ndarray | None = None  # (k, n) int32
+    ranks: np.ndarray | None = None  # (k, n) int32, -1 where missing
+    missing_cells: bool = True       # whether a numeric cell is missing, recorded by presort()
     # the nominal block: its attributes, and per attribute each row's bin, its
     # category code plus the attribute's first bin; each attribute's last bin
     # holds its missing cells
@@ -235,12 +229,21 @@ class _Context:
         ds = self.ds
         if self.numeric:
             cols = np.stack([ds.column(ai) for ai in self.numeric])
-            self.numeric_attrs = np.asarray(self.numeric)
-            self.missing_cells = bool(np.isnan(cols).any())
-            self.wide_cells = bool((np.abs(cols) > 2.0**1022).any())
             order = np.argsort(cols, axis=1, kind="stable")
-            self.sorted_values = np.take_along_axis(cols, order, axis=1)
+            values = np.take_along_axis(cols, order, axis=1)
             self.order = order.astype(np.int32)
+            # a rank steps by 0 between equal values, by 1 where their midpoint
+            # rounds down onto the lower one, which only a neighbour one ulp up
+            # can do, and by 2 elsewhere; hi is capped so that DBL_MAX does not
+            # step onto inf, an overflow (their midpoint is inf, a split)
+            lo, hi = values[:, :-1], values[:, 1:]
+            steps = 2 * (hi != lo).astype(np.int32)
+            for r, c in zip(*np.nonzero((np.nextafter(lo, np.minimum(hi, _DBL_MAX)) == hi) & (hi != lo))):
+                steps[r, c] -= _midpoint(lo.item(r, c), hi.item(r, c)) == lo.item(r, c)
+            self.ranks = np.zeros(values.shape, dtype=np.int32)
+            np.cumsum(steps, axis=1, out=self.ranks[:, 1:])
+            self.ranks[np.isnan(values)] = -1
+            self.missing_cells = bool((self.ranks[:, -1] < 0).any())  # missing cells sort last
         if self.nominal:
             bins = [len(ds.attributes[ai].domain) + 1 for ai in self.nominal]
             self.offsets = np.cumsum([0] + bins)
@@ -300,16 +303,16 @@ class _Candidates:
     at once. Its layout has one row per attribute: the covered rows in
     value order (numeric) or stable category order (nominal), missing cells
     last, the first ``known`` of them with a value. A numeric block holds
-    that layout as ``rows`` and its values as ``keys``. A nominal block
-    needs no sort to count: ``rows`` are the covered rows in row order and
-    ``keys`` their (k, m) int32 bins, so one bincount gives every
-    category's counts. Splits run in (attribute, split) order. Split j
-    cuts row ``row[j]`` of the layout: its first side ends at flat position
-    ``last[j]`` and is the whole prefix (``< values[j]``) or the run of
-    category ``values[j]`` (``= values[j]``); its second side is the rest
-    of the known rows. Split j yields candidates 2j and 2j + 1, one
-    per side. ``valid`` marks the candidates that pass both support gates
-    and shrink the coverage; only those are scored.
+    that layout as ``rows`` and the ranks of its values as ``keys``. A
+    nominal block needs no sort to count: ``rows`` are the covered rows in
+    row order and ``keys`` their (k, m) int32 bins, so one bincount gives
+    every category's counts. Splits run in (attribute, split) order. Split
+    j cuts row ``row[j]`` of the layout: its first side ends at flat
+    position ``last[j]`` and is the whole prefix (``<`` a threshold) or the
+    run of the category of bin ``bins[j]``; its second side is the rest of
+    the known rows. Split j yields candidates 2j and 2j + 1, one per side.
+    ``valid`` marks the candidates that pass both support gates and shrink
+    the coverage; only those are scored.
     """
 
     numeric: bool
@@ -318,8 +321,7 @@ class _Candidates:
     row: np.ndarray           # per split: its row of the layout
     attrs: np.ndarray         # attribute index, one per split
     last: np.ndarray
-    values: np.ndarray        # threshold or category code, one per split
-    keys: np.ndarray          # numeric: the layout's values; nominal: each covered row's bins
+    keys: np.ndarray          # numeric: the layout's ranks; nominal: each covered row's bins
     bins: np.ndarray | None = None     # nominal: the bin of each split's category
     offsets: np.ndarray | None = None  # nominal: _Context.offsets
     p: np.ndarray = field(init=False)
@@ -363,12 +365,29 @@ class _Candidates:
                 out[2 * j + 1] = rest.sum()
         return out
 
-    def condition(self, i: int) -> Condition:
-        """The condition of candidate ``i``: side ``i % 2`` of split ``i // 2``."""
+    def condition(self, i: int, ds: DataSet) -> Condition:
+        """The condition of candidate ``i`` over ``ds``: side ``i % 2`` of
+        split ``i // 2``. A threshold is the ``_midpoint`` of the two cells
+        its split cuts between, formed only here."""
         j, side = divmod(i, 2)
+        ai = int(self.attrs[j])
         if self.numeric:
-            return Condition(int(self.attrs[j]), (LT, GE)[side], float(self.values[j]))
-        return Condition(int(self.attrs[j]), (EQ, NE)[side], int(self.values[j]))
+            lo, hi = ds.column(ai)[self.rows.ravel()[self.last[j] : self.last[j] + 2]].tolist()
+            return Condition(ai, (LT, GE)[side], _midpoint(lo, hi))
+        return Condition(ai, (EQ, NE)[side], int(self.bins[j] - self.offsets[self.row[j]]))
+
+
+_DBL_MAX = float(np.finfo(np.float64).max)
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """The threshold between Python floats ``lo < hi``: (lo + hi) / 2, halved
+    first only where two finite values' sum overflows; 0.0 between -inf and
+    +inf, and -DBL_MAX, below which only -inf lies, beside -inf."""
+    if lo == -np.inf:
+        return 0.0 if hi == np.inf else -_DBL_MAX
+    mid = (lo + hi) / 2.0
+    return lo / 2.0 + hi / 2.0 if abs(mid) == np.inf and hi != np.inf else mid
 
 
 def _sides(first: np.ndarray, total) -> np.ndarray:
@@ -399,9 +418,10 @@ def _sweep_attribute(
     ``counters`` are ``_pack_counters(ctx)`` and ``codes``
     ``_pack_codes(ctx)``, each computed here when the block needs it and it
     is not given. The numeric block narrows ``layout`` to the covered rows
-    in one call: the (rows, values) of any earlier step's numeric block, or
+    in one call: the (rows, ranks) of any earlier step's numeric block, or
     by default the full presort. A stable sort of the covered rows is a
-    presorted order with the other rows left out, ties included. The
+    presorted order with the other rows left out, ties included, and a
+    split is a gap of more than 1 between neighbouring ranks. The
     nominal block counts every attribute's categories, in the group and
     both pools too, with one integer bincount of its bins and the codes.
     """
@@ -411,41 +431,22 @@ def _sweep_attribute(
         k = len(block)
         if m < 2:  # no split, and each row below has m - 1 split positions
             return None
-        order, values = layout if layout is not None else (ctx.order, ctx.sorted_values)
+        order, ranks = layout if layout is not None else (ctx.order, ctx.ranks)
         if m == order.shape[1]:  # the layout holds just the covered rows: the root's is the presort
-            rows, key = order, values
+            rows, key = order, ranks
         else:
             # index arrays gather faster than the boolean mask itself
             at = cov[order].ravel().nonzero()[0]
             rows = order.take(at).reshape(k, m)
-            key = values.take(at).reshape(k, m)
-        known = m - np.count_nonzero(np.isnan(key), axis=1) if ctx.missing_cells else np.full(k, m)
-        lo, hi = key[:, :-1], key[:, 1:]
-        if not ctx.wide_cells:  # no sum of two cells reaches 2**1024
-            mids = (lo + hi) / 2.0
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                mids = (lo + hi) / 2.0
-            # halving first keeps a midpoint of two finite values finite; elsewhere
-            # the sum's form is kept, which also keeps the bits of subnormal pairs
-            over = np.isinf(mids)
-            if over.any():
-                over &= np.isfinite(lo) & np.isfinite(hi)
-                mids[over] = lo[over] / 2.0 + hi[over] / 2.0
-            # -inf next to +inf splits at 0.0, and next to a finite value at -DBL_MAX,
-            # below which only -inf lies; a row holds -inf only at its start
-            if (key[:, 0] == -np.inf).any():
-                neg = lo == -np.inf
-                mids[neg & (hi == np.inf)] = 0.0
-                mids[neg & np.isfinite(hi)] = np.finfo(np.float64).min
-        # a split lies between two different values, unless its midpoint rounds
-        # down onto the lower one; next to a missing cell the midpoint is NaN
-        split = ((hi != lo) & (mids > lo)).ravel().nonzero()[0]
+            key = ranks.take(at).reshape(k, m)
+        known = m - np.count_nonzero(key < 0, axis=1) if ctx.missing_cells else np.full(k, m)
+        # values more than 1 rank apart are a neighbour pair whose midpoint lies
+        # above the lower one, or hold a value between them; missing ranks -1
+        split = (key[:, 1:] - key[:, :-1] > 1).ravel().nonzero()[0]
         if split.size == 0:
             return None
         row, cut = np.divmod(split, m - 1)
-        cand = _Candidates(True, rows, known, row, ctx.numeric_attrs[row], row * m + cut,
-                           mids.ravel()[split], key)
+        cand = _Candidates(True, rows, known, row, np.asarray(block)[row], row * m + cut, key)
         cand.covc = _sides((cut + 1).astype(np.int64, copy=False), known[cand.row])
         return _count_and_gate(ctx, cand, counters if counters is not None else _pack_counters(ctx))
     keys = ctx.keys if m == ctx.keys.shape[1] else ctx.keys.take(cov_idx, axis=1)
@@ -462,8 +463,7 @@ def _sweep_attribute(
     if bins.size == 0:
         return None
     row = np.searchsorted(ctx.offsets, bins, side="right") - 1
-    cand = _Candidates(False, cov_idx, known, row, np.asarray(block)[row], last[bins],
-                       bins - ctx.offsets[row], keys, bins, ctx.offsets)
+    cand = _Candidates(False, cov_idx, known, row, np.asarray(block)[row], last[bins], keys, bins, ctx.offsets)
     return _count_and_gate(ctx, cand, table=table)
 
 
@@ -788,7 +788,7 @@ def _grow(ctx: _Context) -> _Grown | None:
             if best < v.size:
                 break
             best -= v.size
-        best_cond = cand.condition(int(v[best]))
+        best_cond = cand.condition(int(v[best]), ctx.ds)
         cov = cov & condition_mask(best_cond, ctx.ds)
         # every step must shrink the coverage to what the sweep counted, so
         # growing cannot repeat a step forever

@@ -7,7 +7,6 @@ histories, and gate settings.
 """
 
 import concurrent.futures
-import dataclasses
 import hashlib
 import math
 import re
@@ -52,6 +51,7 @@ from conftest import (
     condition_tuples,
     continuous,
     count_confusion,
+    midpoints,
     naive_grow,
     naive_prune,
     numeric_split_points,
@@ -393,7 +393,7 @@ def test_sweep_scores_exactly_the_gated_candidates(monkeypatch, measure, make):
                 if cand is None:
                     assert expected == []
                     continue
-                conds = [cand.condition(i) for i in range(cand.p.size)]
+                conds = [cand.condition(i, ds) for i in range(cand.p.size)]
                 assert conds == expected
                 for i, cond in enumerate(conds):
                     side = cov & condition_mask(cond, ds)
@@ -444,7 +444,7 @@ def _step_reference_and_check(ctx, cov):
     cands = [c for c in (induction._sweep_attribute(ctx, b, cov, cov_idx) for b in ctx.blocks) if c is not None]
     got = induction._score_candidates(ctx, cands)
     reference = np.concatenate([survival_scores_reference(scorer, c) for c in cands] + [np.empty(0)])
-    sides = [cov & condition_mask(c.condition(i), ctx.ds) for c in cands for i in np.flatnonzero(c.valid)]
+    sides = [cov & condition_mask(c.condition(i, ctx.ds), ctx.ds) for c in cands for i in np.flatnonzero(c.valid)]
     alone = np.array([-scorer.score(np.flatnonzero(side)) for side in sides])
     assert got.dtype == np.float64
     assert got.tobytes() == reference.tobytes() == alone.tobytes()
@@ -618,8 +618,8 @@ def test_root_step_equals_a_fresh_step(measure, make):
                         want, want_q = _fresh_full_step(ctx)
                         assert [c.numeric for c in got] == [c.numeric for c in want]
                         for a, b in zip(got, want):
-                            assert [a.condition(i) for i in range(a.p.size)] == [
-                                b.condition(i) for i in range(b.p.size)]
+                            assert [a.condition(i, ds) for i in range(a.p.size)] == [
+                                b.condition(i, ds) for i in range(b.p.size)]
                             for name in ("p", "n", "p_new_pass", "p_new_reward", "covc", "valid"):
                                 x, y = getattr(a, name), getattr(b, name)
                                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
@@ -698,14 +698,19 @@ def test_mine_group_builds_the_root_once(monkeypatch):
     assert full_scores == [id(ctx)]
     assert full_sweeps == [True] * len(ctx.blocks)
     numeric, nominal = ctx.root.cands
-    assert np.shares_memory(numeric.rows, ctx.order) and np.shares_memory(numeric.keys, ctx.sorted_values)
+    assert np.shares_memory(numeric.rows, ctx.order) and np.shares_memory(numeric.keys, ctx.ranks)
     assert np.shares_memory(nominal.keys, ctx.keys)
 
 
-# cells that tie, signed zeros, neighbours one ulp apart, a subnormal,
-# neighbours near the float maximum whose sum overflows, and infinities
+# cells that tie, signed zeros, neighbours one ulp apart, subnormals,
+# neighbours near the float maximum whose sum overflows, and infinities; the
+# one-ulp neighbours: DBL_MAX and its predecessor (a halved tie), 1e-323 and
+# 1.5e-323 (a subnormal tie), the last value below 2.0 (a binade edge), and
+# -5e-324 next to -0.0
+_DBL_MAX = np.finfo(np.float64).max
 _CELLS = (np.nan, -0.0, 0.0, 0.5, 1.0, 1.0 + 2.0**-52, -3.25, 5e-324, 1e300, 1e308, 1.7e308, -1.7e308,
-          -np.inf, np.inf)
+          -np.inf, np.inf, _DBL_MAX, np.nextafter(_DBL_MAX, 0.0), 1e-323, 1.5e-323,
+          np.nextafter(2.0, 0.0), 2.0, -5e-324)
 # the extremes alone, so that -inf and +inf often end up next to each other
 _EXTREMES = (np.nan, -1.7e308, 1.7e308, -np.inf, np.inf)
 # finite cells to pair with -inf, -DBL_MAX among them
@@ -766,8 +771,11 @@ def test_numeric_block_sweep_equals_per_attribute_reference(case):
     if not listed:
         assert cand is None
         return
+    # every split's threshold, formed as for a chosen split; by bits, since
+    # == cannot tell -0.0 from 0.0
+    thresholds = np.array([cand.condition(2 * j, ds).value for j in range(cand.last.size)])
     got = {
-        "attrs": cand.attrs, "values": cand.values, "p": cand.p, "n": cand.n,
+        "attrs": cand.attrs, "values": thresholds, "p": cand.p, "n": cand.n,
         "p_new_pass": cand.p_new_pass, "p_new_reward": cand.p_new_reward, "covc": cand.covc,
         "valid": cand.valid, "sums": cand.side_sums(ctx.labels[cand.rows]),
     }
@@ -775,11 +783,12 @@ def test_numeric_block_sweep_equals_per_attribute_reference(case):
         want = np.concatenate([r[name] for r in listed])
         assert value.dtype == want.dtype and value.tobytes() == want.tobytes(), name
     # both sides of every split, in (attribute, split, side) order
-    conds = [cand.condition(i) for i in range(cand.p.size)]
+    conds = [cand.condition(i, ds) for i in range(cand.p.size)]
     assert conds == [
         Condition(int(a), op, float(v))
         for r in listed for a, v in zip(r["attrs"], r["values"]) for op in (LT, GE)
     ]
+    assert all(type(c.value) is float for c in conds)
     # each attribute's row of the layout is the reference's sorted known rows
     for r, ai in enumerate(ctx.numeric):
         if refs[ai] is not None:
@@ -788,47 +797,23 @@ def test_numeric_block_sweep_equals_per_attribute_reference(case):
             assert np.isnan(ds.column(ai)[cand.rows[r, cand.known[r]:]]).all()
 
 
-def _guarded_sweep_equals(ctx, cov):
-    """Sweep the numeric block with the context's facts as presort() read
-    them, then with both forced to present, and compare every field."""
-    cov_idx = np.flatnonzero(cov)
-    fast = induction._sweep_attribute(ctx, ctx.numeric, cov, cov_idx)
-    facts = ctx.missing_cells, ctx.wide_cells
-    ctx.missing_cells = ctx.wide_cells = True
-    try:
-        guarded = induction._sweep_attribute(ctx, ctx.numeric, cov, cov_idx)
-    finally:
-        ctx.missing_cells, ctx.wide_cells = facts
-    assert (fast is None) == (guarded is None)
-    if fast is None:
-        return
-    for f in dataclasses.fields(induction._Candidates):
-        a, b = getattr(fast, f.name), getattr(guarded, f.name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
-        else:
-            assert a == b, f.name
-
-
 @settings(max_examples=400, deadline=None)
 @given(numeric_sweep_cases())
-def test_numeric_sweep_equals_the_guarded_midpoint_sweep(case):
-    # the drawn block, and a copy whose wide cells are replaced by 1.0 so
-    # that the unguarded midpoint is taken on every example
-    ds, cov, d_u, r_u, (minsupp_all, minsupp_new) = case
-    cols = [ds.column(ai) for ai in range(len(ds.attributes))]
-    narrow = [np.where(np.abs(c) > 2.0**1022, 1.0, c) for c in cols]
-    for block in (cols, narrow):
-        data = DataSet(ds.attributes, block, relation="sweep", task="regression",
-                       group_names=ds.group_names, group_codes=ds.group_codes, labels=ds.labels)
-        ctx = induction._Context.build(data, "g", MiningParams(minsupp_new=minsupp_new), "regression",
-                                       d_u=d_u, r_u=r_u, minsupp_all=minsupp_all)
-        ctx.presort()
-        stacked = np.stack(block)
-        assert ctx.missing_cells == bool(np.isnan(stacked).any())
-        assert ctx.wide_cells == bool((np.abs(stacked) > 2.0**1022).any())
-        _guarded_sweep_equals(ctx, cov)
-    assert not ctx.wide_cells
+def test_presort_ranks_are_more_than_one_apart_exactly_where_a_midpoint_splits(case):
+    # for every pair of known cells of a presort row, not only neighbours,
+    # since a narrowed layout puts any two of them next to each other
+    ds = case[0]
+    ctx = induction._Context.build(ds, "g", MiningParams(), "regression")
+    ctx.presort()
+    assert ctx.ranks.dtype == np.int32 and ctx.ranks.shape == ctx.order.shape
+    for r, ai in enumerate(ctx.numeric):
+        values, ranks = ds.column(ai)[ctx.order[r]], ctx.ranks[r]
+        known = ~np.isnan(values)
+        assert (ranks[~known] == -1).all()
+        v, rk = values[known], ranks[known]
+        i, j = np.triu_indices(v.size, 1)
+        splits = (v[i] != v[j]) & (midpoints(v[i], v[j]) > v[i])
+        np.testing.assert_array_equal(rk[j] - rk[i] > 1, splits)
 
 
 def _one_cell_dataset(cell):
@@ -838,34 +823,41 @@ def _one_cell_dataset(cell):
                    group_codes=np.array([0, 1, 0, 1, 0, 1], dtype=np.int32))
 
 
-@pytest.mark.parametrize("cell, missing, wide", [
-    (2.0**1022, False, False),
-    (-(2.0**1022), False, False),
-    (np.nextafter(2.0**1022, np.inf), False, True),
-    (-np.nextafter(2.0**1022, np.inf), False, True),
-    (np.inf, False, True),
-    (-np.inf, False, True),
-    (np.finfo(np.float64).min, False, True),
-    (np.nan, True, False),
-    (5e-324, False, False),
-    (-0.0, False, False),
+@pytest.mark.parametrize("cell, missing", [
+    (2.0**1022, False),
+    (-(2.0**1022), False),
+    (np.nextafter(2.0**1022, np.inf), False),
+    (-np.nextafter(2.0**1022, np.inf), False),
+    (np.inf, False),
+    (-np.inf, False),
+    (np.finfo(np.float64).min, False),
+    (np.nan, True),
+    (5e-324, False),
+    (-0.0, False),
 ], ids=["2^1022", "-2^1022", "above-2^1022", "below--2^1022", "inf", "-inf", "-dbl-max", "nan",
         "subnormal", "minus-zero"])
-def test_presort_records_missing_and_wide_cells(cell, missing, wide):
-    # only a cell above 2**1022 in magnitude can make the sum of two cells
-    # overflow; the guarded and the plain midpoints agree either way
+def test_presort_records_missing_cells(cell, missing):
+    # cells at 2**1022, above which a sum of two cells can overflow, the
+    # infinities and -DBL_MAX; every threshold matches the reference's by bits
     ctx = induction._Context.build(_one_cell_dataset(cell), "g", MiningParams(), "correlation")
     ctx.presort()
-    assert (ctx.missing_cells, ctx.wide_cells) == (missing, wide)
+    assert ctx.missing_cells == missing
     for cov in (np.ones(6, dtype=bool), np.array([1, 1, 0, 1, 1, 0], dtype=bool)):
-        _guarded_sweep_equals(ctx, cov)
+        cov_idx = np.flatnonzero(cov)
+        cand = induction._sweep_attribute(ctx, ctx.numeric, cov, cov_idx)
+        want = np.concatenate([numeric_sweep_reference(ctx, ai, cov_idx)["values"] for ai in ctx.numeric])
+        got = np.array([cand.condition(2 * j, ctx.ds).value for j in range(cand.last.size)])
+        assert got.tobytes() == want.tobytes()
 
 
-def test_sweep_without_missing_or_wide_cells_enters_no_errstate(monkeypatch):
+def test_numeric_sweep_enters_no_errstate(monkeypatch):
+    # the sweep compares integer ranks, so it needs no float guard, wide
+    # cells or not; a chosen split's threshold is formed in Python floats
     ds = continuous(5, 200, 4)
-    ctx = induction._Context.build(ds, "A", MiningParams(minsupp_new=0.05), "correlation", minsupp_all=0.05)
-    ctx.presort()
-    assert not ctx.missing_cells and not ctx.wide_cells
+    cols = [ds.column(ai) for ai in range(len(ds.attributes))]
+    cols[0] = np.where(cols[0] > 1.0, 1.7e308, np.where(cols[0] < -1.0, -np.inf, cols[0]))
+    wide = DataSet(ds.attributes, cols, relation="wide", group_names=ds.group_names,
+                   group_codes=ds.group_codes)
     entered = []
     errstate = np.errstate
 
@@ -873,15 +865,19 @@ def test_sweep_without_missing_or_wide_cells_enters_no_errstate(monkeypatch):
         entered.append(kwargs)
         return errstate(*args, **kwargs)
 
-    monkeypatch.setattr(np, "errstate", counting)
     cov = np.random.default_rng(0).random(ds.n_examples) < 0.6
-    cand = induction._sweep_attribute(ctx, ctx.numeric, cov, np.flatnonzero(cov))
-    assert cand is not None and cand.valid.any()
-    assert entered == []
-    # the guarded path, taken where a cell is wide, enters it once
-    ctx.wide_cells = True
-    induction._sweep_attribute(ctx, ctx.numeric, cov, np.flatnonzero(cov))
-    assert len(entered) == 1
+    for data in (ds, wide):
+        ctx = induction._Context.build(data, "A", MiningParams(minsupp_new=0.05), "correlation",
+                                       minsupp_all=0.05)
+        ctx.presort()
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "errstate", counting)
+            cand = induction._sweep_attribute(ctx, ctx.numeric, cov, np.flatnonzero(cov))
+            conds = [cand.condition(i, data) for i in range(cand.p.size)]
+        assert cand.valid.any() and entered == []
+    # -inf beside a finite value splits at -DBL_MAX, and 1.7e308 beside a
+    # normal value at half of 1.7e308
+    assert {-np.finfo(np.float64).max, 1.7e308 / 2.0} <= {c.value for c in conds if c.attr_index == 0}
 
 
 @st.composite
@@ -936,7 +932,7 @@ def test_nominal_block_sweep_equals_per_attribute_reference(case):
         assert cand is None
         return
     got = {
-        "attrs": cand.attrs, "values": cand.values, "p": cand.p, "n": cand.n,
+        "attrs": cand.attrs, "p": cand.p, "n": cand.n,
         "p_new_pass": cand.p_new_pass, "p_new_reward": cand.p_new_reward, "covc": cand.covc,
         "valid": cand.valid, "sums": cand.side_sums(ctx.labels[cand.rows]),
     }
@@ -944,7 +940,7 @@ def test_nominal_block_sweep_equals_per_attribute_reference(case):
         want = np.concatenate([r[name] for r in listed])
         assert value.dtype == want.dtype and value.tobytes() == want.tobytes(), name
     # both sides of every split, in (attribute, category, side) order
-    conds = [cand.condition(i) for i in range(cand.p.size)]
+    conds = [cand.condition(i, ds) for i in range(cand.p.size)]
     assert conds == [
         Condition(int(a), op, int(v))
         for r in listed for a, v in zip(r["attrs"], r["values"]) for op in (EQ, NE)
@@ -983,6 +979,22 @@ def test_nominal_sweep_memory_is_a_few_times_the_narrowed_keys():
     assert peak < 3.5 * keys
 
 
+def test_numeric_presort_and_layout_hold_int32_ranks():
+    # the presort holds each row's int32 index and the int32 rank of its
+    # value, 8 bytes a cell, where rows and float64 values took 12; a
+    # narrowed layout keeps both as int32
+    ds = continuous(5, 2000, 12)
+    ctx = induction._Context.build(ds, "A", MiningParams(minsupp_new=0.05), "correlation", minsupp_all=0.05)
+    ctx.presort()
+    k, n = len(ctx.numeric), ds.n_examples
+    assert ctx.order.dtype == ctx.ranks.dtype == np.int32
+    assert ctx.order.nbytes + ctx.ranks.nbytes == 8 * k * n
+    cov = np.random.default_rng(1).random(n) < 0.6
+    cand = induction._sweep_attribute(ctx, ctx.numeric, cov, np.flatnonzero(cov))
+    assert cand.rows.dtype == cand.keys.dtype == np.int32
+    assert cand.keys.shape == (k, np.count_nonzero(cov))
+
+
 @pytest.mark.parametrize("n, columns", [(2**17 - 1, 1), (2**17, 2)])
 def test_packed_counts_are_exact_where_the_column_count_changes(n, columns):
     # the packed fields are n.bit_length() bits wide; at 2**17 rows a field
@@ -1002,7 +1014,7 @@ def test_packed_counts_are_exact_where_the_column_count_changes(n, columns):
     for block in ctx.blocks:
         cand = induction._sweep_attribute(ctx, block, cov, np.flatnonzero(cov))
         for i in range(cand.p.size):
-            side = cov & condition_mask(cand.condition(i), ds)
+            side = cov & condition_mask(cand.condition(i, ds), ds)
             want = [int(np.count_nonzero(side & m)) for m in (pos, d_u, r_u, np.True_)]
             assert [cand.p[i], cand.p_new_pass[i], cand.p_new_reward[i], cand.covc[i]] == want
             checked += 1
