@@ -200,7 +200,7 @@ def _format_threshold(x: float) -> str:
 
 
 def render_condition(cond: Condition, ds: DataSet) -> str:
-    attr = ds.attributes[cond.attr_index]
+    attr = ds.attributes[ds.attr_index(cond.attr_index)]
     if cond.op == EQ:
         return f"{attr.name} = {attr.domain[int(cond.value)]}"
     if cond.op == NE:
@@ -230,7 +230,7 @@ def render_conditions(cs: ContrastSet, ds: DataSet) -> str:
             and conds[i + 1].op == LT
             and conds[i + 1].attr_index == c.attr_index
         ):
-            name = ds.attributes[c.attr_index].name
+            name = ds.attributes[ds.attr_index(c.attr_index)].name
             parts.append(
                 f"{name} in [{_format_threshold(c.value)}, "
                 f"{_format_threshold(conds[i + 1].value)})"

@@ -189,8 +189,12 @@ class DataSet:
         return self._columns[self.attr_index(key)]
 
     def attr_index(self, key: int | str) -> int:
+        """The position of the attribute named or at position ``key``;
+        KeyError where there is none."""
         if isinstance(key, int):
-            return key
+            if 0 <= key < len(self.attributes):
+                return key
+            raise KeyError(f"no attribute at position {key}")
         for i, a in enumerate(self.attributes):
             if a.name == key:
                 return i

@@ -83,8 +83,8 @@ class MiningParams:
             raise ValueError("minsupp_new must be in (0, 1]")
         if not self.max_neg2pos >= 0:  # refuses NaN too; inf means no ceiling
             raise ValueError("max_neg2pos must be non-negative")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
+        if not isinstance(self.max_passes, int) or self.max_passes < 1:  # range() takes no float
+            raise ValueError("max_passes must be an integer of at least 1")
         if not 0 <= self.penalty_strength <= 1:
             raise ValueError("penalty_strength must be in [0, 1]")
         if not 0 < self.reward_saturation <= 1:
@@ -144,7 +144,6 @@ class _Context:
     params: MiningParams
     measure: str
     pos: np.ndarray           # bool mask of the group of interest
-    neg: np.ndarray
     P: int
     N: int
     penalty: PenaltyState
@@ -190,9 +189,8 @@ class _Context:
         first sweep or grow step.
         """
         pos = ds.group_mask(group)
-        neg = ~pos
         P = int(np.count_nonzero(pos))
-        N = int(np.count_nonzero(neg))
+        N = pos.size - P
         if P == 0:
             raise ValueError(f"group {group!r} has no examples")
         if N == 0:
@@ -203,7 +201,6 @@ class _Context:
             params=params,
             measure=measure,
             pos=pos,
-            neg=neg,
             P=P,
             N=N,
             penalty=penalty if penalty is not None else PenaltyState(len(ds.attributes)),
@@ -331,7 +328,7 @@ class _Candidates:
     covc: np.ndarray = field(init=False)
     valid: np.ndarray = field(init=False)
 
-    def side_sums(self, x: np.ndarray, counts: bool = False) -> np.ndarray:
+    def side_sums(self, x: np.ndarray) -> np.ndarray:
         """Interleaved first-side/second-side sums of ``x``, one value per ``rows`` entry.
 
         A numeric first side reads its row's running sum at its cut, and the
@@ -341,8 +338,7 @@ class _Candidates:
         were swept alone. Label sums are not exact, so these forms also fix
         the order in which their floats are added. Where a first side and
         its total overflow to the same infinity, the second side is summed
-        from its own rows instead of being NaN; ``counts`` says that every
-        sum of ``x`` is an integer below 2**53, so none can.
+        from its own rows instead of being NaN.
         """
         if self.numeric:
             m = x.shape[1]
@@ -355,7 +351,7 @@ class _Candidates:
             spans = zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
             first, total = per[self.bins], np.array([per[lo : hi - 1].sum() for lo, hi in spans])
         out = _sides(first, total[self.row])
-        if not counts and np.isinf(total).any():
+        if np.isinf(total).any():
             for j in np.flatnonzero(np.isinf(first) & (total[self.row] == first)):
                 r = self.row[j]
                 if self.numeric:
@@ -483,7 +479,7 @@ def _count_and_gate(
     if cand.numeric:
         # counts are whole numbers, exact in any float or integer form
         cand.p, cand.p_new_pass, cand.p_new_reward = _unpack_counters(
-            ctx.ds.n_examples, [cand.side_sums(col[cand.rows], counts=True) for col in counters]
+            ctx.ds.n_examples, [cand.side_sums(col[cand.rows]) for col in counters]
         )
     else:
         # the first attribute's bins hold every covered row
@@ -509,14 +505,14 @@ class _Root:
     ``cands`` are the full-coverage candidates of each block with a
     split, laid out over the presort's own arrays. Once scored, their
     ``valid`` marks the candidates whose raw score ``q`` holds, per block
-    in candidate order: every one that can pass the gates at a support
-    floor of ``floor`` or above, whatever the pools, since a candidate's
-    new positives are among its positives.
+    in candidate order: every one with support of at least minsupp-new
+    that shrinks the coverage. That is every candidate any support floor
+    and pools can pass, since a candidate's new positives are among its
+    positives.
     """
 
     cands: list[_Candidates]
-    floor: float = np.inf
-    q: list[np.ndarray] = field(default_factory=list)
+    q: list[np.ndarray] | None = None
 
 
 def _root_step(
@@ -527,21 +523,17 @@ def _root_step(
 
     A copy of each root candidate is counted and gated as a sweep would
     count it, from ``counters`` and ``codes``. The scores are taken in one
-    ``_score_candidates`` call on the context's first grow step, and again
-    only if the support floor falls below the one they were taken at. A
-    score depends only on its candidate's own counts, so a cached one has
-    the bits a fresh step's would have.
+    ``_score_candidates`` call on the context's first grow step. A score
+    depends only on its candidate's own counts, so a cached one has the
+    bits a fresh step's would have.
     """
     ctx.presort()
     root = ctx.root
-    if ctx.minsupp_all < root.floor:
-        floor = min(ctx.minsupp_all, ctx.params.minsupps[-1])
+    if root.q is None:
         for cand in root.cands:
-            support = cand.p / ctx.P
-            cand.valid = (support >= floor) & (support >= ctx.params.minsupp_new) & (cand.covc < ctx.ds.n_examples)
+            cand.valid = (cand.p / ctx.P >= ctx.params.minsupp_new) & (cand.covc < ctx.ds.n_examples)
         q = _score_candidates(ctx, root.cands)
         root.q = np.split(q, np.cumsum([np.count_nonzero(c.valid) for c in root.cands[:-1]]))
-        root.floor = floor
     cands, q = [], []
     for base, scores in zip(root.cands, root.q):
         # the root covers every row, in row order
@@ -714,12 +706,21 @@ def _known_counts(scorer: _LogRankScorer, covered, missing, r: np.ndarray):
 
 @dataclass
 class _Grown:
-    """A premise: its conditions, the rows all of them cover, and its raw
-    quality where it is already known."""
+    """A premise: its conditions, the rows all of them cover, its raw
+    quality where it is already known, and its ``_bin_counts`` row (covered
+    rows, group rows, pass-pool rows, reward-pool rows), which ``_grow`` and
+    ``_prune`` always set."""
 
     conditions: list[Condition]
     cov: np.ndarray
     quality: float | None = None
+    counts: np.ndarray | None = None
+
+
+def _confusion(ctx: _Context, counts: np.ndarray) -> ConfusionMatrix:
+    """The confusion matrix of a premise's ``_Grown.counts`` row."""
+    covc, p, p_new, _ = counts.tolist()
+    return ConfusionMatrix(p=p, n=covc - p, P=ctx.P, N=ctx.N, p_new=p_new)
 
 
 def _grow(ctx: _Context) -> _Grown | None:
@@ -732,10 +733,11 @@ def _grow(ctx: _Context) -> _Grown | None:
     premise must pass the negative-to-positive ceiling or growing fails.
 
     The first step reads the context's root, so only later steps sweep the
-    covered rows and score their candidates. The premise's raw quality is
-    its last step's score. Correlation and survival score a candidate with
-    the bits of ``_raw_quality``, so they hand it on; regression's swept
-    mean adds its labels in another order, so its premise is scored afresh.
+    covered rows and score their candidates. The premise's counts are its
+    last step's candidate's, and its raw quality is that candidate's score.
+    Correlation and survival score a candidate with the bits of
+    ``_raw_quality``, so they hand it on; regression's swept mean adds its
+    labels in another order, so its premise is scored afresh.
     """
     params = ctx.params
     # same division form as the candidate gate in _sweep_attribute
@@ -783,41 +785,30 @@ def _grow(ctx: _Context) -> _Grown | None:
         # a block holds each of its attributes' candidates in order, so the first
         # of the lowest attribute is the earliest in (attribute, split, side) order
         best = int(widest[np.argmin(attrs[widest])])
-        ai, counted, quality = int(attrs[best]), int(covc[best]), float(q[best])
+        ai, quality = int(attrs[best]), float(q[best])
         for cand, v in zip(cands, valid):
             if best < v.size:
                 break
             best -= v.size
-        best_cond = cand.condition(int(v[best]), ctx.ds)
+        i = int(v[best])
+        row = np.array([cand.covc[i], cand.p[i], cand.p_new_pass[i], cand.p_new_reward[i]])
+        best_cond = cand.condition(i, ctx.ds)
         cov = cov & condition_mask(best_cond, ctx.ds)
         # every step must shrink the coverage to what the sweep counted, so
         # growing cannot repeat a step forever
         applied = int(np.count_nonzero(cov))
-        if applied != counted:
+        if applied != row[0]:
             raise ValueError(
                 f"a grow step on attribute {ctx.ds.attributes[ai].name!r} covers {applied} rows "
-                f"where its sweep counted {counted}"
+                f"where its sweep counted {row[0]}"
             )
         conditions.append(best_cond)
         if not held[ai]:
             held[ai] = True
             spi = None
-    if not conditions:
+    if not conditions or _confusion(ctx, row).neg2pos > params.max_neg2pos:
         return None
-    cm = _counts(ctx, cov)
-    if cm.neg2pos > params.max_neg2pos:
-        return None
-    return _Grown(conditions, cov, None if ctx.measure == "regression" else quality)
-
-
-def _counts(ctx: _Context, cov: np.ndarray) -> ConfusionMatrix:
-    return ConfusionMatrix(
-        p=int(np.count_nonzero(cov & ctx.pos)),
-        n=int(np.count_nonzero(cov & ctx.neg)),
-        P=ctx.P,
-        N=ctx.N,
-        p_new=int(np.count_nonzero(cov & ctx.d_u)),
-    )
+    return _Grown(conditions, cov, None if ctx.measure == "regression" else quality, row)
 
 
 def _raw_quality(ctx: _Context, cov: np.ndarray, cm: ConfusionMatrix) -> float:
@@ -871,11 +862,6 @@ def _modified_quality_of(ctx: _Context, q, p, p_new_reward, spi) -> np.ndarray:
     return _modified(ctx, q, p, p_new_reward, spi)
 
 
-# (added rows, added positives, added reward rows) from a removal's counts
-# of its rows' codes 0-3, code = in the group * 2 + in the reward baseline
-_ADDED = np.array([[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]])
-
-
 def _prune(ctx: _Context, grown: _Grown) -> _Grown:
     """Greedily remove conditions while the modified quality does not drop.
 
@@ -884,38 +870,40 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
     own modified quality; the last removal with the highest quality wins,
     as a running-best scan in premise order would pick (a NaN never wins).
     Stops when no removal qualifies or one condition remains. The result
-    carries its raw quality.
+    carries its raw quality and its counts.
 
     Each row holds how many conditions it fails and the sum of their ids
     (positions in ``grown``). The premise covers the rows that fail none;
     removing condition c adds the rows that fail only c, whose id sum is c,
-    so one bincount over those rows gives every removal's added rows,
-    positives and reward rows. The premise's counts and raw quality are
-    taken once (its quality from ``grown`` where known); a round carries
-    over the taken removal's. The premise rides in a round's arrays as a
-    last entry, a removal of nothing: its id is held by no row, so it adds
-    none, and it is never allowed. The ratio gate, correlation and the
-    multiplier each run once over all entries, so the multiplier's one call
-    also gives the premise's own modified quality. Survival keeps the
-    premise's counts at each grid time, so one bincount of the same rows
-    keyed by (removal, time) gives every removal's sample, and one kernel
-    call scores them. Regression scores each removal that adds rows afresh
-    on its exact coverage, so only it rebuilds the coverage every round;
-    the others rebuild it once, at the end. Both take each removal's added
-    rows as a slice of the single-failure rows sorted by id. Condition
-    masks are rebuilt when needed, so no more than one is held at a time.
+    so one ``_bin_counts`` of those rows keyed by id, with the sweep's
+    membership codes, gives what every removal adds to the premise's
+    counts. The premise's counts and raw quality come from ``grown``, or
+    are taken once where it lacks them; a round carries over the taken
+    removal's. The premise rides in a round's arrays as a last entry, a
+    removal of nothing: its id is held by no row, so it adds none, and it
+    is never allowed. The ratio gate, correlation and the multiplier each
+    run once over all entries, so the multiplier's one call also gives the
+    premise's own modified quality. Survival keeps the premise's counts at
+    each grid time, so one bincount of the same rows keyed by (removal,
+    time) gives every removal's sample, and one kernel call scores them.
+    Regression scores each removal that adds rows afresh on its exact
+    coverage, so only it rebuilds the coverage every round; the others
+    rebuild it once, at the end. Both take each removal's added rows as a
+    slice of the single-failure rows sorted by id. Condition masks are
+    rebuilt when needed, so no more than one is held at a time.
     """
     cov = grown.cov
+    codes = _pack_codes(ctx)
+    row = grown.counts if grown.counts is not None else _bin_counts(cov, codes, 2)[1]
     q0 = grown.quality
     if q0 is None:
-        q0 = _raw_quality(ctx, cov, _counts(ctx, cov))
+        q0 = _raw_quality(ctx, cov, _confusion(ctx, row))
     if len(grown.conditions) <= 1:
-        return _Grown(grown.conditions, cov, q0)
+        return _Grown(grown.conditions, cov, q0, row)
     conditions = list(grown.conditions)
     ids = np.arange(len(conditions) + 1)  # the last id, held by no row, is the premise's
     counts = np.asarray(ctx.penalty.counts)
     attrs = np.array([c.attr_index for c in conditions])
-    n_keys = 4 * ids.size
     fails = np.zeros(ctx.ds.n_examples, dtype=np.int32)
     # wraps past 2**31 on long premises, but a row that fails once holds its id exactly
     id_sum = np.zeros(ctx.ds.n_examples, dtype=np.int32)
@@ -923,9 +911,6 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         miss = ~condition_mask(cond, ctx.ds)
         fails += miss
         id_sum += miss * np.int32(c)
-    code = ctx.pos * 2 + ctx.r_u  # (in the group, in the reward baseline)
-    cm = _counts(ctx, cov)
-    p0, n0, rew0 = cm.p, cm.n, int(np.count_nonzero(cov & ctx.r_u))
     scorer = ctx.survival_scorer
     if scorer is not None:
         premise = _slot_counts(scorer, 0, cov.nonzero()[0], 1)
@@ -933,9 +918,9 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
     while len(conditions) > 1:
         single = (fails == 1).nonzero()[0]
         sid = id_sum[single]
-        per = np.bincount(sid * 4 + code[single], minlength=n_keys).reshape(-1, 4)[ids]
-        added, add_p, add_rew = (per @ _ADDED).T
-        p, n = p0 + add_p, n0 + (added - add_p)
+        rows = row + _bin_counts(sid, codes[single], len(grown.conditions) + 1)[ids]
+        covc, p, _, rew = rows.T
+        added, n = covc - row[0], covc - p
         # ConfusionMatrix.neg2pos: exact products, and p = 0 reads as inf
         ok = np.divide(n * P, p * N, out=np.full(p.size, np.inf), where=p > 0) <= ceiling
         ok[-1] = False
@@ -955,15 +940,15 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
                 for i in scored:
                     cov_i = cov.copy()
                     cov_i[single[starts[i] : ends[i]]] = True
-                    q_rm[i] = _raw_quality(ctx, cov_i, ConfusionMatrix(int(p[i]), int(n[i]), P, N))
+                    q_rm[i] = _raw_quality(ctx, cov_i, _confusion(ctx, rows[i]))
             elif scored.size:
                 q_rm[scored] = -_removal_scores(scorer, single, sid, ids[scored], len(grown.conditions), premise)
-        qmod = _modified_quality_of(ctx, q_rm, p, rew0 + add_rew, _removal_spi(ctx, counts, attrs))
+        qmod = _modified_quality_of(ctx, q_rm, p, rew, _removal_spi(ctx, counts, attrs))
         reach = ok & (qmod >= qmod[-1])
         if not reach.any():
             break
         remove = int((reach & (qmod == qmod[reach].max())).nonzero()[0][-1])
-        p0, n0, rew0, q0 = int(p[remove]), int(n[remove]), rew0 + int(add_rew[remove]), float(q_rm[remove])
+        row, q0 = rows[remove], float(q_rm[remove])
         if scorer is not None:
             more = _slot_counts(scorer, 0, single[starts[remove] : ends[remove]], 1)
             premise = (premise[0] + more[0], premise[1] + more[1])
@@ -977,7 +962,7 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
             cov = fails == 0
     if len(conditions) < len(grown.conditions):
         cov = fails == 0
-    return _Grown(conditions, cov, q0)
+    return _Grown(conditions, cov, q0, row)
 
 
 def _removal_scores(
@@ -1125,7 +1110,7 @@ def mine_group(
                 pruned = _prune(ctx, grown)
                 cov = pruned.cov
                 canon = canonicalize(ContrastSet(tuple(pruned.conditions), group))
-                cm = _counts(ctx, cov)
+                cm = _confusion(ctx, pruned.counts)
                 quality = pruned.quality
                 key = canon.key()
                 duplicate = key in pool_keys

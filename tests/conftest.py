@@ -36,7 +36,7 @@ from csmine.data import (
     derive_groups_survival,
 )
 from csmine.diversity import MULTIPLIER_FLOOR, PenaltyState
-from csmine.induction import _counts, _Grown, _raw_quality
+from csmine.induction import _Grown, _raw_quality
 from csmine import quality
 from csmine.quality import _correlation, _counts as _survival_counts, _LogRankScorer, measure_for_task
 
@@ -1080,7 +1080,7 @@ def prune_rounds_reference(ctx, grown):
     params = ctx.params
     while len(conditions) > 1:
         attrs = [c.attr_index for c in conditions]
-        cm = _counts(ctx, cov)
+        cm = count_confusion(cov, ctx.pos, ctx.d_u)
         rew = int(np.count_nonzero(cov & ctx.r_u))
         q = _raw_quality(ctx, cov, cm)
         q_best = float(_modified_reference(ctx, q, cm.p, rew, _spi_reference(ctx, attrs)))

@@ -11,7 +11,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from csmine import data
-from csmine.contrast import GE, NE, Condition, ContrastSet
+from csmine.contrast import GE, NE, Condition, ContrastSet, condition_mask, render_conditions
 from csmine.data import (
     TASKS,
     ArffError,
@@ -140,6 +140,20 @@ def test_group_lookup():
     with pytest.raises(KeyError, match="no attribute named"):
         ds.attr_index("c")
     assert ds.attr_index("b") == 1
+
+
+@pytest.mark.parametrize("index", [-1, 2], ids=["minus-one", "len"])
+def test_attribute_position_outside_the_dataset_raises_key_error(index):
+    # a position must name an attribute: -1 must not index from the end (a
+    # condition on it would cover by, and print as, b), and len must fail as
+    # an unknown name does, not with IndexError
+    ds = small_ds()
+    cond = Condition(index, GE, 15.0)
+    calls = (lambda: ds.attr_index(index), lambda: ds.column(index), lambda: condition_mask(cond, ds),
+             lambda: render_conditions(ContrastSet((cond,), "g1"), ds))
+    for call in calls:
+        with pytest.raises(KeyError, match=f"no attribute at position {index}"):
+            call()
 
 
 def test_example_view():

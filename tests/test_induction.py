@@ -89,6 +89,9 @@ def test_mining_params_validation():
     MiningParams(max_neg2pos=float("inf"))  # no ceiling
     with pytest.raises(ValueError, match="max_passes"):
         MiningParams(max_passes=0)
+    # a float count of passes would pass the bound, then fail in range()
+    with pytest.raises(ValueError, match="max_passes must be an integer of at least 1"):
+        MiningParams(max_passes=2.0)
     with pytest.raises(ValueError, match="penalty_strength"):
         MiningParams(penalty_strength=-1.0)
     with pytest.raises(ValueError, match=r"penalty_strength must be in \[0, 1\]"):
@@ -630,7 +633,6 @@ def test_root_step_equals_a_fresh_step(measure, make):
                         taken = rng.random(ds.n_examples) < 0.3
                         ctx.d_u = ctx.d_u & ~taken
                         ctx.r_u = ctx.r_u & ~taken
-            assert ctx.root.floor == 0.05
     assert steps == 3 * 2 * 4 * 3 * 2 and scored >= 500
 
 
@@ -1105,7 +1107,7 @@ def test_prune_makes_one_modifier_call_per_round(monkeypatch, task):
         try:
             out = modifier(ctx, q, p, rew, spi)
             cov = np.logical_and.reduce([mask(c, ctx.ds) for c in held])
-            cm = induction._counts(ctx, cov)
+            cm = count_confusion(cov, ctx.pos, ctx.d_u)
             fresh = [np.array([v]) for v in (induction._raw_quality(ctx, cov, cm), cm.p,
                                               int(np.count_nonzero(cov & ctx.r_u)),
                                               ctx.params.penalty_strength
@@ -1291,7 +1293,7 @@ def test_prune_equals_prune_rounds_reference(case):
     assert condition_tuples(got.conditions) == condition_tuples(want.conditions)
     assert got.cov.tobytes() == want.cov.tobytes()
     # the carried quality has the bits of a fresh score of the result
-    assert got.quality == induction._raw_quality(ctx, got.cov, induction._counts(ctx, got.cov))
+    assert got.quality == induction._raw_quality(ctx, got.cov, count_confusion(got.cov, ctx.pos, ctx.d_u))
 
 
 @pytest.mark.parametrize("block_elements", [None, "three-grid"])
@@ -1344,12 +1346,54 @@ def test_grown_and_pruned_premises_carry_their_fresh_quality(make):
             grown = induction._grow(ctx)
             if grown is None:
                 continue
-            fresh = induction._raw_quality(ctx, grown.cov, induction._counts(ctx, grown.cov))
+            fresh = induction._raw_quality(ctx, grown.cov, count_confusion(grown.cov, ctx.pos, ctx.d_u))
             assert grown.quality == (None if measure == "regression" else fresh)
             pruned = induction._prune(ctx, grown)
-            assert pruned.quality == induction._raw_quality(ctx, pruned.cov, induction._counts(ctx, pruned.cov))
+            cm = count_confusion(pruned.cov, ctx.pos, ctx.d_u)
+            assert pruned.quality == induction._raw_quality(ctx, pruned.cov, cm)
             checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("make", [random_classification, random_regression, random_survival],
+                         ids=["correlation", "regression", "survival"])
+def test_grown_and_pruned_premises_carry_their_counts(monkeypatch, make):
+    # grow takes a premise's counts from the sweep that chose its last
+    # condition, prune adds each removal's rows to them, and mine_group
+    # accepts what prune hands back: each must be the premise's covered
+    # rows, group rows, pass-pool rows and reward-pool rows, counted afresh
+    # when returned (mine_group shrinks the pools right after)
+    returned = {"_grow": 0, "_prune": 0}
+    removed = 0
+
+    def checked(fn):
+        def call(ctx, *args):
+            out = fn(ctx, *args)
+            if out is not None:
+                cm = count_confusion(out.cov, ctx.pos, ctx.d_u)
+                want = [cm.p + cm.n, cm.p, cm.p_new, int(np.count_nonzero(out.cov & ctx.r_u))]
+                assert out.counts.tolist() == want
+                returned[fn.__name__] += 1
+            return out
+        return call
+
+    monkeypatch.setattr(induction, "_grow", checked(induction._grow))
+    monkeypatch.setattr(induction, "_prune", checked(induction._prune))
+    for seed in range(3):
+        ds = make(seed + 40, n_min=60, n_max=140)
+        rng = np.random.default_rng(seed)
+        for group in ds.groups[:2]:
+            mine_group(ds, group, MiningParams(minsupps=(0.5, 0.2, 0.1), penalty_strength=0.5))
+        # public prune counts its premise itself, here over other pools than grow's
+        for params, group, unc, rew, pen, level in _grow_cases(ds, rng):
+            cs = grow(ds, group, unc, params, penalty=pen, reward_uncovered=rew, minsupp_all=level)
+            if cs is None:
+                continue
+            pos = ds.group_mask(group)
+            pruned = prune(cs, ds, params, uncovered=_random_pool(rng, pos), penalty=pen,
+                           reward_uncovered=_random_pool(rng, pos))
+            removed += len(cs.conditions) - len(pruned.conditions)
+    assert returned["_grow"] >= 100 and returned["_prune"] >= 100 and removed >= 20
 
 
 def test_prune_allows_a_removal_exactly_at_the_ratio_ceiling():
