@@ -189,11 +189,11 @@ class DataSet:
         return self._columns[self.attr_index(key)]
 
     def attr_index(self, key: int | str) -> int:
-        """The position of the attribute named or at position ``key``;
-        KeyError where there is none."""
-        if isinstance(key, int):
+        """The position of the attribute named or at position ``key``, a
+        Python or numpy integer but not a bool; KeyError where there is none."""
+        if isinstance(key, (int, np.integer)) and not isinstance(key, bool):
             if 0 <= key < len(self.attributes):
-                return key
+                return int(key)
             raise KeyError(f"no attribute at position {key}")
         for i, a in enumerate(self.attributes):
             if a.name == key:

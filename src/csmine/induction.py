@@ -34,7 +34,6 @@ from .contrast import (
 from .data import DataSet, _check_mask
 from .diversity import PenaltyState, _apply_multiplier, _max_similarity, _reward_factor
 from .quality import MEASURES, _correlation, _LogRankScorer, correlation, measure_for_task
-from .quality import _counts as _survival_counts
 
 __all__ = [
     "MiningParams",
@@ -83,7 +82,8 @@ class MiningParams:
             raise ValueError("minsupp_new must be in (0, 1]")
         if not self.max_neg2pos >= 0:  # refuses NaN too; inf means no ceiling
             raise ValueError("max_neg2pos must be non-negative")
-        if not isinstance(self.max_passes, int) or self.max_passes < 1:  # range() takes no float
+        # range() takes no float, and a bool is no count
+        if not isinstance(self.max_passes, int) or isinstance(self.max_passes, bool) or self.max_passes < 1:
             raise ValueError("max_passes must be an integer of at least 1")
         if not 0 <= self.penalty_strength <= 1:
             raise ValueError("penalty_strength must be in [0, 1]")
@@ -575,133 +575,135 @@ def _survival_scores(scorer: _LogRankScorer, cands: list[_Candidates]) -> np.nda
 
     Each needed split (one with a valid side) gets a slot, numeric ones
     first, in candidate order. A numeric cell goes to the first needed
-    split of its layout row that ends at or after it, and a nominal cell
-    to the split of its bin in ``cand.keys``, so no sort is needed; cells
-    past their row's last needed split, and cells of bins with no needed
-    split, go nowhere. A block takes the next slots whose wanted sides
-    number at most ``scorer.block``, or one slot, and one bincount keyed
-    by (slot, grid rank) counts it. A numeric first side is the
-    running sum of its row's slots: each row that begins inside the block
-    first takes away the counts of the row before, so one running sum
-    restarts at every row, and a row that runs past a block carries its
-    sum into the next. A nominal first side is its own slot. Counts are
-    integers, so all of this is exact. A second side is the rest of the
-    covered rows with a known value. One kernel call scores a block's
-    wanted sides.
+    split of its layout row that ends at or after it, and a split's slot
+    adds its row's earlier slots; a nominal cell goes to the split of its
+    bin in ``cand.keys``, so no sort is needed. Other cells go nowhere. A
+    first side is its slot; a second side is its row's known rows, the
+    covered rows less the row's missing cells, less its first side.
+    ``_sample_scores`` counts and scores the wanted sides.
     """
-    slot, cells = [], []           # per counted cell: its slot and data row
-    row, want = [], []             # per needed split: its layout row and wanted sides
+    slot, cells = [], []           # per cell: its slot and data row
+    adds = []                      # per slot: whether it adds the slot before it
+    want, row = [], []             # per wanted side: its slot, and its layout row or -1 for a first side
     miss_row, miss_cells = [], []  # per missing cell: its layout row and data row
-    size = rows = numeric = 0      # slots, layout rows, and slots of the numeric block
+    size = rows = 0                # slots and layout rows so far
     for cand in cands:
         w = cand.valid.reshape(-1, 2)  # (first side, second side) per split
         need = np.flatnonzero(w.any(axis=1))
         if need.size == 0:
             continue
         r = cand.row[need]
+        k, m = cand.keys.shape
         if cand.numeric:
-            k, m = cand.rows.shape
-            ends = cand.last[need]
-            # per layout row, the offset of its last needed split's end, or -1
-            at = np.searchsorted(r, np.arange(k), side="right") - 1
-            last = np.where(r[at] == np.arange(k), ends[at] - np.arange(k) * m, -1)
-            counted = np.flatnonzero(np.arange(m) <= last[:, None])
-            slot.append(np.searchsorted(ends, counted) + size)
-            cells.append(cand.rows.ravel()[counted])
-            missing = np.flatnonzero(np.arange(m) >= cand.known[:, None])
-            miss_cells.append(cand.rows.ravel()[missing])
-            numeric = need.size
+            pos, ends = np.arange(k * m), cand.last[need]
+            at = np.minimum(np.searchsorted(ends, pos), need.size - 1)
+            slot.append(np.where((r[at] == pos // m) & (pos <= ends[at]), at + size, -1))
+            cells.append(cand.rows.ravel())
+            missing = np.flatnonzero(cand.keys < 0)
+            adds.append(np.concatenate(([False], r[1:] == r[:-1])))
         else:
-            k, m = cand.keys.shape
             of_bin = np.full(cand.offsets[-1], -1)
             of_bin[cand.bins[need]] = np.arange(need.size) + size
-            bin_slot = of_bin[cand.keys].ravel()
-            counted = np.flatnonzero(bin_slot >= 0)
-            slot.append(bin_slot[counted])
-            cells.append(cand.rows[counted % m])
+            slot.append(of_bin[cand.keys].ravel())
+            cells.append(np.tile(cand.rows, k))
             missing = np.flatnonzero(cand.keys == (cand.offsets[1:] - 1)[:, None])
-            miss_cells.append(cand.rows[missing % m])
-        row.append(r + rows)
-        want.append(w[need])
+            adds.append(np.zeros(need.size, dtype=bool))
+        miss_cells.append(cells[-1][missing])
+        side = np.flatnonzero(w[need].ravel())
+        want.append((side >> 1) + size)
+        row.append(np.where(side & 1, r[side >> 1] + rows, -1))
         miss_row.append(missing // m + rows)
         size, rows = size + need.size, rows + k
     if not size:
         return np.empty(0)
-    numeric_cells = slot[0].size if numeric else 0  # they come first, in slot order
-    covered = cands[0].rows[0] if cands[0].numeric else cands[0].rows  # every covered row
-    covered = _slot_counts(scorer, 0, covered, 1)
-    slot, cells, row, want = (np.concatenate(x) for x in (slot, cells, row, want))
-    missing = np.concatenate(miss_row), np.concatenate(miss_cells)
-    starts = np.flatnonzero(np.diff(row[:numeric])) + 1  # the numeric rows' first slots
-    sides = np.cumsum(want.sum(axis=1))
+    slot, cells, adds, want, row = (np.concatenate(x) for x in (slot, cells, adds, want, row))
+    covered = scorer.counts(cands[0].rows[0] if cands[0].numeric else cands[0].rows)
+    less = np.concatenate(miss_row), np.concatenate(miss_cells)
+    return _sample_scores(scorer, slot, cells, (want, row, np.full(row.size, -1)), covered, less, adds)
+
+
+def _sample_scores(scorer: _LogRankScorer, slot, rows, samples, origin, less=None, adds=None) -> np.ndarray:
+    """Log-rank statistic of each of ``samples``, in order.
+
+    Each data row of ``rows`` is counted in its ``slot``, -1 for none.
+    ``samples`` holds each sample's slot, base and sign as arrays, slots
+    ascending and every slot of 0..size-1 taken. A sample is its slot's
+    counts, or where its base is not -1, the base's counts plus (sign 1) or
+    less (sign -1) them. A base's counts are ``origin``'s (1, g) counts
+    less those of its ``less`` rows; ``less`` holds their bases, ascending,
+    and their data rows. Where ``adds`` is set, a slot also adds the counts
+    of the slot before it, so a run of such slots counts a running sum.
+
+    A block takes the next slots whose samples number at most
+    ``scorer.block``, or one slot. One bincount keyed by (slot, grid rank)
+    counts a block; a run that goes on past it carries its running sum
+    into the next, and one kernel call scores the block's samples. Counts
+    are integers, so all of this is exact.
+    """
+    keep = slot >= 0
+    slot, rows = slot[keep], rows[keep]
+    s_slot, s_base, s_sign = samples
+    size = int(s_slot[-1]) + 1
+    ends = np.cumsum(np.bincount(s_slot, minlength=size))  # samples of the slots up to each
     bounds = [0]
     while bounds[-1] < size:
-        done = sides[bounds[-1] - 1] if bounds[-1] else 0
-        bounds.append(max(int(np.searchsorted(sides, done + scorer.block, side="right")), bounds[-1] + 1))
+        done = ends[bounds[-1] - 1] if bounds[-1] else 0
+        bounds.append(max(int(np.searchsorted(ends, done + scorer.block, side="right")), bounds[-1] + 1))
+    if len(bounds) > 2:
+        # the running maximum and the suffix minimum of the slots ascend, so a
+        # block's rows lie in one window of each; where slots ascend, that
+        # window holds the block's rows alone
+        lead, trail = np.maximum.accumulate(slot), np.minimum.accumulate(slot[::-1])[::-1]
+    based = s_base >= 0
+    signed = (np.subtract, based & (s_sign < 0)), (np.add, based & (s_sign > 0))
     out = []
-    carry = None
     for b0, b1 in zip(bounds, bounds[1:]):
-        block_slot, block_cells = slot, cells
-        if b0 > 0 or b1 < size:
-            # numeric cells form a run; nominal ones are picked
-            lo, hi = np.searchsorted(slot[:numeric_cells], (b0, b1))
-            pick = np.arange(lo, hi)
-            if b1 > numeric:
-                nominal = slot[numeric_cells:]
-                inside = np.flatnonzero((nominal >= b0) & (nominal < b1))
-                pick = np.concatenate((pick, numeric_cells + inside))
-            block_slot, block_cells = slot[pick], cells[pick]
-        n, d = _slot_counts(scorer, block_slot - b0, block_cells, b1 - b0)
-        nb = max(min(numeric, b1) - b0, 0)  # the block's numeric slots
-        if nb:
-            if carry is not None:
+        s, r = slot, rows
+        if len(bounds) > 2:
+            w0, w1 = np.searchsorted(lead, b0), np.searchsorted(trail, b1)
+            inside = (slot[w0:w1] >= b0) & (slot[w0:w1] < b1)
+            s, r = slot[w0:w1][inside], rows[w0:w1][inside]
+        n, d = scorer.counts(r, s - b0, b1 - b0)
+        at = np.flatnonzero(adds[b0:b1]) if adds is not None else ()
+        if len(at):
+            if at[0] == 0:
                 n[0] += carry[0]
                 d[0] += carry[1]
-            j0, j1 = np.searchsorted(starts, (b0 + 1, b0 + nb))
-            if j0 < j1:
-                at = starts[j0:j1] - b0
+            # the slots from the one before the first that adds to the last
+            # that adds; each slot among them that adds none first takes away
+            # the run before it, so one running sum restarts there
+            lo, hi = max(at[0] - 1, 0), at[-1] + 1
+            run_n, run_d = n[lo:hi], d[lo:hi]
+            at = np.flatnonzero(~adds[b0 + lo + 1 : b0 + hi]) + 1
+            if at.size:
                 runs = np.concatenate(([0], at))
-                n[at] -= np.add.reduceat(n[:nb], runs, axis=0)[:-1]
-                d[at] -= np.add.reduceat(d[:nb], runs, axis=0)[:-1]
-            np.cumsum(n[:nb], axis=0, out=n[:nb])
-            np.cumsum(d[:nb], axis=0, out=d[:nb])
-        # a row that runs on into the next block carries its running sum
-        carry = (n[nb - 1], d[nb - 1]) if b1 < numeric and row[b1 - 1] == row[b1] else None
-        # the wanted sides, in (split, side) order: a first side is its slot's
-        # counts, a second side the rest of its row's known rows
-        side = np.flatnonzero(want[b0:b1].ravel())
-        split, second = side >> 1, (side & 1).astype(bool)[:, None]
-        n, d = n[split], d[split]
-        total_n, total_d = _known_counts(scorer, covered, missing, row[b0:b1][split])
-        np.subtract(total_n, n, out=n, where=second)
-        np.subtract(total_d, d, out=d, where=second)
+                run_n[at] -= np.add.reduceat(run_n, runs, axis=0)[:-1]
+                run_d[at] -= np.add.reduceat(run_d, runs, axis=0)[:-1]
+            np.cumsum(run_n, axis=0, out=run_n)
+            np.cumsum(run_d, axis=0, out=run_d)
+        if adds is not None and b1 < size and adds[b1]:
+            carry = n[-1].copy(), d[-1].copy()
+        j0, j1 = ends[b0 - 1] if b0 else 0, ends[b1 - 1]
+        if j1 - j0 > b1 - b0:  # some slot has more than one sample
+            at = s_slot[j0:j1] - b0
+            n, d = n[at], d[at]
+        base = s_base[j0:j1]
+        if based[j0:j1].any():
+            base_n, base_d = origin
+            if less is not None:
+                # the counts of the less rows of the block's bases lo..hi-1
+                lo, hi = base[based[j0:j1]].min(), base.max() + 1
+                a, z = np.searchsorted(less[0], (lo, hi))
+                if a < z:
+                    less_n, less_d = scorer.counts(less[1][a:z], less[0][a:z] - lo, hi - lo)
+                    at = np.maximum(base - lo, 0)
+                    base_n, base_d = base_n - less_n[at], base_d - less_d[at]
+            for ufunc, where in signed:
+                if where[j0:j1].any():
+                    ufunc(base_n, n, out=n, where=where[j0:j1, None])
+                    ufunc(base_d, d, out=d, where=where[j0:j1, None])
         out.append(scorer.side_scores(n, d))
     return np.concatenate(out)
-
-
-def _slot_counts(scorer: _LogRankScorer, slot, rows: np.ndarray, size: int):
-    """(size, g) at-risk and event counts at each grid time of ``rows``,
-    one sample per slot in 0..size-1."""
-    g = scorer.grid.size
-    return _survival_counts(slot * g + scorer.rank[rows], scorer.events[rows], (size, g))
-
-
-def _known_counts(scorer: _LogRankScorer, covered, missing, r: np.ndarray):
-    """At-risk and event counts of the covered rows with a known value in
-    layout row ``r[i]``, for each i; ``r`` is sorted.
-
-    ``covered`` holds the (1, g) counts of all covered rows, ``missing``
-    the layout row, in order, and the data row of every missing cell.
-    Where no row of ``r`` has one, the counts of all covered rows stand
-    for all.
-    """
-    n, d = covered
-    lo, hi = r[0], r[-1] + 1
-    a, b = np.searchsorted(missing[0], (lo, hi))
-    if a == b:
-        return n, d
-    miss_n, miss_d = _slot_counts(scorer, missing[0][a:b] - lo, missing[1][a:b], hi - lo)
-    return n - miss_n[r - lo], d - miss_d[r - lo]
 
 
 @dataclass
@@ -883,14 +885,14 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
     removal of nothing: its id is held by no row, so it adds none, and it
     is never allowed. The ratio gate, correlation and the multiplier each
     run once over all entries, so the multiplier's one call also gives the
-    premise's own modified quality. Survival keeps the premise's counts at
-    each grid time, so one bincount of the same rows keyed by (removal,
-    time) gives every removal's sample, and one kernel call scores them.
-    Regression scores each removal that adds rows afresh on its exact
-    coverage, so only it rebuilds the coverage every round; the others
-    rebuild it once, at the end. Both take each removal's added rows as a
-    slice of the single-failure rows sorted by id. Condition masks are
-    rebuilt when needed, so no more than one is held at a time.
+    premise's own modified quality. Regression and survival take each
+    removal's added rows as a slice of the single-failure rows sorted by id.
+    Survival keeps the premise's counts at each grid time and hands those
+    rows to ``_sample_scores``, each in its removal's slot with the premise
+    as base. Regression scores each removal that adds rows afresh on its
+    exact coverage, so only it rebuilds the coverage every round; the others
+    rebuild it once, at the end. Condition masks are rebuilt when needed, so
+    no more than one is held at a time.
     """
     cov = grown.cov
     codes = _pack_codes(ctx)
@@ -913,7 +915,7 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         id_sum += miss * np.int32(c)
     scorer = ctx.survival_scorer
     if scorer is not None:
-        premise = _slot_counts(scorer, 0, cov.nonzero()[0], 1)
+        premise = scorer.counts(cov.nonzero()[0])
     P, N, ceiling = ctx.P, ctx.N, ctx.params.max_neg2pos
     while len(conditions) > 1:
         single = (fails == 1).nonzero()[0]
@@ -942,7 +944,11 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
                     cov_i[single[starts[i] : ends[i]]] = True
                     q_rm[i] = _raw_quality(ctx, cov_i, _confusion(ctx, rows[i]))
             elif scored.size:
-                q_rm[scored] = -_removal_scores(scorer, single, sid, ids[scored], len(grown.conditions), premise)
+                at = np.full(ids.size, -1)
+                at[scored] = np.arange(scored.size)
+                k = scored.size
+                q_rm[scored] = -_sample_scores(scorer, np.repeat(at, added), single,
+                                               (np.arange(k), np.zeros(k, int), np.ones(k, int)), premise)
         qmod = _modified_quality_of(ctx, q_rm, p, rew, _removal_spi(ctx, counts, attrs))
         reach = ok & (qmod >= qmod[-1])
         if not reach.any():
@@ -950,7 +956,7 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
         remove = int((reach & (qmod == qmod[reach].max())).nonzero()[0][-1])
         row, q0 = rows[remove], float(q_rm[remove])
         if scorer is not None:
-            more = _slot_counts(scorer, 0, single[starts[remove] : ends[remove]], 1)
+            more = scorer.counts(single[starts[remove] : ends[remove]])
             premise = (premise[0] + more[0], premise[1] + more[1])
         miss = ~condition_mask(conditions[remove], ctx.ds)
         fails -= miss
@@ -963,33 +969,6 @@ def _prune(ctx: _Context, grown: _Grown) -> _Grown:
     if len(conditions) < len(grown.conditions):
         cov = fails == 0
     return _Grown(conditions, cov, q0, row)
-
-
-def _removal_scores(
-    scorer: _LogRankScorer, rows: np.ndarray, row_ids: np.ndarray, ids: np.ndarray, size: int, premise
-) -> np.ndarray:
-    """Log-rank statistic of the premise's sample plus, for each id of
-    ``ids``, the ``rows`` whose entry of ``row_ids`` is that id.
-
-    ``premise`` holds the (1, g) at-risk and event counts of the premise's
-    sample, which no removal's rows overlap; ids are below ``size``, and
-    ``ids`` and ``row_ids`` ascend, so a block of removals takes a run of
-    rows. One bincount keyed by (id, grid rank) counts the removals of a
-    block of at most ``scorer.block``, and one kernel call scores them.
-    """
-    at = np.full(size, -1)
-    at[ids] = np.arange(ids.size)
-    which = at[row_ids]
-    keep = which >= 0
-    rows, which = rows[keep], which[keep]
-    step = scorer.block
-    out = []
-    for j0 in range(0, ids.size, step):
-        j1 = min(j0 + step, ids.size)
-        lo, hi = np.searchsorted(which, (j0, j1))
-        n, d = _slot_counts(scorer, which[lo:hi] - j0, rows[lo:hi], j1 - j0)
-        out.append(scorer.side_scores(n + premise[0], d + premise[1]))
-    return np.concatenate(out)
 
 
 def _resolve_measure(ds: DataSet, params: MiningParams) -> str:
@@ -1171,7 +1150,10 @@ def _worker_count(workers: int | None) -> int:
         name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV) or "1"
     try:
         count = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # inf raises OverflowError
+        count = 0
+    # int() truncates a fraction and reads a bool as 0 or 1
+    if isinstance(value, bool) or not isinstance(value, str) and count != value:
         count = 0
     if count < 1:
         raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")

@@ -251,8 +251,13 @@ class _LogRankScorer:
         return max(1, _BLOCK_ELEMENTS // self.grid.size)
 
     def score(self, indices: np.ndarray) -> float:
-        n1, d1 = _counts(self.rank[indices], self.events[indices], (1, self.grid.size))
-        return float(self.side_scores(n1, d1)[0])
+        return float(self.side_scores(*self.counts(indices))[0])
+
+    def counts(self, rows: np.ndarray, slot=0, size: int = 1):
+        """(size, g) at-risk and event counts at each grid time of ``rows``,
+        one sample per slot in 0..size-1."""
+        g = self.grid.size
+        return _counts(slot * g + self.rank[rows], self.events[rows], (size, g))
 
     def side_scores(self, at_risk: np.ndarray, events: np.ndarray) -> np.ndarray:
         """Statistics of k samples from their (k, g) at-risk and event

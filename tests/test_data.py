@@ -156,6 +156,28 @@ def test_attribute_position_outside_the_dataset_raises_key_error(index):
             call()
 
 
+def test_attribute_position_takes_numpy_integers_and_refuses_bools():
+    # a position read out of a numpy array is a position, not a name; a bool
+    # is neither, so True must not name the attribute at position 1
+    ds = small_ds()
+    cond = Condition(0, GE, 1.5)
+    want = (condition_mask(cond, ds).tolist(), render_conditions(ContrastSet((cond,), "g1"), ds))
+    for index in (np.int64(0), np.int32(0), np.uint8(0)):
+        assert ds.attr_index(index) == 0 and type(ds.attr_index(index)) is int
+        assert ds.column(index) is ds.column(0)
+        cond = Condition(index, GE, 1.5)
+        assert (condition_mask(cond, ds).tolist(), render_conditions(ContrastSet((cond,), "g1"), ds)) == want
+    with pytest.raises(KeyError, match="no attribute at position -1"):
+        ds.attr_index(np.int64(-1))
+    for index in (True, False, np.int64(2)):
+        cond = Condition(index, GE, 1.5)
+        calls = (lambda: ds.attr_index(index), lambda: ds.column(index), lambda: condition_mask(cond, ds),
+                 lambda: render_conditions(ContrastSet((cond,), "g1"), ds))
+        for call in calls:
+            with pytest.raises(KeyError, match="no attribute"):
+                call()
+
+
 def test_example_view():
     ds = small_ds()
     ex = example(ds, 2)

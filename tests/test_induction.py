@@ -92,6 +92,10 @@ def test_mining_params_validation():
     # a float count of passes would pass the bound, then fail in range()
     with pytest.raises(ValueError, match="max_passes must be an integer of at least 1"):
         MiningParams(max_passes=2.0)
+    # a bool is an int to isinstance, but no count of passes
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="max_passes must be an integer of at least 1"):
+            MiningParams(max_passes=flag)
     with pytest.raises(ValueError, match="penalty_strength"):
         MiningParams(penalty_strength=-1.0)
     with pytest.raises(ValueError, match=r"penalty_strength must be in \[0, 1\]"):
@@ -1296,17 +1300,23 @@ def test_prune_equals_prune_rounds_reference(case):
     assert got.quality == induction._raw_quality(ctx, got.cov, count_confusion(got.cov, ctx.pos, ctx.d_u))
 
 
-@pytest.mark.parametrize("block_elements", [None, "three-grid"])
-def test_batched_survival_prune_matches_references_on_distinct_times(monkeypatch, block_elements):
-    # long premises over all-distinct times: a round counts every removal's
-    # sample in one bincount over the premise's counts, and three-grid puts
-    # three removals in each block of counts
+def _distinct_time_survival():
+    """400 rows over 12 continuous attributes, every time distinct."""
     base = continuous(5, 400, 12, "survival")
     rng = np.random.default_rng(17)
     ds = base._replace(times=base.times + rng.uniform(0.0, 0.5, base.n_examples))
     assert np.unique(ds.times).size == ds.n_examples
-    if block_elements:
-        monkeypatch.setattr(quality, "_BLOCK_ELEMENTS", 3 * ds.n_examples)
+    return ds, rng
+
+
+@pytest.mark.parametrize("block_elements", [None, "three-grid", 1])
+def test_batched_survival_prune_matches_references_on_distinct_times(monkeypatch, block_elements):
+    # long premises over all-distinct times: a round counts every removal's
+    # sample in one bincount over the premise's counts; three-grid puts
+    # three removals in each block of counts, and 1 one
+    ds, rng = _distinct_time_survival()
+    size = {None: quality._BLOCK_ELEMENTS, 1: 1, "three-grid": 3 * ds.n_examples}
+    monkeypatch.setattr(quality, "_BLOCK_ELEMENTS", size[block_elements])
     grow_params = MiningParams(minsupps=(0.05,), max_neg2pos=1.0, measure="correlation")
     lengths, removed = [], 0
     for group in ds.groups:
@@ -1328,6 +1338,42 @@ def test_batched_survival_prune_matches_references_on_distinct_times(monkeypatch
             assert condition_tuples(got.conditions) == condition_tuples(naive)
             removed += len(conds) - len(got.conditions)
     assert min(lengths) >= 40 and removed >= 40
+
+
+@pytest.mark.parametrize("block_elements", [1, "three-grid"])
+def test_prune_memory_is_bounded_by_the_block_ceiling(monkeypatch, block_elements):
+    # all-distinct times: a prune round's removals take several blocks of
+    # counts, yet every kernel input holds at most max(_BLOCK_ELEMENTS, 2 g)
+    # elements
+    ds, _ = _distinct_time_survival()
+    g = ds.n_examples
+    monkeypatch.setattr(quality, "_BLOCK_ELEMENTS", {1: 1, "three-grid": 3 * g}[block_elements])
+    bound = max(quality._BLOCK_ELEMENTS, 2 * g)
+    group = ds.groups[0]
+    params = MiningParams(minsupps=(0.05,), max_neg2pos=1.0)
+    conds = list(grow(ds, group, ds.group_mask(group), replace(params, measure="correlation"),
+                      minsupp_all=0.05).conditions)
+    ctx = induction._Context.build(ds, group, params, "survival")
+    inputs, rounds = [], []
+    kernel, modified = quality._log_rank_rows, induction._modified_quality_of
+
+    def recording(n1, d1, n2, d2):
+        assert n1.shape == d1.shape and n1.shape[1] == g
+        inputs.append(n1.size)
+        return kernel(n1, d1, n2, d2)
+
+    def counting(*args):
+        rounds.append(len(inputs))
+        return modified(*args)
+
+    monkeypatch.setattr(quality, "_log_rank_rows", recording)
+    monkeypatch.setattr(induction, "_modified_quality_of", counting)
+    pruned = induction._prune(ctx, induction._Grown(conds, cover(ContrastSet(tuple(conds), group), ds)))
+    assert len(conds) >= 40 and len(pruned.conditions) < len(conds)
+    # each round's kernel calls: several blocks in the first, and in most
+    calls = np.diff([0] + rounds)
+    assert calls[0] > 1 and (calls > 1).sum() > len(rounds) // 2
+    assert max(inputs) <= bound
 
 
 @pytest.mark.parametrize("make", [random_classification, random_regression, random_survival],
@@ -1928,8 +1974,9 @@ def test_workers_env_rejects_bad_values(monkeypatch, value):
 def test_workers_argument_rejects_values_below_one(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     monkeypatch.setattr(induction, "mine_group", _no_pool)
-    for workers in (0, -2):
-        with pytest.raises(ValueError, match=f"workers must be .* got {workers}"):
+    # int() would run 2.7 as 2 processes, and 1.5, True or False as 1 or 0
+    for workers in (0, -2, 2.7, 1.5, True, False, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"workers must be .* got {re.escape(repr(workers))}"):
             mine_all(generate_synthetic(), workers=workers)
 
 
