@@ -291,10 +291,6 @@ class ArffError(ValueError):
 # normal* (quoted normal*)*, so a failed match backtracks in linear time.
 _FIELD = r"""[^,'"]*(?:(?:'[^']*'|"[^"]*")[^,'"]*)*"""
 _FIELDS = re.compile(f"({_FIELD}),")
-# A token of the @data section: a field kept on its line (a newline joins
-# every excluded class) and what ends it, a comma, a newline or the end of
-# the text. With no group, findall returns the tokens whole.
-_TOKENS = re.compile(_FIELD.replace("]", r"\n]") + r"(?:,|\n|\Z)")
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")  # one line and its newline
 # A @data line that holds no row (blank, whitespace only or a % comment), or
 # a sparse row (group 1). \s is str.strip's whitespace. Anchored on the
@@ -302,9 +298,9 @@ _LINE = re.compile(r"[^\n]*\n|[^\n]+")  # one line and its newline
 _ODD_LINE = re.compile(r"\n[^\S\n]*(?:(\{)|(?:%[^\n]*)?(?=\n|\Z))")
 _QUOTED_RUN = re.compile(r"""'([^']*)'|"([^"]*)\"""")
 _QUOTED_SPAN = re.compile(r"""['"].*['"]""", re.S)  # first quote to last
-# The @data section is read by one token scan per chunk of about this many
+# The @data section is read by one _scan_rows per chunk of about this many
 # characters, cut after a newline, so the parse holds the columns plus one
-# chunk's tokens, never a string per cell of the file.
+# chunk's fields, never an object per cell of the file.
 _CHUNK_CHARS = 1 << 18
 # write_arff formats the rows this many cells at a time.
 _WRITE_CELLS = 1 << 14
@@ -334,6 +330,96 @@ def _field_text(raw: str) -> str:
     return raw[:lo].lstrip() + inner + raw[hi:].rstrip()
 
 
+_NL, _COMMA, _QUOTES = ord("\n"), ord(","), (ord("'"), ord('"'))
+
+
+def _run_bounds(kinds: np.ndarray) -> np.ndarray | None:
+    """Which of ``kinds``, the quote and newline bytes of a text in order,
+    open or close a quoted run: a bool mask; None where an opening quote
+    has no closing one on its line.
+
+    A line's first quote opens a run, closed by the next quote of its kind;
+    the first quote after a run opens the next one. Each quote points past
+    the next quote of its kind or newline, and the openers are the quotes
+    these pointers reach from each line's first, found by pointer doubling
+    in about log2(most runs on a line) rounds.
+    """
+    m = kinds.size
+    # the next quote of the same kind or newline; m, past the end, where there is none
+    stop = np.full(m, m)
+    for q in _QUOTES:
+        same = np.flatnonzero((kinds == q) | (kinds == _NL))
+        stop[same[:-1]] = same[1:]
+    quote = kinds != _NL
+    closed = quote & (np.append(kinds, _NL)[stop] == kinds)
+    # past a run lies the next opener or the newline that ends the line's runs
+    jump = np.append(np.where(closed, stop + 1, m), m)
+    opener = np.zeros(m + 1, dtype=bool)
+    opener[0] = True
+    opener[1:m] = kinds[:-1] == _NL
+    # after t rounds, jump steps 2**t runs on and opener holds the runs
+    # fewer than 2**t from their line's first
+    while True:
+        reached = jump[opener]
+        reached = reached[reached < m]
+        if not reached.size:
+            break
+        opener[reached] = True
+        jump = jump[jump]
+    del jump, reached
+    opener = opener[:m] & quote
+    if not closed[opener].all():
+        return None
+    opener[stop[opener]] = True
+    return opener
+
+
+def _scan_rows(rows: str, k: int) -> list[bytes] | None:
+    """The fields of the non-empty ``rows``, lines of ``k`` comma-separated
+    fields each, in row order: a raw field's UTF-8 bytes (lone surrogates
+    pass) without its separator. None where a quote is left open on its
+    line or a row has other than ``k`` fields.
+
+    The commas and newlines outside quoted runs are the separators; each
+    becomes a newline, and one split of the bytes gives the fields.
+    """
+    # each array is dropped once used: the scan's peak adds to the columns'
+    # in the parse's memory bound
+    buf = bytearray(rows, "utf-8", "surrogatepass")  # no multi-byte char holds an ASCII byte
+    b = np.frombuffer(buf, np.uint8)
+    newline = b == _NL
+    comma = b == _COMMA
+    quote = (b == _QUOTES[0]) | (b == _QUOTES[1])
+    if quote.any():
+        events = np.flatnonzero(quote | newline)
+        del quote
+        bounds = _run_bounds(b[events])
+        if bounds is None:
+            return None
+        # a comma from a run's opener to its closer is inside the run
+        edge = np.zeros(b.size, dtype=bool)
+        edge[events[bounds]] = True
+        del events, bounds
+        comma &= ~np.logical_xor.accumulate(edge)
+        del edge
+    seps = np.flatnonzero(comma | newline)
+    del comma
+    # a last row without a newline ends at the end of the text
+    open_end = buf[-1] != _NL
+    n = np.count_nonzero(newline) + open_end
+    del newline
+    if seps.size + open_end != n * k or (b[seps[k - 1 :: k]] != _NL).any():
+        return None
+    b[seps] = _NL
+    del b, seps
+    text = bytes(buf)
+    del buf
+    fields = text.split(b"\n")
+    if not open_end:
+        fields.pop()  # the empty text after the last newline
+    return fields
+
+
 class _Section:
     """The ``@data`` section that starts at ``text[start]``, on line
     ``first``, of rows of ``k`` fields, read a chunk of rows at a time.
@@ -358,10 +444,10 @@ class _Section:
         lines = text.count("\n", start) + (len(text) > start and text[-1] != "\n")
         self.n = lines - len(self.starts)
 
-    def chunks(self) -> Iterator[tuple[list[str], int]]:
+    def chunks(self) -> Iterator[tuple[list[bytes], int]]:
         """The rows, a chunk of about ``_CHUNK_CHARS`` characters at a time:
-        (tokens, first row), ``k`` tokens a row, each a raw field plus one
-        separator character, a comma or, at the end of a row, a newline.
+        (fields, first row), ``k`` fields a row, each the UTF-8 bytes of a
+        raw field without its separator, as ``_scan_rows`` gives them.
 
         A chunk that holds skipped lines is scanned as one copy of the rows
         between them, so skipped lines cost no scan of their own.
@@ -369,8 +455,8 @@ class _Section:
         text, starts, ends, k = self.text, self.starts, self.ends, self.k
         pos, row, i = self.start, 0, 0
         while pos < len(text):
-            # no token holds a newline but at its end, so a cut after one
-            # splits no field, and a skipped line ends at or before the cut
+            # no quoted run holds a newline, so a cut after one splits no
+            # field, and a skipped line ends at or before the cut
             cut = text.find("\n", min(pos + _CHUNK_CHARS, len(text)) - 1) + 1 or len(text)
             j = bisect_left(starts, cut, i)
             # the rows from pos or a skipped line's end to the next skipped line or the cut
@@ -378,25 +464,12 @@ class _Section:
             pos, i = cut, j
             if not rows:
                 continue
-            tokens = _TOKENS.findall(rows)
-            # findall steps over an unterminated quote, so its tokens then
-            # fall short of covering the rows
-            if sum(map(len, tokens)) != len(rows):
+            fields = _scan_rows(rows, k)
+            if fields is None:
                 self.raise_first_bad_row()
-            # the scan ends in an empty match at the end, a last empty field
-            # only after a comma; a last line without a newline gets one
-            if len(tokens) < 2 or tokens[-2][-1] != ",":
-                tokens.pop()
-            if tokens[-1][-1:] != "\n":
-                tokens[-1] += "\n"
-            n = rows.count("\n") + (rows[-1] != "\n")
-            # each token holds at most one newline, at its end, so these n
-            # rows of k fields are n * k tokens with a newline ending every
-            # k-th one
-            if len(tokens) != n * k or any(t[-1] != "\n" for t in dict.fromkeys(tokens[k - 1 :: k])):
-                self.raise_first_bad_row()
-            yield tokens, row
-            row += n
+            yield fields, row
+            row += len(fields) // k
+            del fields  # so that the next scan runs without this chunk's fields
 
     def line(self, row: int) -> int:
         """The line of the ``row``-th row: the skipped lines before it are
@@ -437,21 +510,22 @@ class _Column:
 
     Only a bare ``?`` is a missing cell, read as -1 or NaN; a quoted ``'?'``
     is the text ``?``. Where ``missing`` is given, a missing cell (or a
-    ``nan``) is an error instead. The table of token values lasts across
-    chunks, so each distinct token is decoded once, in order of first
-    appearance. The first that fails ends the decoding, and ``error`` keeps
-    the first row that holds it, with the message.
+    ``nan``) is an error instead. The table of field values, keyed by a
+    raw field's bytes, lasts across chunks, so each distinct field is
+    decoded once, in order of first appearance. The first that fails ends
+    the decoding, and ``error`` keeps the first row that holds it, with the
+    message.
     """
 
     def __init__(self, n: int, name: str, lookup: dict[str, int] | None, missing: str | None):
         self.values = np.empty(n, np.float64 if lookup is None else np.int32)
         self.error: tuple[int, str] | None = None
         self.name, self.lookup, self.missing = name, lookup, missing
-        self.table: dict[str, float] = {}
+        self.table: dict[bytes, float] = {}
 
-    def decode(self, token: str) -> float:
-        """The value of a token, a raw field plus its separator."""
-        raw = token[:-1]
+    def decode(self, token: bytes) -> float:
+        """The value of a token, a raw field's UTF-8 bytes."""
+        raw = token.decode("utf-8", "surrogatepass")
         text = None if raw.strip() == "?" else _field_text(raw)
         if self.lookup is not None:
             if text is not None and text not in self.lookup:
@@ -466,7 +540,7 @@ class _Column:
             raise ValueError(self.missing)
         return value
 
-    def read(self, tokens: list[str], row: int) -> None:
+    def read(self, tokens: list[bytes], row: int) -> None:
         """Decode the column's ``tokens`` of a chunk whose first row is ``row``."""
         if self.error is not None:
             return
@@ -613,6 +687,7 @@ def parse_arff(
     for tokens, row in section.chunks():
         for i, reader in readers.items():
             reader.read(tokens[i::k], row)
+        del tokens  # nor the loop's: the parse holds one chunk's fields at a time
     # in the same column order: each column's first bad cell, then the
     # values DataSet refuses, found here so the error names their line
     columns: dict[int, np.ndarray] = {}

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -82,9 +83,11 @@ class MiningParams:
             raise ValueError("minsupp_new must be in (0, 1]")
         if not self.max_neg2pos >= 0:  # refuses NaN too; inf means no ceiling
             raise ValueError("max_neg2pos must be non-negative")
-        # range() takes no float, and a bool is no count
-        if not isinstance(self.max_passes, int) or isinstance(self.max_passes, bool) or self.max_passes < 1:
+        # range() takes no float, and a bool is no count; a numpy integer is
+        # kept as an int, which the JSON report can write
+        if not isinstance(self.max_passes, Integral) or isinstance(self.max_passes, bool) or self.max_passes < 1:
             raise ValueError("max_passes must be an integer of at least 1")
+        object.__setattr__(self, "max_passes", int(self.max_passes))
         if not 0 <= self.penalty_strength <= 1:
             raise ValueError("penalty_strength must be in [0, 1]")
         if not 0 < self.reward_saturation <= 1:
@@ -232,11 +235,14 @@ class _Context:
             # a rank steps by 0 between equal values, by 1 where their midpoint
             # rounds down onto the lower one, which only a neighbour one ulp up
             # can do, and by 2 elsewhere; hi is capped so that DBL_MAX does not
-            # step onto inf, an overflow (their midpoint is inf, a split)
+            # step onto inf, an overflow (their midpoint is inf, a split). The
+            # midpoint of a finite lo and the next float up is a tie, which
+            # rounds to whichever has even bits, so onto lo exactly where lo's
+            # bits are even; beside -inf it is -DBL_MAX, never -inf
             lo, hi = values[:, :-1], values[:, 1:]
             steps = 2 * (hi != lo).astype(np.int32)
-            for r, c in zip(*np.nonzero((np.nextafter(lo, np.minimum(hi, _DBL_MAX)) == hi) & (hi != lo))):
-                steps[r, c] -= _midpoint(lo.item(r, c), hi.item(r, c)) == lo.item(r, c)
+            one_ulp = (np.nextafter(lo, np.minimum(hi, _DBL_MAX)) == hi) & (hi != lo)
+            steps -= one_ulp & np.isfinite(lo) & ((lo.view(np.int64) & 1) == 0)
             self.ranks = np.zeros(values.shape, dtype=np.int32)
             np.cumsum(steps, axis=1, out=self.ranks[:, 1:])
             self.ranks[np.isnan(values)] = -1

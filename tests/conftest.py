@@ -5,8 +5,8 @@ example at a time through a row view and tested condition by condition,
 growing enumerates every candidate condition one by one, pruning
 re-evaluates every removal from scratch, redundancy compares Python sets of
 row indices one pair at a time, ARFF fields are split one character at a
-time and ARFF data one line at a time, and the survival statistics are
-redone in exact Fraction arithmetic.
+time, an @data chunk by one regex token scan and ARFF data one line at a
+time, and the survival statistics are redone in exact Fraction arithmetic.
 Production code must agree with them bitwise for classification, exactly
 for integer-label regression, and to 1e-9 for survival scores.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -165,6 +166,41 @@ def split_csv_reference(text: str, line_no: int) -> list[str]:
     if quote is not None:
         raise ArffError(line_no, "unterminated quote")
     return fields
+
+
+# ---------------------------------------------------------------------------
+# ARFF @data chunks scanned by one regex
+
+# This is the token scan that the numpy @data scan replaced, kept literal.
+# A token of the @data section: a field kept on its line (a newline joins
+# every excluded class) and what ends it, a comma, a newline or the end of
+# the text. With no group, findall returns the tokens whole.
+_FIELD = r"""[^,'"]*(?:(?:'[^']*'|"[^"]*")[^,'"]*)*"""
+_TOKENS = re.compile(_FIELD.replace("]", r"\n]") + r"(?:,|\n|\Z)")
+
+
+def scan_rows_reference(rows: str, k: int) -> list[bytes] | None:
+    """The fields of the non-empty ``rows``, ``k`` a row, as the UTF-8 bytes
+    of each raw field without its separator; None where a chunk's checks
+    fail: a quote left open on its line, or a row of other than ``k`` fields."""
+    tokens = _TOKENS.findall(rows)
+    # findall steps over an unterminated quote, so its tokens then
+    # fall short of covering the rows
+    if sum(map(len, tokens)) != len(rows):
+        return None
+    # the scan ends in an empty match at the end, a last empty field
+    # only after a comma; a last line without a newline gets one
+    if len(tokens) < 2 or tokens[-2][-1] != ",":
+        tokens.pop()
+    if tokens[-1][-1:] != "\n":
+        tokens[-1] += "\n"
+    n = rows.count("\n") + (rows[-1] != "\n")
+    # each token holds at most one newline, at its end, so these n
+    # rows of k fields are n * k tokens with a newline ending every
+    # k-th one
+    if len(tokens) != n * k or any(t[-1] != "\n" for t in dict.fromkeys(tokens[k - 1 :: k])):
+        return None
+    return [t[:-1].encode("utf-8", "surrogatepass") for t in tokens]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import re
 import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -19,6 +20,7 @@ from csmine.data import (
     DataSet,
     _field_text,
     _raw_fields,
+    _scan_rows,
     derive_groups_regression,
     derive_groups_survival,
     load_arff,
@@ -38,6 +40,7 @@ from conftest import (
     random_classification,
     random_regression,
     random_survival,
+    scan_rows_reference,
     split_csv_reference,
     write_arff_reference,
 )
@@ -439,6 +442,57 @@ def test_raw_fields_match_reference_splitter(text):
 
 
 # ---------------------------------------------------------------------------
+# the numpy @data scan against the regex token scan it replaced
+
+_ROW_CHARS = ",'\"\n\r?é ab\udc80"  # separators, quotes and a lone surrogate among them
+
+
+@st.composite
+def _quoted_runs(draw):
+    """A quoted run, which may hold commas and the other quote kind."""
+    quote = draw(st.sampled_from("'\""))
+    inside = _ROW_CHARS.replace(quote, "").replace("\n", "")
+    return quote + draw(st.text(alphabet=inside, max_size=4)) + quote
+
+
+@st.composite
+def _row_texts(draw):
+    """(rows, k): ``k`` fields a row built of plain text and quoted runs,
+    adjacent runs too, with or without a final newline; some have one
+    character inserted or deleted, which may leave a quote open or a row
+    short or long."""
+    k = draw(st.integers(1, 5))
+    part = st.text(alphabet=" ?éab\r\udc80", max_size=2) | _quoted_runs()
+    field = st.lists(part, max_size=3).map("".join)
+    rows = draw(st.lists(st.lists(field, min_size=k, max_size=k).map(",".join), min_size=1, max_size=5))
+    text = "\n".join(rows) + draw(st.sampled_from(["\n", ""]))
+    edit = draw(st.sampled_from(["none", "insert", "delete"]))
+    at = draw(st.integers(0, len(text)))
+    if edit == "insert":
+        text = text[:at] + draw(st.sampled_from(",'\"\n")) + text[at:]
+    elif edit == "delete":
+        text = text[:at] + text[at + 1 :]
+    return text, k
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_row_texts() | st.tuples(st.text(alphabet=_ROW_CHARS, min_size=1), st.integers(1, 5)))
+@hypothesis.example(("'a,b',\"c'd\"\n", 2))  # commas and the other quote kind inside runs
+@hypothesis.example(("'a''',b\n", 2))  # adjacent runs, the second empty
+@hypothesis.example(("a,'b'\"c\"", 2))  # no final newline
+@hypothesis.example(("'a\nb'\n", 1))  # no run spans two lines
+@hypothesis.example(("a,b,\n", 2))  # an empty field after a last comma, one too many
+@hypothesis.example(("a,b,", 2))
+@hypothesis.example(("\udc80é,'\udc80'\n", 2))
+def test_scan_rows_matches_the_regex_token_scan(case):
+    # the fields the old scan's tokens held, or None where its checks failed
+    rows, k = case
+    if not rows:
+        reject()
+    assert _scan_rows(rows, k) == scan_rows_reference(rows, k)
+
+
+# ---------------------------------------------------------------------------
 # the chunked @data reader against the per-line reference
 
 def _parse_outcome(parse, text, bindings):
@@ -711,10 +765,11 @@ def test_parse_holds_no_more_memory_than_the_per_line_reference():
 
 def test_parse_memory_is_the_columns_plus_one_chunk():
     # the reader's column arrays, the DataSet's copies of them and one chunk
-    # of 2**18 characters, whose tokens (about six characters and 49 bytes
-    # of str header each) take about 12 bytes a character; the bound allows
-    # twice that. Nothing beyond the columns grows with the cell count: a
-    # string per cell of this file traces about 37 MB.
+    # of 2**18 characters: its fields (about five bytes and 33 bytes of
+    # bytes header each, plus a list slot) take about 7 bytes a character,
+    # and the scan's arrays about 5 more while it runs; the bound allows 24.
+    # Nothing beyond the columns grows with the cell count: a string per
+    # cell of this file traces about 37 MB.
     text = _nominal_arff(0, 40_000, 12)
     columns = 13 * 40_000 * np.dtype(np.int32).itemsize  # 12 attributes and the group
     assert _traced_peak(parse_arff, text) < 2 * columns + 24 * 2**18
@@ -726,27 +781,16 @@ def _commented(text):
     return head + "@data\n" + "".join(row + "\n% a note, with 'a quote\n" for row in rows.splitlines())
 
 
-class _CountingPattern:
-    """A compiled pattern that counts its ``findall`` calls."""
-
-    def __init__(self, pattern):
-        self.pattern, self.calls = pattern, 0
-
-    def findall(self, *args):
-        self.calls += 1
-        return self.pattern.findall(*args)
-
-
 def test_a_comment_after_every_row_costs_no_scan_of_its_own(monkeypatch):
-    # one token scan per chunk of the section, not one per run of rows
-    # between comments (about 40,000 here)
+    # one scan per chunk of the section, not one per run of rows between
+    # comments (about 40,000 here)
     text = _nominal_arff(0, 40_000, 12)
     commented = _commented(text)
-    scans = _CountingPattern(data._TOKENS)
-    monkeypatch.setattr(data, "_TOKENS", scans)
+    scans = []
+    monkeypatch.setattr(data, "_scan_rows", lambda *args: scans.append(1) or _scan_rows(*args))
     got = parse_arff(commented, group="class")
     section = len(commented) - commented.index("@data\n") - len("@data\n")
-    assert scans.calls <= -(-section // 2**18) + 1
+    assert 0 < len(scans) <= -(-section // 2**18) + 1
     _assert_datasets_equal(got, parse_arff(text, group="class"))
 
 

@@ -196,6 +196,15 @@ def test_json_report_document_shape():
     assert first["support"] == first["p"] / first["P"]
 
 
+def test_numpy_integer_pass_count_is_kept_as_an_int_the_json_report_writes():
+    # a count of passes read out of a numpy array is a count; stored as
+    # np.int64 it would reach json.dumps through asdict(params) and fail
+    ds, _, results = synthetic_run()
+    params = MiningParams(max_passes=np.int64(3))
+    assert params.max_passes == 3 and type(params.max_passes) is int
+    assert json.loads(write_json_report(results, ds, params))["params"]["max_passes"] == 3
+
+
 def test_json_report_with_threshold_lists_filtered_sets():
     ds, params, results = synthetic_run()
     doc = json.loads(write_json_report(results, ds, params, redundancy_threshold=0.5))
