@@ -267,6 +267,8 @@ def parse_conditions(text: str, group: str, ds: DataSet) -> ContrastSet:
             m = _INTERVAL_RE.match(part)
             if m:
                 ai = _attr_index(ds, m.group("name"))
+                if not ds.attributes[ai].is_numeric:
+                    raise ValueError(f"numeric test on nominal attribute {m.group('name')!r}")
                 lo, hi = m.group("a").strip(), m.group("b").strip()
                 if lo != "-inf":
                     conditions.append(Condition(ai, GE, float(lo)))

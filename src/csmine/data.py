@@ -118,15 +118,7 @@ class DataSet:
             raise ValueError("duplicate attribute names")
         if len(columns) != len(attributes):
             raise ValueError("one column per attribute required")
-        sizes = {len(c) for c in columns}
-        if group_codes is not None:
-            sizes.add(len(group_codes))
-        if labels is not None:
-            sizes.add(len(labels))
-        if times is not None:
-            sizes.add(len(times))
-        if status is not None:
-            sizes.add(len(status))
+        sizes = {len(c) for c in (*columns, group_codes, labels, times, status) if c is not None}
         if len(sizes) > 1:
             raise ValueError("column lengths disagree")
         self._n = sizes.pop() if sizes else 0
@@ -286,11 +278,6 @@ class ArffError(ValueError):
         self.line = line
 
 
-# A field is a run of unquoted characters other than a comma and of quoted
-# runs, which may hold commas and the other quote character; unrolled as
-# normal* (quoted normal*)*, so a failed match backtracks in linear time.
-_FIELD = r"""[^,'"]*(?:(?:'[^']*'|"[^"]*")[^,'"]*)*"""
-_FIELDS = re.compile(f"({_FIELD}),")
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")  # one line and its newline
 # A @data line that holds no row (blank, whitespace only or a % comment), or
 # a sparse row (group 1). \s is str.strip's whitespace. Anchored on the
@@ -304,17 +291,6 @@ _QUOTED_SPAN = re.compile(r"""['"].*['"]""", re.S)  # first quote to last
 _CHUNK_CHARS = 1 << 18
 # write_arff formats the rows this many cells at a time.
 _WRITE_CELLS = 1 << 14
-
-
-def _raw_fields(text: str, line_no: int) -> list[str]:
-    """The raw fields of a comma-separated ARFF record, quotes and all."""
-    text += ","  # the extra comma ends the last field
-    fields = _FIELDS.findall(text)
-    # findall skips over an unterminated quote, so the fields then fall
-    # short of covering the whole record
-    if sum(map(len, fields)) + len(fields) != len(text):
-        raise ArffError(line_no, "unterminated quote")
-    return fields
 
 
 def _field_text(raw: str) -> str:
@@ -333,16 +309,17 @@ def _field_text(raw: str) -> str:
 _NL, _COMMA, _QUOTES = ord("\n"), ord(","), (ord("'"), ord('"'))
 
 
-def _run_bounds(kinds: np.ndarray) -> np.ndarray | None:
+def _run_bounds(kinds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which of ``kinds``, the quote and newline bytes of a text in order,
-    open or close a quoted run: a bool mask; None where an opening quote
-    has no closing one on its line.
+    open or close a quoted run, and which open one that no quote closes on
+    their line: two bool masks.
 
     A line's first quote opens a run, closed by the next quote of its kind;
     the first quote after a run opens the next one. Each quote points past
     the next quote of its kind or newline, and the openers are the quotes
     these pointers reach from each line's first, found by pointer doubling
-    in about log2(most runs on a line) rounds.
+    in about log2(most runs on a line) rounds. An opener left open is the
+    last of its line, and it bounds no run.
     """
     m = kinds.size
     # the next quote of the same kind or newline; m, past the end, where there is none
@@ -368,56 +345,76 @@ def _run_bounds(kinds: np.ndarray) -> np.ndarray | None:
         jump = jump[jump]
     del jump, reached
     opener = opener[:m] & quote
-    if not closed[opener].all():
-        return None
+    unclosed = opener & ~closed
+    opener ^= unclosed
     opener[stop[opener]] = True
-    return opener
+    return opener, unclosed
 
 
-def _scan_rows(rows: str, k: int) -> list[bytes] | None:
-    """The fields of the non-empty ``rows``, lines of ``k`` comma-separated
-    fields each, in row order: a raw field's UTF-8 bytes (lone surrogates
-    pass) without its separator. None where a quote is left open on its
-    line or a row has other than ``k`` fields.
-
-    The commas and newlines outside quoted runs are the separators; each
-    becomes a newline, and one split of the bytes gives the fields.
+def _separators(text: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """The ARFF field grammar: ``text``'s UTF-8 bytes (lone surrogates
+    pass), the positions of its separators (the commas and newlines outside
+    quoted runs), and the position of its first quote left open on its
+    line, or -1. That quote bounds no run, so earlier lines split as ever.
     """
     # each array is dropped once used: the scan's peak adds to the columns'
     # in the parse's memory bound
-    buf = bytearray(rows, "utf-8", "surrogatepass")  # no multi-byte char holds an ASCII byte
-    b = np.frombuffer(buf, np.uint8)
+    b = np.frombuffer(bytearray(text, "utf-8", "surrogatepass"), np.uint8)  # no multi-byte char holds an ASCII byte
     newline = b == _NL
-    comma = b == _COMMA
+    seps = b == _COMMA
     quote = (b == _QUOTES[0]) | (b == _QUOTES[1])
+    open_at = -1
     if quote.any():
         events = np.flatnonzero(quote | newline)
         del quote
-        bounds = _run_bounds(b[events])
-        if bounds is None:
-            return None
+        bounds, unclosed = _run_bounds(b[events])
+        if unclosed.any():
+            open_at = int(events[unclosed.argmax()])
         # a comma from a run's opener to its closer is inside the run
         edge = np.zeros(b.size, dtype=bool)
         edge[events[bounds]] = True
-        del events, bounds
-        comma &= ~np.logical_xor.accumulate(edge)
+        del events, bounds, unclosed
+        seps &= ~np.logical_xor.accumulate(edge)
         del edge
-    seps = np.flatnonzero(comma | newline)
-    del comma
-    # a last row without a newline ends at the end of the text
-    open_end = buf[-1] != _NL
-    n = np.count_nonzero(newline) + open_end
+    seps |= newline
     del newline
-    if seps.size + open_end != n * k or (b[seps[k - 1 :: k]] != _NL).any():
-        return None
+    return b, np.flatnonzero(seps), open_at
+
+
+def _split(b: np.ndarray, seps: np.ndarray) -> list[bytes]:
+    """The fields of the bytes ``b`` between the separators at ``seps``:
+    each becomes a newline, and one split of the bytes gives every field."""
     b[seps] = _NL
-    del b, seps
-    text = bytes(buf)
-    del buf
-    fields = text.split(b"\n")
-    if not open_end:
-        fields.pop()  # the empty text after the last newline
-    return fields
+    return b.tobytes().split(b"\n")
+
+
+def _scan_rows(rows: str, k: int) -> list[bytes] | tuple[int, str]:
+    """The fields of the non-empty ``rows``, lines of ``k`` fields each, in
+    row order: a raw field's UTF-8 bytes (lone surrogates pass) without its
+    separator. Where a row leaves a quote open or has other than ``k``
+    fields, the first such row instead, with its error; on one row, the
+    open quote's. Only a chunk that fails the shape check looks for it.
+    """
+    b, seps, open_at = _separators(rows)
+    # a last row without a newline ends at the end of the text
+    open_end = rows[-1] != "\n"
+    n = rows.count("\n") + open_end
+    # k separators a row, every k-th a newline
+    if open_at < 0 and seps.size + open_end == n * k and (b[seps[k - 1 :: k]] == _NL).all():
+        fields = _split(b, seps)
+        if not open_end:
+            fields.pop()  # the empty text after the last newline
+        return fields
+    # a separator's row, a newline ending its own; a row's fields are its
+    # separators, one more on a last row without a newline
+    newlines = np.flatnonzero(b == _NL)
+    fields = np.bincount(np.searchsorted(newlines, seps), minlength=n)
+    fields[-1] += open_end
+    quoted = n if open_at < 0 else int(np.searchsorted(newlines, open_at))
+    bad = np.flatnonzero(fields[:quoted] != k)
+    if bad.size:
+        return int(bad[0]), f"expected {k} values, found {fields[bad[0]]}"
+    return quoted, "unterminated quote"
 
 
 class _Section:
@@ -425,39 +422,46 @@ class _Section:
     ``first``, of rows of ``k`` fields, read a chunk of rows at a time.
 
     Blank, whitespace-only and ``%`` lines are skipped; ``starts`` and
-    ``ends`` hold their spans, and ``n`` counts the rows. A malformed row,
-    wherever it is, makes the section walk its lines from the start to raise
-    the error of the first bad one; only a malformed section is walked.
+    ``ends`` hold their spans, and ``n`` counts the rows. A sparse row ends
+    the section at ``end``, and raises once the rows before it are read.
+    Each chunk's scan finds the chunk's first malformed row, so reading the
+    rows in order raises the error of the section's first.
     """
 
     def __init__(self, text: str, start: int, first: int, k: int):
         self.text, self.start, self.first, self.k = text, start, first, k
+        self.end = len(text)
         # a skipped line's span, newline included: a match starts at the
         # newline before its line and ends before the line's own
         self.starts, self.ends = array("q"), array("q")
         for m in _ODD_LINE.finditer(text, start - 1):
             if m.group(1):
-                self.raise_first_bad_row()
-            elif m.start() < len(text) - 1:  # not the empty text after a final newline
+                self.end = m.start() + 1
+                break
+            if m.start() < len(text) - 1:  # not the empty text after a final newline
                 self.starts.append(m.start() + 1)
                 self.ends.append(m.end() + 1)
-        lines = text.count("\n", start) + (len(text) > start and text[-1] != "\n")
+        end = self.end
+        lines = text.count("\n", start, end) + (end > start and text[end - 1] != "\n")
         self.n = lines - len(self.starts)
+        if end < len(text):
+            self.fail(self.line(self.n), "sparse data rows are not supported")
 
     def chunks(self) -> Iterator[tuple[list[bytes], int]]:
         """The rows, a chunk of about ``_CHUNK_CHARS`` characters at a time:
         (fields, first row), ``k`` fields a row, each the UTF-8 bytes of a
-        raw field without its separator, as ``_scan_rows`` gives them.
+        raw field without its separator, as ``_scan_rows`` gives them; a
+        malformed row raises its error.
 
         A chunk that holds skipped lines is scanned as one copy of the rows
         between them, so skipped lines cost no scan of their own.
         """
-        text, starts, ends, k = self.text, self.starts, self.ends, self.k
+        text, starts, ends, k, end = self.text, self.starts, self.ends, self.k, self.end
         pos, row, i = self.start, 0, 0
-        while pos < len(text):
+        while pos < end:
             # no quoted run holds a newline, so a cut after one splits no
             # field, and a skipped line ends at or before the cut
-            cut = text.find("\n", min(pos + _CHUNK_CHARS, len(text)) - 1) + 1 or len(text)
+            cut = text.find("\n", min(pos + _CHUNK_CHARS, end) - 1, end) + 1 or end
             j = bisect_left(starts, cut, i)
             # the rows from pos or a skipped line's end to the next skipped line or the cut
             rows = "".join(text[a:b] for a, b in zip([pos, *ends[i:j]], [*starts[i:j], cut]))
@@ -465,8 +469,9 @@ class _Section:
             if not rows:
                 continue
             fields = _scan_rows(rows, k)
-            if fields is None:
-                self.raise_first_bad_row()
+            if isinstance(fields, tuple):
+                bad, message = fields
+                raise ArffError(self.line(row + bad), message)
             yield fields, row
             row += len(fields) // k
             del fields  # so that the next scan runs without this chunk's fields
@@ -488,20 +493,6 @@ class _Section:
         for _ in self.chunks():
             pass
         raise ArffError(line, message)
-
-    def raise_first_bad_row(self) -> NoReturn:
-        """Raise the error of the section's first malformed row, walking it
-        line by line."""
-        for line_no, raw in enumerate(self.text[self.start :].split("\n"), start=self.first):
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            if line.startswith("{"):
-                raise ArffError(line_no, "sparse data rows are not supported")
-            fields = _raw_fields(line, line_no)
-            if len(fields) != self.k:
-                raise ArffError(line_no, f"expected {self.k} values, found {len(fields)}")
-        raise AssertionError("the @data scan failed on a section whose every row is well formed")
 
 
 class _Column:
@@ -580,7 +571,10 @@ def _parse_attribute_line(rest: str, line_no: int) -> Attribute:
     if type_part.startswith("{"):
         if not type_part.endswith("}"):
             raise ArffError(line_no, "unterminated nominal domain")
-        values = [_field_text(f) for f in _raw_fields(type_part[1:-1], line_no)]
+        b, seps, open_at = _separators(type_part[1:-1])
+        if open_at >= 0:
+            raise ArffError(line_no, "unterminated quote")
+        values = [_field_text(f.decode("utf-8", "surrogatepass")) for f in _split(b, seps)]
         if any(v == "" for v in values):
             raise ArffError(line_no, f"empty value in nominal domain of {name!r}")
         try:
@@ -862,11 +856,6 @@ def _write_text(text: str, out) -> str:
     return text
 
 
-def _median(values: np.ndarray) -> float:
-    """Median as the mean of the two central order statistics for even counts."""
-    return float(np.median(values))
-
-
 def derive_groups_regression(ds: DataSet, label: str | None = None) -> DataSet:
     """Split examples into groups G1 (label below the median) and G2 (at or
     above). The label stays bound as the regression target.
@@ -880,7 +869,7 @@ def derive_groups_regression(ds: DataSet, label: str | None = None) -> DataSet:
         raise ValueError("no label column bound")
     if np.isnan(ds.labels).any():
         raise ValueError("labels contain missing values")
-    med = _median(ds.labels)
+    med = float(np.median(ds.labels))  # the mean of the two central values for an even count
     below = ds.labels < med
     if not below.any() or below.all():
         raise ValueError("cannot split on the label median: one group would be empty")
@@ -904,7 +893,7 @@ def derive_groups_survival(
         ds = _bind_numeric(ds, status, "status")
     if ds.times is None or ds.status is None:
         raise ValueError("no time/status columns bound")
-    med = _median(ds.times)
+    med = float(np.median(ds.times))
     event = ds.status == 1
     g1 = event & (ds.times < med)
     g2 = ds.times >= med

@@ -43,7 +43,7 @@ CSV_COLUMNS = (
 )
 # what _read_set needs of a record: the CSV fields after the group, plus
 # the group sizes, which a CSV reader takes from the dataset
-_RECORD_FIELDS = CSV_COLUMNS[1:] + ("P", "N")
+_RECORD_KEYS = CSV_COLUMNS[1:] + ("P", "N")
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def _read_set(rec, g: str, ds: DataSet, where: str = "", sizes: dict | None = No
         rec["P"], rec["N"] = sizes[g], ds.n_examples - sizes[g]
     if not isinstance(rec, dict):
         raise ValueError(f"{at}: a set must be an object of fields, got {rec!r}")
-    missing = [k for k in _RECORD_FIELDS if k not in rec]
+    missing = [k for k in _RECORD_KEYS if k not in rec]
     if missing:
         raise ValueError(f"{at}: a set lacks the field {missing[0]!r}")
     if not isinstance(rec["conditions"], str):
@@ -269,7 +269,10 @@ def read_json_report(source, ds: DataSet) -> dict[str, list[AnnotatedContrastSet
     ``Path``, a string without a newline as a path, any other string as
     the report text.
     """
-    doc = json.loads(_read_text(source))
+    try:
+        doc = json.loads(_read_text(source))
+    except RecursionError:  # json's decoder recurses once per nested array or object
+        raise ValueError("a JSON report must not nest arrays or objects this deeply") from None
     groups = doc.get("groups") if isinstance(doc, dict) else None
     if not isinstance(groups, dict) or not all(isinstance(sets, list) for sets in groups.values()):
         raise ValueError('a JSON report must be an object whose "groups" maps each group to a list of sets')

@@ -5,8 +5,9 @@ example at a time through a row view and tested condition by condition,
 growing enumerates every candidate condition one by one, pruning
 re-evaluates every removal from scratch, redundancy compares Python sets of
 row indices one pair at a time, ARFF fields are split one character at a
-time, an @data chunk by one regex token scan and ARFF data one line at a
-time, and the survival statistics are redone in exact Fraction arithmetic.
+time or by the field regex the numpy scan replaced, an @data chunk by one
+regex token scan and ARFF data one line at a time, and the survival
+statistics are redone in exact Fraction arithmetic.
 Production code must agree with them bitwise for classification, exactly
 for integer-label regression, and to 1e-9 for survival scores.
 """
@@ -32,7 +33,6 @@ from csmine.data import (
     _observed_groups,
     _parse_attribute_line,
     _quote_if_needed,
-    _raw_fields,
     _rule_error,
     derive_groups_survival,
 )
@@ -169,13 +169,31 @@ def split_csv_reference(text: str, line_no: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# ARFF @data chunks scanned by one regex
+# ARFF fields and @data chunks split by regex
+
+# A field is a run of unquoted characters other than a comma and of quoted
+# runs, which may hold commas and the other quote character; unrolled as
+# normal* (quoted normal*)*, so a failed match backtracks in linear time.
+_FIELD = r"""[^,'"]*(?:(?:'[^']*'|"[^"]*")[^,'"]*)*"""
+_FIELDS = re.compile(f"({_FIELD}),")
+
+
+def raw_fields_reference(text: str, line_no: int) -> list[str]:
+    """The raw fields of one comma-separated ARFF record, quotes and all,
+    split by the field regex the numpy scan replaced, kept literal."""
+    text += ","  # the extra comma ends the last field
+    fields = _FIELDS.findall(text)
+    # findall skips over an unterminated quote, so the fields then fall
+    # short of covering the whole record
+    if sum(map(len, fields)) + len(fields) != len(text):
+        raise ArffError(line_no, "unterminated quote")
+    return fields
+
 
 # This is the token scan that the numpy @data scan replaced, kept literal.
 # A token of the @data section: a field kept on its line (a newline joins
 # every excluded class) and what ends it, a comma, a newline or the end of
 # the text. With no group, findall returns the tokens whole.
-_FIELD = r"""[^,'"]*(?:(?:'[^']*'|"[^"]*")[^,'"]*)*"""
 _TOKENS = re.compile(_FIELD.replace("]", r"\n]") + r"(?:,|\n|\Z)")
 
 
@@ -208,7 +226,7 @@ def scan_rows_reference(rows: str, k: int) -> list[bytes] | None:
 
 # This is the parser that the one-scan @data reader replaced, kept literal:
 # each @data line is stripped, skipped when blank or a comment, split with
-# its own _FIELDS.findall, and its raw fields kept as a row. Columns are
+# raw_fields_reference, and its raw fields kept as a row. Columns are
 # gathered from the rows and decoded whole field by whole field.
 
 def decode_column_reference(
@@ -301,7 +319,7 @@ def parse_arff_reference(
         else:
             if line.startswith("{"):
                 raise ArffError(line_no, "sparse data rows are not supported")
-            fields = _raw_fields(line, line_no)
+            fields = raw_fields_reference(line, line_no)
             if len(fields) != len(attributes):
                 raise ArffError(
                     line_no,

@@ -465,11 +465,14 @@ _SET = {"conditions": "a3 != 3", "pass": 1, "minsupp_all": 0.8, "p": 150, "n": 6
          "line 2, group 'red': no attribute named 'zz'"),
         ("report.csv", _CSV_HEADER + '"red","a3 = 9",1,0.8,150,60,150,0.5,0.0\n',
          "line 2, group 'red': attribute 'a3' has no value '9'"),
+        ("report.json", "[" * 200_000 + "]" * 200_000, "must not nest"),
+        ("report.csv", _CSV_HEADER + '"red","a3 in [0.5, inf)",1,0.8,150,60,150,0.5,0.0\n',
+         "line 2, group 'red': numeric test on nominal attribute 'a3'"),
     ],
     ids=["json-list", "json-group-not-list", "json-no-p", "json-numeric-conditions",
          "json-null-count", "csv-short-row", "csv-numeric-conditions", "csv-huge-field",
          "csv-bare-text", "json-unknown-group", "csv-unknown-group", "csv-unknown-attribute",
-         "csv-unknown-value"],
+         "csv-unknown-value", "json-deep", "csv-interval-on-nominal"],
 )
 def test_main_summarize_malformed_report_exits_1(tmp_path, capsys, name, text, needle):
     report = tmp_path / name

@@ -18,8 +18,7 @@ from csmine.data import (
     ArffError,
     Attribute,
     DataSet,
-    _field_text,
-    _raw_fields,
+    _parse_attribute_line,
     _scan_rows,
     derive_groups_regression,
     derive_groups_survival,
@@ -40,6 +39,7 @@ from conftest import (
     random_classification,
     random_regression,
     random_survival,
+    raw_fields_reference,
     scan_rows_reference,
     split_csv_reference,
     write_arff_reference,
@@ -428,17 +428,30 @@ def test_regression_binding_infers_task():
     assert exc.value.line == 6
 
 
-@settings(max_examples=1000, deadline=None)
-@given(st.text() | st.text(alphabet=" ,'\"ab?\t\r{}%"))
-def test_raw_fields_match_reference_splitter(text):
+def _domain_reference(text):
+    """The attribute ``a {text}`` declares, its domain split by the
+    character-at-a-time reference; or the ArffError it raises."""
     try:
-        want = split_csv_reference(text, 1)
+        values = split_csv_reference(text, 1)
+        if "" in values:
+            raise ArffError(1, "empty value in nominal domain of 'a'")
+        return Attribute("a", "nominal", tuple(values))
     except ArffError as exc:
-        assert str(exc) == "line 1: unterminated quote"
-        with pytest.raises(ArffError, match="^line 1: unterminated quote$"):
-            _raw_fields(text, 1)
-        return
-    assert [_field_text(f) for f in _raw_fields(text, 1)] == want
+        return str(exc)
+    except ValueError as exc:
+        return str(ArffError(1, str(exc)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(st.characters(exclude_characters="\n")) | st.text(alphabet=" ,'\"ab?\t\r{}%"))
+def test_nominal_domains_match_reference_splitter(text):
+    # a domain is split by the @data scan's grammar, as one row of all its
+    # fields; a header line holds no newline
+    try:
+        got = _parse_attribute_line("a {" + text + "}", 1)
+    except ArffError as exc:
+        got = str(exc)
+    assert got == _domain_reference(text)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +488,18 @@ def _row_texts(draw):
     return text, k
 
 
+def _first_bad_row_reference(rows, k):
+    """(row, error) of the first line of ``rows`` that raw_fields_reference
+    finds a quote left open in or splits into other than ``k`` fields."""
+    for row, line in enumerate(rows.removesuffix("\n").split("\n")):
+        try:
+            found = len(raw_fields_reference(line, row))
+        except ArffError:
+            return row, "unterminated quote"
+        if found != k:
+            return row, f"expected {k} values, found {found}"
+
+
 @settings(max_examples=2000, deadline=None)
 @given(_row_texts() | st.tuples(st.text(alphabet=_ROW_CHARS, min_size=1), st.integers(1, 5)))
 @hypothesis.example(("'a,b',\"c'd\"\n", 2))  # commas and the other quote kind inside runs
@@ -485,11 +510,13 @@ def _row_texts(draw):
 @hypothesis.example(("a,b,", 2))
 @hypothesis.example(("\udc80é,'\udc80'\n", 2))
 def test_scan_rows_matches_the_regex_token_scan(case):
-    # the fields the old scan's tokens held, or None where its checks failed
+    # the fields the old scan's tokens held or, where its checks failed,
+    # the first row that a split line by line finds malformed
     rows, k = case
     if not rows:
         reject()
-    assert _scan_rows(rows, k) == scan_rows_reference(rows, k)
+    want = scan_rows_reference(rows, k)
+    assert _scan_rows(rows, k) == (_first_bad_row_reference(rows, k) if want is None else want)
 
 
 # ---------------------------------------------------------------------------
@@ -728,12 +755,15 @@ def test_a_wide_file_parses_as_the_reference():
 
 
 def test_valid_data_is_read_without_walking_its_lines(monkeypatch):
-    # _raw_fields splits one line; on valid input only the nominal domains use it
-    calls = []
-    monkeypatch.setattr(data, "_raw_fields", lambda *args: calls.append(args) or _raw_fields(*args))
+    # the field grammar splits each chunk once and each nominal domain once;
+    # valid rows are never split again to look for a bad one
+    splits, scans = [], []
+    separators, scan_rows = data._separators, data._scan_rows
+    monkeypatch.setattr(data, "_separators", lambda *args: splits.append(1) or separators(*args))
+    monkeypatch.setattr(data, "_scan_rows", lambda *args: scans.append(1) or scan_rows(*args))
     text = write_arff(random_classification(3, n_min=500, n_max=500))
     parse_arff(text + "% a comment\n\n" + text[text.index("@data\n") + 6 :], group="group")
-    assert len(calls) == text.count("{")
+    assert len(scans) == 1 and len(splits) == text.count("{") + 1
 
 
 def _nominal_arff(seed, n, k):
