@@ -186,6 +186,8 @@ def run_mine(args, out=None) -> int:
     threshold = None
     if "redundancy_threshold" in cfg and cfg["redundancy_threshold"]:
         threshold = _parse_number(cfg, "redundancy_threshold", 0.0)
+        if threshold != threshold:
+            raise ConfigError(f"redundancy_threshold must be a number, got {cfg['redundancy_threshold']!r}")
     inputs: list[str | None]
     if cfg.get("synthetic"):
         inputs = [None]
@@ -195,9 +197,12 @@ def run_mine(args, out=None) -> int:
         if not inputs:
             raise ConfigError("config needs either input or synthetic")
     multi = len(inputs) > 1
-    for input_path in inputs:
+    stems = [Path(input_path).stem if input_path else "synthetic" for input_path in inputs]
+    for i, stem in enumerate(stems):  # one stem, one set of suffixed report files
+        if stem in stems[:i] and (cfg.get("output_csv") or cfg.get("output_json")):
+            raise ConfigError(f"inputs {inputs[stems.index(stem)]!r} and {inputs[i]!r} write the same reports")
+    for input_path, stem in zip(inputs, stems):
         ds = load_dataset(cfg, input_path)
-        stem = Path(input_path).stem if input_path else "synthetic"
         print(
             f"{ds.relation}: {ds.n_examples} examples, {len(ds.attributes)} attributes, "
             f"task {ds.task}, groups {', '.join(ds.groups)}",

@@ -242,48 +242,67 @@ def render_conditions(cs: ContrastSet, ds: DataSet) -> str:
     return " AND ".join(parts)
 
 
-_INTERVAL_RE = re.compile(
-    r"^(?P<name>.+?) in (?P<lo>\[|\()(?P<a>[^,]+), (?P<b>[^)]+)\)$"
-)
-_NE_RE = re.compile(r"^(?P<name>.+?) != (?P<value>.+)$")
-_EQ_RE = re.compile(r"^(?P<name>.+?) = (?P<value>.+)$")
+_INTERVAL = re.compile(r"[\[(](?P<a>[^,]+), (?P<b>[^)]+)\)")
 
 
-def _attr_index(ds: DataSet, name: str) -> int:
-    try:
-        return ds.attr_index(name)
-    except KeyError as exc:
-        raise ValueError(exc.args[0]) from None
+def _read_part(part: str, ds: DataSet) -> list[Condition]:
+    """The conditions of the first reading of ``part`` that ``ds`` accepts,
+    else the first reading's error. A reading cuts the part at an `` in ``
+    before an interval, then a `` != ``, then a `` = ``, leftmost first."""
+    error = None
+    for sep in (" in ", " != ", " = "):
+        at = part.find(sep)
+        while at != -1:
+            name, test, at = part[:at], part[at + len(sep) :], part.find(sep, at + 1)
+            interval = _INTERVAL.fullmatch(test) if sep == " in " else None
+            if sep == " in " and not interval:  # an in-cut reads only an interval
+                continue
+            try:
+                ai = ds.attr_index(name)
+                attr = ds.attributes[ai]
+                if interval and not attr.is_numeric:
+                    raise ValueError(f"numeric test on nominal attribute {name!r}")
+                if interval:
+                    bounds = (GE, interval["a"].strip(), "-inf"), (LT, interval["b"].strip(), "inf")
+                    return [Condition(ai, op, float(x)) for op, x, none in bounds if x != none]
+                if test not in attr.domain:
+                    raise ValueError(f"attribute {name!r} has no value {test!r}")
+                return [Condition(ai, NE if sep == " != " else EQ, attr.domain.index(test))]
+            except (KeyError, ValueError) as exc:  # KeyError: no attribute of that name
+                error = error or ValueError(exc.args[0])
+    raise error or ValueError(f"cannot parse condition {part!r}")
 
 
 def parse_conditions(text: str, group: str, ds: DataSet) -> ContrastSet:
     """Inverse of :func:`render_conditions`; raises ``ValueError`` naming a
-    part, attribute or value it cannot read."""
-    conditions: list[Condition] = []
+    part, attribute or value it cannot read.
+
+    A name or value may hold `` AND ``, `` = ``, `` != `` or `` in ``, so
+    every way to cut the text into parts at `` AND `` is tried, and the
+    first reading the dataset accepts is kept, shortest parts first. Where
+    none is, the first `` AND ``-separated piece that reads as no test raises.
+    """
     text = text.strip()
-    if text:
-        for part in text.split(" AND "):
-            part = part.strip()
-            m = _INTERVAL_RE.match(part)
-            if m:
-                ai = _attr_index(ds, m.group("name"))
-                if not ds.attributes[ai].is_numeric:
-                    raise ValueError(f"numeric test on nominal attribute {m.group('name')!r}")
-                lo, hi = m.group("a").strip(), m.group("b").strip()
-                if lo != "-inf":
-                    conditions.append(Condition(ai, GE, float(lo)))
-                if hi != "inf":
-                    conditions.append(Condition(ai, LT, float(hi)))
-                continue
-            op, m = NE, _NE_RE.match(part)
-            if not m:
-                op, m = EQ, _EQ_RE.match(part)
-            if not m:
-                raise ValueError(f"cannot parse condition {part!r}")
-            name, value = m.group("name", "value")
-            ai = _attr_index(ds, name)
-            domain = ds.attributes[ai].domain
-            if value not in domain:
-                raise ValueError(f"attribute {name!r} has no value {value!r}")
-            conditions.append(Condition(ai, op, domain.index(value)))
+    cuts = [m.start() for m in re.finditer("(?= AND )", text)]  # overlapping ones too
+    starts, stops = ([0] + [c + 5 for c in cuts], cuts + [len(text)]) if text else ([], [])
+    most = max((a.name.count("AND") + max((v.count("AND") for v in a.domain), default=0)
+                for a in ds.attributes), default=0)
+    # read[i]: the first accepted reading from starts[i] on: the next part's start, this part's conditions
+    read: list = [None] * len(starts) + [(len(starts), [])]
+    for i in reversed(range(len(starts))):
+        # each cut a part spans holds an AND of its name or value
+        for j in range(i, min(i + 1 + most, len(starts))):
+            if read[j + 1] is not None:
+                try:
+                    read[i] = j + 1, _read_part(text[starts[i] : stops[j]].strip(), ds)
+                    break
+                except ValueError:
+                    pass
+    if read[0] is None:
+        for piece in text.split(" AND "):
+            _read_part(piece.strip(), ds)
+    conditions, i = [], 0
+    while i < len(starts):
+        i, conds = read[i]
+        conditions += conds
     return ContrastSet(tuple(conditions), group)

@@ -141,7 +141,7 @@ class MiningEvent:
 
 @dataclass
 class _Context:
-    """Per-group mining state shared by grow and prune."""
+    """Per-group mining state shared by grow and prune; it caches the layout and scores of first steps."""
 
     ds: DataSet
     params: MiningParams
@@ -158,8 +158,8 @@ class _Context:
     survival_scorer: _LogRankScorer | None = None
     # the presorted numeric block: its attributes, and per attribute its rows
     # stable-sorted by value with missing cells last, and the ranks of their
-    # values in that order; the arrays of both blocks, and the root, are
-    # built by presort() on the first sweep or grow step
+    # values in that order; the arrays of both blocks are built by presort()
+    # on the first sweep
     numeric: tuple[int, ...] = ()
     order: np.ndarray | None = None  # (k, n) int32
     ranks: np.ndarray | None = None  # (k, n) int32, -1 where missing
@@ -170,7 +170,8 @@ class _Context:
     nominal: tuple[int, ...] = ()
     keys: np.ndarray | None = None     # (k, n) int32
     offsets: np.ndarray | None = None  # (k + 1,) first bin of each attribute, then the bin count
-    root: _Root | None = None  # the full-coverage step every grow starts from
+    # which full-coverage candidates _first_step_scores scored, and their scores
+    first_scores: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def build(
@@ -188,8 +189,7 @@ class _Context:
 
         The uncovered pool defaults to the whole group, the reward baseline
         to the uncovered pool, and the support floor to the first level.
-        The blocks are presorted and stacked, and the root swept, by the
-        first sweep or grow step.
+        The blocks are presorted and stacked by the first sweep.
         """
         pos = ds.group_mask(group)
         P = int(np.count_nonzero(pos))
@@ -221,9 +221,7 @@ class _Context:
         return ctx
 
     def presort(self) -> None:
-        """Presort the numeric block, stack the nominal block and sweep both
-        at full coverage into the root, once."""
-        # the root's sweeps call presort() again, which returns here
+        """Presort the numeric block and stack the nominal block, once: the full-coverage layout."""
         if self.order is not None or self.keys is not None:
             return
         ds = self.ds
@@ -253,9 +251,6 @@ class _Context:
             cols = [ds.column(ai) for ai in self.nominal]
             self.keys = np.stack([np.where(c < 0, hi - 1, c + lo).astype(np.int32)
                                   for c, lo, hi in zip(cols, self.offsets[:-1], self.offsets[1:])])
-        everything = np.ones(ds.n_examples, dtype=bool)
-        swept = (_sweep_attribute(self, block, everything, np.arange(ds.n_examples)) for block in self.blocks)
-        self.root = _Root([cand for cand in swept if cand is not None])
 
     @property
     def blocks(self) -> list[tuple[int, ...]]:
@@ -423,9 +418,11 @@ def _sweep_attribute(
     in one call: the (rows, ranks) of any earlier step's numeric block, or
     by default the full presort. A stable sort of the covered rows is a
     presorted order with the other rows left out, ties included, and a
-    split is a gap of more than 1 between neighbouring ranks. The
-    nominal block counts every attribute's categories, in the group and
-    both pools too, with one integer bincount of its bins and the codes.
+    split is a gap of more than 1 between neighbouring ranks; its sides
+    sum ``counters``. The nominal block counts every attribute's
+    categories, in the group and both pools too, with one integer bincount
+    of its bins and the codes: a first side is its category's bin, and an
+    attribute's known rows are the covered rows less its missing bin.
     """
     ctx.presort()
     m = cov_idx.size
@@ -434,7 +431,7 @@ def _sweep_attribute(
         if m < 2:  # no split, and each row below has m - 1 split positions
             return None
         order, ranks = layout if layout is not None else (ctx.order, ctx.ranks)
-        if m == order.shape[1]:  # the layout holds just the covered rows: the root's is the presort
+        if m == order.shape[1]:  # the layout holds just the covered rows: full coverage's is the presort
             rows, key = order, ranks
         else:
             # index arrays gather faster than the boolean mask itself
@@ -449,106 +446,55 @@ def _sweep_attribute(
             return None
         row, cut = np.divmod(split, m - 1)
         cand = _Candidates(True, rows, known, row, np.asarray(block)[row], row * m + cut, key)
-        cand.covc = _sides((cut + 1).astype(np.int64, copy=False), known[cand.row])
-        return _count_and_gate(ctx, cand, counters if counters is not None else _pack_counters(ctx))
-    keys = ctx.keys if m == ctx.keys.shape[1] else ctx.keys.take(cov_idx, axis=1)
-    codes = codes if codes is not None else _pack_codes(ctx)
-    table = _bin_counts(keys, codes[cov_idx], ctx.offsets[-1])
-    size = table[:, 0].copy()
-    missing = ctx.offsets[1:] - 1
-    known = m - size[missing]
-    # each attribute's bins count its m rows, missing bin last, so the running
-    # count at a category ends its run in the block's (k, m) category order
-    last = np.cumsum(size) - 1
-    size[missing] = 0
-    bins = size.nonzero()[0]
-    if bins.size == 0:
-        return None
-    row = np.searchsorted(ctx.offsets, bins, side="right") - 1
-    cand = _Candidates(False, cov_idx, known, row, np.asarray(block)[row], last[bins], keys, bins, ctx.offsets)
-    return _count_and_gate(ctx, cand, table=table)
-
-
-def _count_and_gate(
-    ctx: _Context, cand: _Candidates, counters: list[np.ndarray] | None = None,
-    table: np.ndarray | None = None,
-) -> _Candidates:
-    """Count the sides of ``cand`` in the group and both pools, then gate them.
-
-    Sets ``p``, ``n``, ``p_new_pass``, ``p_new_reward`` and ``valid``. A
-    numeric block sums ``counters``, which are ``_pack_counters(ctx)``, and
-    keeps ``cand.covc``. A nominal block reads ``table``, the
-    ``_bin_counts`` of its bins, and sets ``covc`` too: a first side is its
-    category's bin, and an attribute's known rows are the covered rows
-    less its missing bin.
-    """
-    if cand.numeric:
+        cand.covc = _sides((cut + 1).astype(np.int64, copy=False), known[row])
         # counts are whole numbers, exact in any float or integer form
-        cand.p, cand.p_new_pass, cand.p_new_reward = _unpack_counters(
-            ctx.ds.n_examples, [cand.side_sums(col[cand.rows]) for col in counters]
-        )
+        cand.p, cand.p_new_pass, cand.p_new_reward = _unpack_counters(ctx.ds.n_examples, [
+            cand.side_sums(col[rows]) for col in (counters if counters is not None else _pack_counters(ctx))])
     else:
+        keys = ctx.keys if m == ctx.keys.shape[1] else ctx.keys.take(cov_idx, axis=1)
+        codes = codes if codes is not None else _pack_codes(ctx)
+        table = _bin_counts(keys, codes[cov_idx], ctx.offsets[-1])
+        size = table[:, 0].copy()
+        missing = ctx.offsets[1:] - 1
+        # each attribute's bins count its m rows, missing bin last, so the running
+        # count at a category ends its run in the block's (k, m) category order
+        last = np.cumsum(size) - 1
         # the first attribute's bins hold every covered row
-        known = table[: cand.offsets[1]].sum(axis=0) - table[cand.offsets[1:] - 1]
+        known = table[: ctx.offsets[1]].sum(axis=0) - table[missing]
+        size[missing] = 0
+        bins = size.nonzero()[0]
+        if bins.size == 0:
+            return None
+        row = np.searchsorted(ctx.offsets, bins, side="right") - 1
+        cand = _Candidates(False, cov_idx, known[:, 0], row, np.asarray(block)[row], last[bins], keys, bins,
+                           ctx.offsets)
         # one interleave of the four counts' rows: each row stays a run of its own
-        first, total = table[cand.bins].T.ravel(), known[cand.row].T.ravel()
+        first, total = table[bins].T.ravel(), known[row].T.ravel()
         cand.covc, cand.p, cand.p_new_pass, cand.p_new_reward = _sides(first, total).reshape(4, -1)
     cand.n = cand.covc - cand.p  # every row is in the group or in its contrast
-    # same division forms as the pool gate in _grow, so boundaries agree; the
-    # layout's last axis runs over the covered rows
-    cand.valid = (
-        (cand.p / ctx.P >= ctx.minsupp_all)
-        & (cand.p_new_pass / ctx.P >= ctx.params.minsupp_new)
-        & (cand.covc < cand.rows.shape[-1])
-    )
+    # same division forms as the pool gate in _grow, so boundaries agree
+    cand.valid = ((cand.p / ctx.P >= ctx.minsupp_all) & (cand.p_new_pass / ctx.P >= ctx.params.minsupp_new)
+                  & (cand.covc < m))
     return cand
 
 
-@dataclass
-class _Root:
-    """A context's full-coverage step, which every grow starts from.
+def _first_step_scores(ctx: _Context, swept: list[_Candidates]) -> np.ndarray:
+    """Raw scores of the valid candidates of ``swept``, a full-coverage
+    sweep's candidates in block order, read from the context's cache.
 
-    ``cands`` are the full-coverage candidates of each block with a
-    split, laid out over the presort's own arrays. Once scored, their
-    ``valid`` marks the candidates whose raw score ``q`` holds, per block
-    in candidate order: every one with support of at least minsupp-new
-    that shrinks the coverage. That is every candidate any support floor
-    and pools can pass, since a candidate's new positives are among its
-    positives.
+    Every full-coverage sweep lays out the same candidates. The first call
+    scores at once each with support of at least minsupp-new that shrinks
+    the coverage, every one any floor and pools can pass, since new
+    positives are among its positives. A score depends only on its
+    candidate's counts, so a cached one has the bits of a fresh one.
     """
-
-    cands: list[_Candidates]
-    q: list[np.ndarray] | None = None
-
-
-def _root_step(
-    ctx: _Context, counters: list[np.ndarray], codes: np.ndarray
-) -> tuple[list[_Candidates], np.ndarray]:
-    """The first step of a grow: the candidates of the root that are valid
-    for the pass's pools, and their raw scores, in block order.
-
-    A copy of each root candidate is counted and gated as a sweep would
-    count it, from ``counters`` and ``codes``. The scores are taken in one
-    ``_score_candidates`` call on the context's first grow step. A score
-    depends only on its candidate's own counts, so a cached one has the
-    bits a fresh step's would have.
-    """
-    ctx.presort()
-    root = ctx.root
-    if root.q is None:
-        for cand in root.cands:
+    if ctx.first_scores is None:
+        wide = [copy.copy(cand) for cand in swept]
+        for cand in wide:
             cand.valid = (cand.p / ctx.P >= ctx.params.minsupp_new) & (cand.covc < ctx.ds.n_examples)
-        q = _score_candidates(ctx, root.cands)
-        root.q = np.split(q, np.cumsum([np.count_nonzero(c.valid) for c in root.cands[:-1]]))
-    cands, q = [], []
-    for base, scores in zip(root.cands, root.q):
-        # the root covers every row, in row order
-        table = None if base.numeric else _bin_counts(base.keys, codes, base.offsets[-1])
-        cand = _count_and_gate(ctx, copy.copy(base), counters, table)
-        if cand.valid.any():
-            cands.append(cand)
-            q.append(scores[cand.valid[base.valid]])
-    return cands, np.concatenate(q) if q else np.empty(0)
+        ctx.first_scores = np.concatenate([cand.valid for cand in wide]), _score_candidates(ctx, wide)
+    scored, q = ctx.first_scores
+    return q[np.concatenate([cand.valid for cand in swept])[scored]]
 
 
 def _score_candidates(ctx: _Context, cands: list[_Candidates]) -> np.ndarray:
@@ -740,9 +686,10 @@ def _grow(ctx: _Context) -> _Grown | None:
     wins, and a step whose scores are all NaN ends growing. The finished
     premise must pass the negative-to-positive ceiling or growing fails.
 
-    The first step reads the context's root, so only later steps sweep the
-    covered rows and score their candidates. The premise's counts are its
-    last step's candidate's, and its raw quality is that candidate's score.
+    Every step sweeps the covered rows, the first over the presort itself;
+    a later step scores its candidates, and the first reads their cached
+    scores. The premise's counts are its last step's candidate's, and its
+    raw quality is that candidate's score.
     Correlation and survival score a candidate with the bits of
     ``_raw_quality``, so they hand it on; regression's swept mean adds its
     labels in another order, so its premise is scored afresh.
@@ -754,7 +701,7 @@ def _grow(ctx: _Context) -> _Grown | None:
     blocks = ctx.blocks
     # d_u and r_u stay fixed for the whole call
     counters, codes = _pack_counters(ctx), _pack_codes(ctx)
-    layout = None  # the last numeric sweep's layout, which covers every later step's rows
+    layout = None  # the last numeric sweep's layout, which covers every later step's rows; first the presort
     cov = np.ones(ctx.ds.n_examples, dtype=bool)
     conditions: list[Condition] = []
     counts = np.asarray(ctx.penalty.counts)
@@ -762,22 +709,18 @@ def _grow(ctx: _Context) -> _Grown | None:
     spi = None  # s*pi of the premise plus each attribute, until the premise gains one
     quality = None
     while True:
-        if not conditions:  # full coverage: the root's layout is the presort's
-            cands, q = _root_step(ctx, counters, codes)
-        else:
-            cov_idx = cov.nonzero()[0]
-            cands = []
-            for block in blocks:
-                cand = _sweep_attribute(ctx, block, cov, cov_idx, counters, layout, codes)
-                if cand is None:
-                    continue
+        cov_idx = cov.nonzero()[0]
+        swept = []
+        for block in blocks:
+            cand = _sweep_attribute(ctx, block, cov, cov_idx, counters, layout, codes)
+            if cand is not None:
+                swept.append(cand)
                 if cand.numeric:
                     layout = (cand.rows, cand.keys)
-                if cand.valid.any():
-                    cands.append(cand)
-            q = _score_candidates(ctx, cands) if cands else None
+        cands = [cand for cand in swept if cand.valid.any()]
         if not cands:
             break
+        q = _score_candidates(ctx, cands) if conditions else _first_step_scores(ctx, swept)
         # the valid candidates of every block, in block order
         valid = [c.valid.nonzero()[0] for c in cands]
         fields = [(c.p[v], c.p_new_reward[v], c.covc[v], c.attrs[v // 2]) for c, v in zip(cands, valid)]

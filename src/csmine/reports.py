@@ -113,7 +113,9 @@ def filter_redundancy(
     results: dict[str, list[AnnotatedContrastSet]] | list[AnnotatedContrastSet],
     threshold: float,
 ) -> dict[str, list[AnnotatedContrastSet]] | list[AnnotatedContrastSet]:
-    """Keep sets whose recorded redundancy stays below the threshold."""
+    """Keep sets whose recorded redundancy stays below the threshold, which must not be NaN."""
+    if threshold != threshold:
+        raise ValueError("redundancy threshold must not be NaN")
     if isinstance(results, dict):
         return {g: [a for a in sets if a.redundancy < threshold] for g, sets in results.items()}
     return [a for a in results if a.redundancy < threshold]

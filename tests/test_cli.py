@@ -264,6 +264,37 @@ def test_main_mine_multi_input_suffixes_outputs(tmp_path, capsys):
     assert out.count("420 examples") == 2
 
 
+@pytest.mark.parametrize("same_path", [False, True], ids=["same-stem", "same-path"])
+def test_main_mine_refuses_inputs_whose_reports_collide(tmp_path, capsys, monkeypatch, same_path):
+    # two inputs with one stem would write the same suffixed reports, the
+    # second over the first; the run is refused before anything is mined
+    def no_mining(*args, **kwargs):
+        raise AssertionError("mining started")
+
+    monkeypatch.setattr(cli, "mine_all", no_mining)
+    a, b = tmp_path / "x" / "s.arff", tmp_path / "y" / "s.arff"
+    for path in (a, b):
+        path.parent.mkdir()
+        write_arff(generate_synthetic(seed=0), path)
+    second = a if same_path else b
+    cfg = write_config(tmp_path, input=f"{a}, {second}", group_column="group",
+                       output_csv=tmp_path / "o.csv", output_json=tmp_path / "o.json")
+    assert main(["mine", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: inputs '{a}' and '{second}' write the same reports" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf", "x", "y"]
+
+
+def test_main_mine_nan_redundancy_threshold_exit_code(tmp_path, capsys):
+    # a NaN threshold keeps no set, and a JSON report cannot hold it
+    cfg = write_config(tmp_path, synthetic="default", redundancy_threshold="nan",
+                       output_json=tmp_path / "r.json")
+    assert main(["mine", str(cfg)]) == 2
+    assert "error: redundancy_threshold must be a number, got 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_main_mine_reruns_are_byte_identical(tmp_path):
     outs = []
     for run in ("one", "two"):

@@ -275,6 +275,43 @@ def test_parse_conditions_handles_awkward_names():
     text = render_conditions(cs, ds)
     assert text == "odd name in [1.5, inf) AND b = v"
     assert parse_conditions(text, "g", ds).conditions == cs.conditions
+    # names and values that hold a separator: the text is read as the one
+    # premise the dataset accepts
+    awkward = (
+        (Attribute("a", "nominal", ("p AND q", "r")), Condition(0, EQ, 0)),
+        (Attribute("a = b", "nominal", ("u", "v")), Condition(0, EQ, 1)),
+        (Attribute("a", "nominal", ("x != y", "z")), Condition(0, EQ, 0)),
+        (Attribute("a in [1", "numeric"), Condition(0, GE, 1.5)),
+    )
+    for attr, cond in awkward:
+        col = np.array([1.0]) if attr.is_numeric else np.array([0], dtype=np.int32)
+        ds = DataSet((attr,), [col], relation="r", task="classification",
+                     group_names=("g",), group_codes=np.zeros(1, dtype=np.int32))
+        cs = ContrastSet((cond,), "g")
+        assert parse_conditions(render_conditions(cs, ds), "g", ds).conditions == cs.conditions
+    # all of them in one premise, with parts that join on AND both ways
+    attrs = (Attribute("a = b", "nominal", ("p AND q", "r != s AND", "AND")), Attribute("a in [1", "numeric"),
+             Attribute("AND x", "nominal", ("p", "q = AND")))
+    ds = DataSet(attrs, [np.array([0], dtype=np.int32), np.array([1.0]), np.array([0], dtype=np.int32)],
+                 relation="r", task="classification",
+                 group_names=("g",), group_codes=np.zeros(1, dtype=np.int32))
+    cs = canonicalize(ContrastSet((Condition(0, EQ, 0), Condition(0, NE, 1), Condition(0, NE, 2),
+                                   Condition(1, GE, 1.5), Condition(1, LT, 2.5), Condition(2, NE, 1)), "g"))
+    assert parse_conditions(render_conditions(cs, ds), "g", ds).conditions == cs.conditions
+    # names and values drawn from the separators' own words
+    rng = np.random.default_rng(0)
+    words = ("AND", "AND", "a", "=", "!=", "in", "[1", "(", "x")
+    for _ in range(300):
+        names = list(dict.fromkeys(" ".join(rng.choice(words, size=rng.integers(1, 4))) for _ in range(3)))
+        attrs = tuple(Attribute(name, "numeric") if rng.random() < 0.3 else
+                      Attribute(name, "nominal", tuple(dict.fromkeys(
+                          " ".join(rng.choice(words, size=rng.integers(1, 4))) for _ in range(3))))
+                      for name in names)
+        cols = [np.array([1.0]) if a.is_numeric else np.array([0], dtype=np.int32) for a in attrs]
+        ds = DataSet(attrs, cols, relation="r", task="classification",
+                     group_names=("g",), group_codes=np.zeros(1, dtype=np.int32))
+        cs = canonicalize(random_premise(rng, ds, max_conditions=5))
+        assert parse_conditions(render_conditions(cs, ds), "g", ds).conditions == cs.conditions
 
 
 def test_parse_conditions_rejects_garbage():

@@ -587,13 +587,12 @@ def test_step_scorer_memory_is_bounded_by_the_block_ceiling(monkeypatch):
     assert peak < 24 * bound * 8
 
 
-def _fresh_full_step(ctx):
-    """A first grow step taken afresh: both blocks swept at full coverage,
-    the candidates with a valid side kept, and those scored."""
+def _full_sweep(ctx):
+    """A first grow step's candidates: both blocks swept at full coverage,
+    those with a split kept."""
     n = ctx.ds.n_examples
     swept = [induction._sweep_attribute(ctx, b, np.ones(n, dtype=bool), np.arange(n)) for b in ctx.blocks]
-    cands = [c for c in swept if c is not None and c.valid.any()]
-    return cands, induction._score_candidates(ctx, cands)
+    return [c for c in swept if c is not None]
 
 
 @pytest.mark.parametrize(
@@ -602,10 +601,11 @@ def _fresh_full_step(ctx):
      ("regression", random_regression)],
     ids=["survival", "correlation", "regression"],
 )
-def test_root_step_equals_a_fresh_step(measure, make):
+def test_first_step_scores_equal_fresh_scores(measure, make):
     # one context per group, as mine_group keeps it: the pools shrink pass by
-    # pass and the support floor steps down the ladder, then below it; every
-    # root step must equal a fresh full-coverage sweep and score, bit for bit
+    # pass and the support floor steps down the ladder, then below it; at
+    # every first step the cached scores must equal a fresh score of the same
+    # candidates, bit for bit
     params = MiningParams(minsupps=(0.6, 0.3, 0.1), minsupp_new=0.05)
     steps = scored = 0
     for seed in range(3):
@@ -620,16 +620,9 @@ def test_root_step_equals_a_fresh_step(measure, make):
                 for _ in range(3):
                     ctx.d_u = pos.copy()
                     for _ in range(2):
-                        got, got_q = induction._root_step(
-                            ctx, induction._pack_counters(ctx), induction._pack_codes(ctx))
-                        want, want_q = _fresh_full_step(ctx)
-                        assert [c.numeric for c in got] == [c.numeric for c in want]
-                        for a, b in zip(got, want):
-                            assert [a.condition(i, ds) for i in range(a.p.size)] == [
-                                b.condition(i, ds) for i in range(b.p.size)]
-                            for name in ("p", "n", "p_new_pass", "p_new_reward", "covc", "valid"):
-                                x, y = getattr(a, name), getattr(b, name)
-                                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+                        swept = _full_sweep(ctx)
+                        got_q = induction._first_step_scores(ctx, swept)
+                        want_q = induction._score_candidates(ctx, [c for c in swept if c.valid.any()])
                         assert got_q.dtype == want_q.dtype and got_q.tobytes() == want_q.tobytes()
                         steps += 1
                         scored += got_q.size
@@ -662,26 +655,30 @@ def test_public_grow_below_the_ladder_matches_reference(make):
     assert checked >= 6 and floor_decides >= 1
 
 
-def test_mine_group_builds_the_root_once(monkeypatch):
-    # one survival mine_group: the presort sweeps each block at full coverage
-    # once, into the root, whose layout is the presort itself; one score call
-    # takes the full-coverage candidates, and every grow's first step reads them
-    contexts, full_sweeps, full_scores, grows = [], [], [], []
+def test_mine_group_scores_the_first_step_once(monkeypatch):
+    # one survival mine_group: presort sweeps nothing; every grow that passes
+    # the pool gate sweeps each block once at full coverage, over the
+    # presort's own arrays; one score call takes the full-coverage
+    # candidates, and every later first step reads their cached scores
+    contexts, full_sweeps, full_scores, passed = [], [], [], []
     presort, sweep, score, grow_ = (induction._Context.presort, induction._sweep_attribute,
                                     induction._score_candidates, induction._grow)
-    building = []
+    building, built_sweeps = [], []
 
     def presorting(ctx):
-        building.append(ctx.root is None)
+        building.append(True)
         presort(ctx)
         building.pop()
         if all(c is not ctx for c in contexts):
             contexts.append(ctx)
 
     def sweeping(ctx, block, cov, cov_idx, *args):
+        if building:
+            built_sweeps.append(block)
+        cand = sweep(ctx, block, cov, cov_idx, *args)
         if cov_idx.size == ctx.ds.n_examples:
-            full_sweeps.append(bool(building and building[-1]))
-        return sweep(ctx, block, cov, cov_idx, *args)
+            full_sweeps.append(cand)
+        return cand
 
     def scoring(ctx, cands):
         if any(c.rows.shape[-1] == ctx.ds.n_examples for c in cands):
@@ -689,7 +686,7 @@ def test_mine_group_builds_the_root_once(monkeypatch):
         return score(ctx, cands)
 
     def growing(ctx):
-        grows.append(ctx)
+        passed.append(np.count_nonzero(ctx.d_u) / ctx.P >= ctx.params.minsupp_new)
         return grow_(ctx)
 
     monkeypatch.setattr(induction._Context, "presort", presorting)
@@ -700,12 +697,14 @@ def test_mine_group_builds_the_root_once(monkeypatch):
     sets = mine_group(ds, ds.groups[0])
     assert sets and len(contexts) == 1
     ctx = contexts[0]
-    assert len(grows) >= 10
+    assert len(passed) >= 10
+    assert built_sweeps == []
     assert full_scores == [id(ctx)]
-    assert full_sweeps == [True] * len(ctx.blocks)
-    numeric, nominal = ctx.root.cands
-    assert np.shares_memory(numeric.rows, ctx.order) and np.shares_memory(numeric.keys, ctx.ranks)
-    assert np.shares_memory(nominal.keys, ctx.keys)
+    assert len(ctx.blocks) == 2 and len(full_sweeps) == 2 * sum(passed)
+    for numeric, nominal in zip(full_sweeps[0::2], full_sweeps[1::2]):
+        assert numeric.numeric and not nominal.numeric
+        assert np.shares_memory(numeric.rows, ctx.order) and np.shares_memory(numeric.keys, ctx.ranks)
+        assert np.shares_memory(nominal.keys, ctx.keys)
 
 
 # cells that tie, signed zeros, neighbours one ulp apart, subnormals,

@@ -107,6 +107,10 @@ def test_filter_redundancy_is_strictly_below():
     assert filter_redundancy([lo, at, hi], 0.5) == [lo]
     # idempotent
     assert filter_redundancy(kept, 0.5) == kept
+    # no redundancy is below NaN, so a NaN threshold would drop every set
+    for results in ({"g1": [lo]}, [lo]):
+        with pytest.raises(ValueError, match="NaN"):
+            filter_redundancy(results, float("nan"))
 
 
 # ---------------------------------------------------------------------------
